@@ -95,6 +95,33 @@ pub fn response_sound(response: &str) -> bool {
     times.len() == bounds.len() && times.iter().zip(&bounds).all(|(t, lb)| t >= lb)
 }
 
+/// What a daemon reported about its own handling of a `--trace` request.
+pub struct DaemonTrace {
+    /// Parse to render, as the daemon's worker timed it.
+    pub total_us: u64,
+    /// The daemon's cache disposition: `hit`, `miss`, ...
+    pub cache: String,
+}
+
+/// Splits a `--trace` response into the untraced response and the
+/// daemon's trace. The daemon splices the `"trace"` member in last.
+pub fn split_daemon_trace(response: &str) -> (String, Option<DaemonTrace>) {
+    let Some(i) = response.find(", \"trace\": {") else {
+        return (response.to_owned(), None);
+    };
+    let trace = &response[i..];
+    let total_us = numbers_after(trace, "total_micros").first().copied();
+    let cache = trace
+        .split("\"cache\": \"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next());
+    let parsed = total_us.zip(cache).map(|(total_us, cache)| DaemonTrace {
+        total_us,
+        cache: cache.to_owned(),
+    });
+    (format!("{}}}", &response[..i]), parsed)
+}
+
 /// Sweep tallies summed over the schedule runs a pass performed.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Tally {
@@ -110,13 +137,6 @@ impl Tally {
         self.executed += s.runs_executed as u64;
         self.skipped += s.runs_skipped as u64;
         self.cut += s.runs_cut as u64;
-    }
-
-    pub fn merge(&mut self, other: Tally) {
-        self.total += other.total;
-        self.executed += other.executed;
-        self.skipped += other.skipped;
-        self.cut += other.cut;
     }
 }
 

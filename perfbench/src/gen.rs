@@ -86,17 +86,22 @@ pub fn oneshot_stream(seed: u64, blocks: usize) -> Vec<String> {
     (0..blocks).flat_map(|_| mixed_block(&mut rng)).collect()
 }
 
-/// Widths of the `serve_cold` schedule keys.
-pub const COLD_WIDTHS: std::ops::RangeInclusive<u16> = 8..=128;
-
-/// The `serve_cold` key cycle: every schedule key over the four SOCs, both
-/// power modes, both preemption modes, and [`COLD_WIDTHS`] (1936 keys,
-/// more than the daemon's 1024-entry solution cache), in seeded order.
-/// Cycling through more keys than an LRU holds makes every request miss.
+/// The `serve_cold` key cycle, in seeded order: for every (SOC, power,
+/// preemption) combination, every schedule key of width 8..=64 and every
+/// three-width sweep key starting at 8..=62 — the request shapes and
+/// widths of the `oneshot` mix. That is 16 × (57 + 55) = 1792 keys, more
+/// than the daemon's 1024-entry solution cache holds. Cycling through more
+/// keys than an LRU holds makes every request miss.
 pub fn cold_cycle(seed: u64) -> Vec<String> {
     let mut keys: Vec<String> = combos()
         .flat_map(|(soc, mode)| {
-            COLD_WIDTHS.map(move |w| format!("schedule {soc} --width {w}{mode}"))
+            let schedules = (8..=64u16).map({
+                let mode = mode.clone();
+                move |w| format!("schedule {soc} --width {w}{mode}")
+            });
+            let sweeps =
+                (8..=62u16).map(move |f| format!("sweep {soc} --from {f} --to {}{mode}", f + 2));
+            schedules.chain(sweeps)
         })
         .collect();
     Rng::new(seed).shuffle(&mut keys);

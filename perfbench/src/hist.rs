@@ -51,15 +51,6 @@ impl Hist {
         self.sum_ns += u128::from(ns);
     }
 
-    pub fn merge(&mut self, other: &Hist) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.ok += other.ok;
-        self.failed += other.failed;
-        self.sum_ns += other.sum_ns;
-    }
-
     pub fn record_failure(&mut self) {
         self.failed += 1;
     }

@@ -13,6 +13,7 @@
 //! counters. See `perfbench/README.md` for the workloads and the layer map.
 
 mod check;
+mod cpu;
 mod gen;
 mod hist;
 mod report;
@@ -23,11 +24,9 @@ use std::time::Instant;
 
 use workload::{Env, Kind};
 
-/// Set-ups per run: at least `MIN_SETUPS`, and more while they add up to
-/// less than `SETUP_BUDGET_S`; `setup_s` is their median.
-const MIN_SETUPS: usize = 5;
-const MAX_SETUPS: usize = 100;
-const SETUP_BUDGET_S: f64 = 1.0;
+/// Set-ups per run; `setup_s` is their median. A fixed count, so every run
+/// allocates and frees the same, whatever the host's speed.
+const SETUPS: usize = 9;
 
 struct Args {
     kind: Kind,
@@ -82,11 +81,13 @@ fn run(args: &Args) -> Result<report::Report, String> {
     let (keys, mode) = args.kind.verification();
     let verified = check::verify(&catalog, &keys, mode);
 
+    // Before set-up, so the daemons' threads inherit the pin.
+    if args.kind.pinned() {
+        cpu::pin_to_one()?;
+    }
     let mut setup_s: Vec<f64> = Vec::new();
     let mut env = None;
-    while setup_s.len() < MIN_SETUPS
-        || (setup_s.len() < MAX_SETUPS && setup_s.iter().sum::<f64>() < SETUP_BUDGET_S)
-    {
+    while setup_s.len() < SETUPS {
         drop(env.take());
         let t0 = Instant::now();
         env = Some(Env::setup(args.kind, args.seed, &catalog)?);

@@ -11,7 +11,7 @@ use crate::workload::{Kind, Measured, Traced};
 /// Fewest latency samples for at least ten to lie beyond p99.
 const MIN_LATENCY_SAMPLES: u64 = 1000;
 
-/// Requests per client whose spans are written to `perfbench/out/`.
+/// Requests whose spans are written to `perfbench/out/`.
 const SPAN_DUMP_REQUESTS: u64 = 1000;
 
 pub struct Report {
@@ -25,6 +25,8 @@ pub struct Report {
     samples: Vec<(String, String)>,
     spans: Vec<Span>,
     latency_samples: u64,
+    /// Why the run is not correct, beyond failed requests.
+    problems: Vec<String>,
 }
 
 fn median(values: &[f64]) -> f64 {
@@ -71,6 +73,29 @@ impl Report {
             samples: Vec::new(),
             spans: Vec::new(),
             latency_samples: 0,
+            problems: Vec::new(),
+        }
+    }
+
+    /// Sheds and failovers must stay at zero: no workload opens more
+    /// connections than there are workers, and no backend fails.
+    fn check_faults(&mut self, sheds: u64, failovers: u64) {
+        if sheds > 0 {
+            self.problems
+                .push(format!("the daemons shed {sheds} connections"));
+        }
+        if failovers > 0 {
+            self.problems
+                .push(format!("the front failed over {failovers} times"));
+        }
+    }
+
+    fn check_latency_samples(&mut self) {
+        if self.latency_samples < MIN_LATENCY_SAMPLES {
+            self.problems.push(format!(
+                "only {} latency samples; p99 rests on fewer than 10",
+                self.latency_samples
+            ));
         }
     }
 
@@ -83,15 +108,15 @@ impl Report {
     pub fn add_untraced(&mut self, m: Measured) {
         self.count(&m.hist);
         self.latency_samples = m.hist.samples();
-        if self.latency_samples < MIN_LATENCY_SAMPLES {
-            eprintln!(
-                "perfbench: only {} latency samples; p99 rests on fewer than 10",
-                self.latency_samples
-            );
-        }
+        self.check_latency_samples();
+        self.check_faults(m.sheds, m.failovers);
         self.metrics = vec![
             ("throughput_rps", m.hist.ok() as f64 / m.wall_s, "1/s"),
-            ("latency_p50_ms", m.hist.quantile_ms(0.50), "ms"),
+            (
+                "latency_p50_ms",
+                m.window_p50s.iter().sum::<f64>() / m.window_p50s.len() as f64,
+                "ms",
+            ),
             ("latency_p99_ms", m.hist.quantile_ms(0.99), "ms"),
             ("setup_s", median(&self.setup_s), "s"),
             ("peak_rss_mb", f64::NAN, "MiB"), // read when printing
@@ -142,6 +167,28 @@ impl Report {
                 per(&total, "balance.wire") - server_wire,
             ),
         };
+        // The two overheads are remainders: the wire time left after the
+        // in-process work. Less than none means the in-process account
+        // overstates what the daemon did.
+        for (name, value) in [
+            ("server.overhead_us", server_overhead),
+            ("balance.overhead_us", balance_overhead),
+        ] {
+            if value < 0.0 {
+                self.problems
+                    .push(format!("{name} is negative ({value:.3})"));
+            }
+        }
+        // The daemon's own parse-to-render time, less the mirror's, over
+        // the requests sent with `--trace`: how much of `server.overhead_us`
+        // is daemon-side work the mirror did not reproduce.
+        let mirror_gap = ratio(t.daemon_us - t.mirror_us, t.daemon_samples as f64);
+        if self.kind != Kind::Oneshot && t.daemon_samples == 0 {
+            self.problems.push("no daemon trace was checked".to_owned());
+        }
+        // An identity, not a check: the overheads and
+        // `engine.unaccounted_us` are remainders, so the layers add up to
+        // the request time by construction.
         let layer_sum = client
             + balance_overhead
             + server_overhead
@@ -219,6 +266,7 @@ impl Report {
             ("tam.wires_us", wires, "us"),
             ("bounds.us", bounds, "us"),
             ("server.overhead_us", server_overhead, "us"),
+            ("server.mirror_gap_us", mirror_gap, "us"),
             ("server.sheds", t.sheds as f64, "count"),
             ("server.connections", t.connections as f64, "count"),
             ("balance.overhead_us", balance_overhead, "us"),
@@ -243,6 +291,8 @@ impl Report {
             self.metrics.push((name, value as f64, "count"));
         }
         self.latency_samples = t.hist.samples();
+        self.check_latency_samples();
+        self.check_faults(untraced.sheds + t.sheds, untraced.failovers + t.failovers);
         self.spans = t.spans;
     }
 
@@ -259,11 +309,11 @@ impl Report {
             }
         }
         if !self.spans.is_empty() {
-            // The first requests of each client, whole trees: enough to
-            // inspect, small enough to write on every run.
+            // The first requests, whole trees: enough to inspect, small
+            // enough to write on every run.
             let path =
                 std::path::PathBuf::from(format!("perfbench/out/{}-spans.jsonl", kind.name()));
-            let keep = |s: &Span| s.request & ((1 << 40) - 1) < SPAN_DUMP_REQUESTS;
+            let keep = |s: &Span| s.request < SPAN_DUMP_REQUESTS;
             if let Err(e) = trace::write_jsonl(&path, &self.spans, keep) {
                 eprintln!("perfbench: writing {}: {e}", path.display());
             }
@@ -293,7 +343,11 @@ impl Report {
             v.cache_evictions,
             v.makespan_lb_ratio,
         );
+        for problem in &self.problems {
+            eprintln!("perfbench: {problem}");
+        }
         let correct = self.failed == 0
+            && self.problems.is_empty()
             && self.metrics.iter().all(|(_, value, _)| value.is_finite())
             && v.makespan_lb_ratio >= 1.0;
         let mut json = format!(

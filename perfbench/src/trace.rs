@@ -1,7 +1,7 @@
 //! The benchmark's span recorder. Spans wrap the public calls the
 //! benchmark makes into each layer; each records its name, start, end,
-//! parent, and request id. Each client thread owns one [`Recorder`]; spans
-//! stay in memory and are written out when the benchmark ends.
+//! parent, and request id. The client owns one [`Recorder`]; spans stay in
+//! memory and are written out when the benchmark ends.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -125,17 +125,4 @@ pub fn write_jsonl(
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, out)
-}
-
-/// Joins per-thread recordings into one list, re-basing parent indices.
-pub fn merge(recordings: Vec<Recorder>) -> Vec<Span> {
-    let mut all = Vec::new();
-    for r in recordings {
-        let base = all.len();
-        all.extend(r.spans.into_iter().map(|mut s| {
-            s.parent = s.parent.map(|p| p + base);
-            s
-        }));
-    }
-    all
 }

@@ -1,7 +1,7 @@
 //! The four workloads: set-up, the untraced measurement loop, and the
-//! traced loop that records spans around every layer call. Every client is
-//! closed loop: it sends its next request only after the previous answer
-//! arrived.
+//! traced loop that records spans around every layer call. The one client
+//! is closed loop: it sends its next request only after the previous
+//! answer arrived.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -16,16 +16,30 @@ use soctam_server::{Server, ServerConfig};
 use crate::check::{self, Catalog, Tally, Work};
 use crate::gen;
 use crate::hist::Hist;
-use crate::trace::{self, Recorder, Span};
+use crate::trace::{Recorder, Span};
 
-/// Distinct keys in the `serve_hot` / `front_hot` working set.
-pub const HOT_KEYS: usize = 64;
+/// Distinct keys in the `serve_hot` / `front_hot` working set: one whole
+/// stratified block, so every seed serves the same mix of kinds, SOCs,
+/// and modes, and only the widths change.
+pub const HOT_KEYS: usize = 48;
 
 /// Responses kept for the byte-identity sample check.
 const SAMPLES: usize = 16;
 
+/// The windows `latency_p50_ms` averages the median over. The host this
+/// benchmark was tuned on flips between a fast and a slow state every few
+/// seconds (hot requests: about 23 vs 33 µs); a median pooled over a whole
+/// run jumps between the two as their shares cross one half, while the
+/// mean of per-window medians moves with the shares.
+const P50_WINDOW: Duration = Duration::from_secs(1);
+
 /// Stratified blocks in the `oneshot` stream (48 requests each).
 const ONESHOT_BLOCKS: usize = 128;
+
+/// In a traced run, every this-many-th daemon request carries `--trace`,
+/// so the daemon reports its own cache disposition and parse-to-render
+/// time, to be checked against the in-process mirror.
+const DAEMON_TRACE_EVERY: u64 = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -56,17 +70,12 @@ impl Kind {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Closed-loop clients, each on its own thread and connection. Two on
-    /// `serve_hot` keep both cores busy, so no request waits for an idle
-    /// core to wake. One on `front_hot`: each of its requests already
-    /// chains three threads (client, front, backend), and a second client
-    /// oversubscribes the two cores until p99 measures scheduler time
-    /// slices (0.2–1 ms from run to run).
-    fn clients(self) -> usize {
-        match self {
-            Kind::Oneshot | Kind::ServeCold | Kind::FrontHot => 1,
-            Kind::ServeHot => 2,
-        }
+    /// Whether the run is pinned to one CPU (see [`crate::cpu`]): every
+    /// daemon workload, whose single client makes each request a chain of
+    /// thread hand-offs. `oneshot` stays unpinned, so its context compile
+    /// builds menus on every CPU, as the CLI does.
+    pub fn pinned(self) -> bool {
+        self != Kind::Oneshot
     }
 
     /// The fixed verification key list and how to serve it.
@@ -83,7 +92,7 @@ impl Kind {
 pub struct Env {
     kind: Kind,
     catalog: Catalog,
-    /// The request lines the clients cycle through. `oneshot`: the
+    /// The request lines the client cycles through. `oneshot`: the
     /// request stream; `serve_cold`: the key cycle; `serve_hot` /
     /// `front_hot`: the hot key set, in seeded order.
     lines: Vec<String>,
@@ -189,7 +198,7 @@ impl Env {
         Ok(env)
     }
 
-    /// Where the clients send their requests.
+    /// Where the client sends its requests.
     fn target(&self) -> SocketAddr {
         match &self.front {
             Some(front) => front.local_addr(),
@@ -216,67 +225,51 @@ impl Env {
             .sum()
     }
 
+    /// The daemons' shed count and the front's failover count so far.
+    /// Both must stay flat during a measurement: no workload opens more
+    /// connections than there are workers, and no backend fails.
+    fn fault_counts(&self) -> (u64, u64) {
+        let failovers = self.front.as_ref().map_or(0, |f| {
+            metric(&f.metrics(), "soctam_balance_failover_total").unwrap_or(0)
+        });
+        (self.server_counter("soctam_shed_total"), failovers)
+    }
+
     fn connect(&self, addr: SocketAddr) -> Option<Connection> {
         Connection::connect(addr)
             .map_err(|e| eprintln!("perfbench: connect {addr}: {e}"))
             .ok()
     }
 
-    /// Measures for `seconds` with no tracing: each closed-loop client
-    /// times every request it sends.
+    /// Measures for `seconds` with no tracing: the closed-loop client
+    /// times every request it sends and keeps its first responses for the
+    /// byte-identity check.
     pub fn measure(&mut self, seconds: f64) -> Measured {
+        let (sheds_before, failovers_before) = self.fault_counts();
         let start = Instant::now();
         let deadline = start + Duration::from_secs_f64(seconds);
-        let keep = SAMPLES / self.kind.clients();
-        let env = &*self;
-        let parts: Vec<(Hist, Vec<(String, String)>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..env.kind.clients())
-                .map(|c| scope.spawn(move || env.client_loop(c, deadline, keep)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
-        let mut out = Measured {
-            wall_s: start.elapsed().as_secs_f64(),
-            ..Measured::default()
-        };
-        for (hist, samples) in parts {
-            out.hist.merge(&hist);
-            out.samples.extend(samples);
-        }
-        self.cursor += out.hist.samples() as usize;
-        out
-    }
-
-    /// Where client `c` starts in `lines`: clients spread over the cycle.
-    fn start(&self, c: usize) -> usize {
-        self.cursor + c * self.lines.len() / self.kind.clients()
-    }
-
-    /// One client until `deadline`: its latencies and its first `keep`
-    /// responses, for the byte-identity check.
-    fn client_loop(
-        &self,
-        c: usize,
-        deadline: Instant,
-        keep: usize,
-    ) -> (Hist, Vec<(String, String)>) {
-        let mut hist = Hist::default();
-        let mut samples = Vec::new();
+        let mut out = Measured::default();
         let mut conn = None;
         if self.kind != Kind::Oneshot {
             conn = self.connect(self.target());
             if conn.is_none() {
-                hist.record_failure();
-                return (hist, samples);
+                out.hist.record_failure();
+                return out;
             }
         }
-        let mut i = self.start(c);
+        let (hist, samples) = (&mut out.hist, &mut out.samples);
+        let mut window = Hist::default();
+        let mut window_end = start + P50_WINDOW;
         while Instant::now() < deadline {
-            let line = &self.lines[i % self.lines.len()];
-            i += 1;
+            if Instant::now() >= window_end {
+                if window.samples() > 0 {
+                    out.window_p50s.push(window.quantile_ms(0.5));
+                }
+                window = Hist::default();
+                window_end = Instant::now() + P50_WINDOW;
+            }
+            let line = &self.lines[self.cursor % self.lines.len()];
+            self.cursor += 1;
             let t0 = Instant::now();
             let response = match conn.as_mut() {
                 None => self.catalog.parse(line).map(|req| {
@@ -289,17 +282,26 @@ impl Env {
             match response {
                 Ok(response) if check::response_sound(&response) => {
                     hist.record_ns(ns);
-                    if samples.len() < keep {
+                    window.record_ns(ns);
+                    if samples.len() < SAMPLES {
                         samples.push((line.clone(), response));
                     }
                 }
                 other => {
                     eprintln!("perfbench: request `{line}` failed: {other:?}");
                     hist.record_failure();
+                    window.record_failure();
                 }
             }
         }
-        (hist, samples)
+        if window.samples() > 0 {
+            out.window_p50s.push(window.quantile_ms(0.5));
+        }
+        out.wall_s = start.elapsed().as_secs_f64();
+        let (sheds, failovers) = self.fault_counts();
+        out.sheds = sheds - sheds_before;
+        out.failovers = failovers - failovers_before;
+        out
     }
 
     /// Measures for `seconds` with spans around every layer call. Each
@@ -342,29 +344,10 @@ impl Env {
         let registry_before = replay_registry.stats();
 
         let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-        let env = &*self;
-        let (mirror, replay) = (&mirror, &*replay_registry);
-        let clients: Vec<ClientTrace> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..env.kind.clients())
-                .map(|c| scope.spawn(move || env.traced_loop(c, deadline, epoch, mirror, replay)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
         let mut out = Traced::default();
-        let mut recordings = Vec::new();
-        for client in clients {
-            out.hist.merge(&client.hist);
-            out.tally.merge(client.tally);
-            out.work.merge(client.work);
-            out.mismatches += client.mismatches;
-            out.registry_hits += client.registry_hits;
-            out.registry_misses += client.registry_misses;
-            recordings.push(client.rec);
-        }
-        out.spans = trace::merge(recordings);
+        let mut rec = Recorder::new(epoch);
+        self.traced_loop(&mut out, &mut rec, deadline, &mirror, &replay_registry);
+        out.spans = rec.spans;
 
         let stats = self.solution_stats();
         let registry = replay_registry.stats();
@@ -387,28 +370,18 @@ impl Env {
             let mean = routed.iter().sum::<u64>() as f64 / routed.len().max(1) as f64;
             out.route_imbalance = routed.iter().copied().max().unwrap_or(0) as f64 / mean;
         }
-        self.cursor += out.hist.samples() as usize;
         out
     }
 
     fn traced_loop(
-        &self,
-        c: usize,
+        &mut self,
+        out: &mut Traced,
+        rec: &mut Recorder,
         deadline: Instant,
-        epoch: Instant,
         mirror: &Engine,
         replay_registry: &ContextRegistry,
-    ) -> ClientTrace {
-        let mut out = ClientTrace {
-            rec: Recorder::new(epoch),
-            hist: Hist::default(),
-            tally: Tally::default(),
-            work: Work::default(),
-            mismatches: 0,
-            registry_hits: 0,
-            registry_misses: 0,
-        };
-        let (rec, hist) = (&mut out.rec, &mut out.hist);
+    ) {
+        let hist = &mut out.hist;
         let mut conn = None;
         let mut direct = Vec::new();
         if self.kind != Kind::Oneshot {
@@ -424,14 +397,17 @@ impl Env {
                 || direct.len() != self.front.as_ref().map_or(0, |_| self.servers.len())
             {
                 hist.record_failure();
-                return out;
+                return;
             }
         }
-        let mut n = 0u64;
+        let mut next_rid = 0u64;
         while Instant::now() < deadline {
-            let line = &self.lines[(self.start(c) + n as usize) % self.lines.len()];
-            let rid = ((c as u64) << 40) | n;
-            n += 1;
+            let line = &self.lines[self.cursor % self.lines.len()];
+            self.cursor += 1;
+            let rid = next_rid;
+            next_rid += 1;
+            // Every few daemon requests ask the daemon for its own trace.
+            let daemon_traced = conn.is_some() && rid.is_multiple_of(DAEMON_TRACE_EVERY);
 
             // The request as its caller sees it.
             let root = rec.open("request", rid);
@@ -442,8 +418,15 @@ impl Env {
                     } else {
                         "server.wire"
                     };
+                    let with_trace;
+                    let sent = if daemon_traced {
+                        with_trace = format!("{line} --trace");
+                        &with_trace
+                    } else {
+                        line
+                    };
                     (
-                        rec.time(wire, rid, || conn.request(line).map_err(|e| e.to_string())),
+                        rec.time(wire, rid, || conn.request(sent).map_err(|e| e.to_string())),
                         None,
                     )
                 }
@@ -461,6 +444,13 @@ impl Env {
                 },
             };
             rec.close(root);
+            let (served, daemon) = match served {
+                Ok(response) if daemon_traced => {
+                    let (response, daemon) = check::split_daemon_trace(&response);
+                    (Ok(response), daemon)
+                }
+                other => (other, None),
+            };
             let served = match served {
                 Ok(response) if check::response_sound(&response) => response,
                 other => {
@@ -469,14 +459,15 @@ impl Env {
                     continue;
                 }
             };
-            hist.record_ns(rec.spans[root].end_ns - rec.spans[root].start_ns);
+            let request_ns = rec.spans[root].end_ns - rec.spans[root].start_ns;
+            hist.record_ns(request_ns);
 
-            let (req, answer, disposition) = match oneshot {
-                Some(done) => done,
+            let (req, answer, disposition, mirror_us) = match oneshot {
+                Some((req, answer, disposition)) => (req, answer, disposition, 0.0),
                 None => {
                     if !direct.is_empty() {
                         let d = rec.open("direct", rid);
-                        let which = n as usize % direct.len();
+                        let which = rid as usize % direct.len();
                         let backend = &mut direct[which];
                         let response = rec.time("server.wire", rid, || {
                             backend.request(line).map_err(|e| e.to_string())
@@ -497,11 +488,42 @@ impl Env {
                     let response =
                         rec.time("protocol.render", rid, || render_result(&req, &result));
                     rec.close(m);
-                    (req, response, disposition)
+                    (req, response, disposition, rec.spans[m].micros())
                 }
             };
             if answer != served {
                 out.mismatches += 1;
+            }
+
+            // The daemon's own account of a sampled request must match the
+            // mirror's: the same cache disposition, and a parse-to-render
+            // time within the wire time the client saw.
+            if daemon_traced {
+                match daemon {
+                    Some(d)
+                        if d.cache == disposition.label()
+                            && d.total_us as f64 <= request_ns as f64 / 1e3 =>
+                    {
+                        out.daemon_samples += 1;
+                        out.daemon_us += d.total_us as f64;
+                        out.mirror_us += mirror_us;
+                    }
+                    Some(d) => {
+                        eprintln!(
+                            "perfbench: daemon trace of `{line}` disagrees: cache {} \
+                             (mirror {}), {} us of a {} ns request",
+                            d.cache,
+                            disposition.label(),
+                            d.total_us,
+                            request_ns
+                        );
+                        out.mismatches += 1;
+                    }
+                    None => {
+                        eprintln!("perfbench: no daemon trace in the answer to `{line}`");
+                        out.mismatches += 1;
+                    }
+                }
             }
 
             // A miss replays through the decomposed public calls, on a
@@ -529,19 +551,7 @@ impl Env {
                 }
             }
         }
-        out
     }
-}
-
-/// What one client thread of a traced measurement recorded.
-struct ClientTrace {
-    rec: Recorder,
-    hist: Hist,
-    tally: Tally,
-    work: Work,
-    mismatches: u64,
-    registry_hits: u64,
-    registry_misses: u64,
 }
 
 fn serve_span_name(disposition: CacheDisposition) -> &'static str {
@@ -584,9 +594,13 @@ impl FrontCounts {
 #[derive(Debug, Default)]
 pub struct Measured {
     pub hist: Hist,
+    /// The median latency of each [`P50_WINDOW`] of the run, in ms.
+    pub window_p50s: Vec<f64>,
     pub wall_s: f64,
     /// `(request line, response)` pairs for the byte-identity check.
     pub samples: Vec<(String, String)>,
+    pub sheds: u64,
+    pub failovers: u64,
 }
 
 /// Outcome of a traced measurement.
@@ -605,6 +619,11 @@ pub struct Traced {
     pub cache_evictions: u64,
     pub registry_hits: u64,
     pub registry_misses: u64,
+    /// Daemon requests sent with `--trace`, and the summed parse-to-render
+    /// time the daemon reported for them and the mirror took for them.
+    pub daemon_samples: u64,
+    pub daemon_us: f64,
+    pub mirror_us: f64,
     pub sheds: u64,
     pub connections: u64,
     pub failovers: u64,
