@@ -1,7 +1,9 @@
 //! A fixed-size log-linear latency histogram: 256 sub-buckets per octave
 //! (0.4% resolution) from 1 µs to about 68 s. Recording costs one array
-//! increment and its memory does not grow with the sample count, so the
-//! benchmark's own bookkeeping never moves `peak_rss_mb`.
+//! increment and its memory does not grow with the sample count. A run
+//! keeps one [`Compact`] copy per window, so its bookkeeping grows with
+//! the run's length (up to about 2 MiB for 30 s), not with its request
+//! count.
 
 const MIN_EXP: u32 = 10; // 2^10 ns ≈ 1 µs
 const MAX_EXP: u32 = 36; // 2^36 ns ≈ 68 s
@@ -73,6 +75,38 @@ impl Hist {
         self.sum_ns as f64 / 1e6 / self.ok.max(1) as f64
     }
 
+    /// The histogram's non-empty buckets: a compact copy to keep one per
+    /// window of a run.
+    pub fn compact(&self) -> Compact {
+        Compact {
+            buckets: self
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| {
+                    (
+                        u16::try_from(i).expect("BUCKETS fits in 16 bits"),
+                        u32::try_from(c).expect("a window holds fewer than 2^32 requests"),
+                    )
+                })
+                .collect(),
+            ok: self.ok,
+            failed: self.failed,
+            sum_ns: self.sum_ns,
+        }
+    }
+
+    /// Adds the samples of a compact copy.
+    pub fn merge(&mut self, c: &Compact) {
+        for &(i, n) in &c.buckets {
+            self.counts[usize::from(i)] += u64::from(n);
+        }
+        self.ok += c.ok;
+        self.failed += c.failed;
+        self.sum_ns += c.sum_ns;
+    }
+
     /// The `q`-quantile by nearest rank, in milliseconds; a rank that
     /// lands on a failed request is `+inf`.
     pub fn quantile_ms(&self, q: f64) -> f64 {
@@ -92,9 +126,41 @@ impl Hist {
     }
 }
 
+/// The non-empty buckets of a [`Hist`].
+#[derive(Debug, Clone, Default)]
+pub struct Compact {
+    buckets: Vec<(u16, u32)>,
+    ok: u64,
+    failed: u64,
+    sum_ns: u128,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compact_copies_merge_back_to_the_whole() {
+        let (mut a, mut b, mut whole) = (Hist::default(), Hist::default(), Hist::default());
+        for ns in [20_000u64, 21_000, 90_000] {
+            a.record_ns(ns);
+            whole.record_ns(ns);
+        }
+        for ns in [25_000u64, 2_000_000] {
+            b.record_ns(ns);
+            whole.record_ns(ns);
+        }
+        b.record_failure();
+        whole.record_failure();
+        let mut merged = Hist::default();
+        merged.merge(&a.compact());
+        merged.merge(&b.compact());
+        assert_eq!(merged.counts, whole.counts);
+        assert_eq!(
+            (merged.ok, merged.failed, merged.sum_ns),
+            (whole.ok, whole.failed, whole.sum_ns)
+        );
+    }
 
     #[test]
     fn buckets_resolve_to_within_half_a_percent() {

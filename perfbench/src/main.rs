@@ -12,6 +12,7 @@
 //! breakdown, the tracing overhead, and the verification-pass work
 //! counters. See `perfbench/README.md` for the workloads and the layer map.
 
+mod calib;
 mod check;
 mod cpu;
 mod gen;
@@ -82,29 +83,39 @@ fn run(args: &Args) -> Result<report::Report, String> {
     let verified = check::verify(&catalog, &keys, mode);
 
     // Before set-up, so the daemons' threads inherit the pin.
-    if args.kind.pinned() {
-        cpu::pin_to_one()?;
-    }
+    let mut rotation = if args.kind.pinned() {
+        Some(cpu::Rotation::start()?)
+    } else {
+        None
+    };
     let mut setup_s: Vec<f64> = Vec::new();
+    let mut calibration_ns = Vec::new();
     let mut env = None;
     while setup_s.len() < SETUPS {
         drop(env.take());
+        if let Some(r) = rotation.as_mut() {
+            r.advance();
+        }
+        calibration_ns.push(calib::sample_ns());
         let t0 = Instant::now();
         env = Some(Env::setup(args.kind, args.seed, &catalog)?);
         setup_s.push(t0.elapsed().as_secs_f64());
     }
     let mut env = env.expect("at least one set-up");
 
-    let mut report = report::Report::new(args.kind, verified, setup_s);
+    let mut report = report::Report::new(args.kind, verified, setup_s, calibration_ns);
     if args.trace {
-        let untraced = env.measure(args.seconds / 2.0);
-        let traced = env.measure_traced(args.seconds / 2.0);
+        let untraced = env.measure(args.seconds / 2.0, rotation.as_mut());
+        let traced = env.measure_traced(args.seconds / 2.0, rotation.as_mut());
         report.add_traced(untraced, traced);
     } else {
-        let measured = env.measure(args.seconds);
+        let measured = env.measure(args.seconds, rotation.as_mut());
         report.add_untraced(measured);
     }
     drop(env);
+    if let Some(e) = rotation.as_ref().and_then(cpu::Rotation::error) {
+        report.add_problem(format!("moving between CPUs: {e}"));
+    }
     report.check_samples(&catalog);
     Ok(report)
 }

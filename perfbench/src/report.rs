@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::calib;
 use crate::check::{self, Catalog, Verified};
 use crate::hist::Hist;
 use crate::trace::{self, Span};
@@ -18,6 +19,8 @@ pub struct Report {
     kind: Kind,
     verified: Verified,
     setup_s: Vec<f64>,
+    /// The run's [`calib::sample_ns`] readings.
+    calibration_ns: Vec<f64>,
     attempted: u64,
     failed: u64,
     /// `(name, value, unit)` in print order.
@@ -25,6 +28,8 @@ pub struct Report {
     samples: Vec<(String, String)>,
     spans: Vec<Span>,
     latency_samples: u64,
+    /// The untraced run's whole-run timings, for the summary line.
+    whole_run: String,
     /// Why the run is not correct, beyond failed requests.
     problems: Vec<String>,
 }
@@ -62,19 +67,30 @@ fn peak_rss_mb() -> f64 {
 }
 
 impl Report {
-    pub fn new(kind: Kind, verified: Verified, setup_s: Vec<f64>) -> Self {
+    pub fn new(
+        kind: Kind,
+        verified: Verified,
+        setup_s: Vec<f64>,
+        calibration_ns: Vec<f64>,
+    ) -> Self {
         Self {
             kind,
             attempted: verified.attempted,
             failed: verified.failed,
             verified,
             setup_s,
+            calibration_ns,
             metrics: Vec::new(),
             samples: Vec::new(),
             spans: Vec::new(),
             latency_samples: 0,
+            whole_run: String::new(),
             problems: Vec::new(),
         }
+    }
+
+    pub fn add_problem(&mut self, problem: String) {
+        self.problems.push(problem);
     }
 
     /// Sheds and failovers must stay at zero: no workload opens more
@@ -104,21 +120,41 @@ impl Report {
         self.failed += hist.failed();
     }
 
-    /// The end-to-end metrics of an untraced run.
+    /// How much slower than the reference host this run's host ran: the
+    /// median loop reading over [`calib::REFERENCE_NS`].
+    fn slowdown(&self) -> f64 {
+        median(&self.calibration_ns) / calib::REFERENCE_NS
+    }
+
+    /// The end-to-end metrics of an untraced run. The timings come from
+    /// the run's fastest quarter of windows, scaled to the reference
+    /// host's speed; the whole run's, unscaled, go on the summary line.
     pub fn add_untraced(&mut self, m: Measured) {
         self.count(&m.hist);
-        self.latency_samples = m.hist.samples();
+        self.calibration_ns.extend(&m.calibration_ns);
+        let slowdown = self.slowdown();
+        let (fast, fast_s) = m.fastest_quarter();
+        self.latency_samples = fast.samples();
         self.check_latency_samples();
         self.check_faults(m.sheds, m.failovers);
+        self.whole_run = format!(
+            " windows={} host_slowdown={slowdown:.4} whole run, unscaled: throughput_rps={:.1} \
+             latency_p50_ms={:.4} latency_p99_ms={:.4} setup_s={:.4}",
+            m.windows.len(),
+            m.hist.ok() as f64 / m.wall_s,
+            m.hist.quantile_ms(0.5),
+            m.hist.quantile_ms(0.99),
+            median(&self.setup_s),
+        );
         self.metrics = vec![
-            ("throughput_rps", m.hist.ok() as f64 / m.wall_s, "1/s"),
             (
-                "latency_p50_ms",
-                m.window_p50s.iter().sum::<f64>() / m.window_p50s.len() as f64,
-                "ms",
+                "throughput_rps",
+                fast.ok() as f64 / fast_s * slowdown,
+                "1/s",
             ),
-            ("latency_p99_ms", m.hist.quantile_ms(0.99), "ms"),
-            ("setup_s", median(&self.setup_s), "s"),
+            ("latency_p50_ms", fast.quantile_ms(0.5) / slowdown, "ms"),
+            ("latency_p99_ms", fast.quantile_ms(0.99) / slowdown, "ms"),
+            ("setup_s", median(&self.setup_s) / slowdown, "s"),
             ("peak_rss_mb", f64::NAN, "MiB"), // read when printing
             (
                 "makespan_lb_ratio",
@@ -134,6 +170,7 @@ impl Report {
     pub fn add_traced(&mut self, untraced: Measured, t: Traced) {
         self.count(&untraced.hist);
         self.count(&t.hist);
+        self.calibration_ns.extend(&untraced.calibration_ns);
         self.failed += t.mismatches;
         if t.mismatches > 0 {
             eprintln!("perfbench: {} traced responses disagreed", t.mismatches);
@@ -217,6 +254,7 @@ impl Report {
                 "%",
             ),
             ("trace.requests", n, "count"),
+            ("host.calibration_ns", median(&self.calibration_ns), "ns"),
             ("bench.client_us", client, "us"),
             ("protocol.parse_us", parse, "us"),
             ("protocol.render_us", render, "us"),
@@ -323,7 +361,7 @@ impl Report {
             "perfbench: workload={} seed={seed} latency_samples={} attempted={} failed={} \
              setups={} verify: menu_builds={} menu_derives={} rect_set_builds={} \
              context_compiles={} schedule_runs={} sweep_runs={}/{}/{}/{} (total/executed/skipped/cut) \
-             cache hits/misses/evictions={}/{}/{} makespan_lb_ratio={}",
+             cache hits/misses/evictions={}/{}/{} makespan_lb_ratio={}{}",
             kind.name(),
             self.latency_samples,
             self.attempted,
@@ -342,6 +380,7 @@ impl Report {
             v.cache_misses,
             v.cache_evictions,
             v.makespan_lb_ratio,
+            self.whole_run,
         );
         for problem in &self.problems {
             eprintln!("perfbench: {problem}");

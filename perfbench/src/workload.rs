@@ -13,9 +13,11 @@ use soctam_server::balance::{Balancer, BalancerConfig};
 use soctam_server::client::Connection;
 use soctam_server::{Server, ServerConfig};
 
+use crate::calib;
 use crate::check::{self, Catalog, Tally, Work};
+use crate::cpu::Rotation;
 use crate::gen;
-use crate::hist::Hist;
+use crate::hist::{Compact, Hist};
 use crate::trace::{Recorder, Span};
 
 /// Distinct keys in the `serve_hot` / `front_hot` working set: one whole
@@ -26,12 +28,10 @@ pub const HOT_KEYS: usize = 48;
 /// Responses kept for the byte-identity sample check.
 const SAMPLES: usize = 16;
 
-/// The windows `latency_p50_ms` averages the median over. The host this
-/// benchmark was tuned on flips between a fast and a slow state every few
-/// seconds (hot requests: about 23 vs 33 µs); a median pooled over a whole
-/// run jumps between the two as their shares cross one half, while the
-/// mean of per-window medians moves with the shares.
-const P50_WINDOW: Duration = Duration::from_secs(1);
+/// How long a pinned run stays on one CPU before it moves to the next
+/// (see [`crate::cpu`]), and how often a run reads the host's speed (see
+/// [`crate::calib`]).
+const CPU_SLICE: Duration = Duration::from_millis(100);
 
 /// Stratified blocks in the `oneshot` stream (48 requests each).
 const ONESHOT_BLOCKS: usize = 128;
@@ -70,12 +70,25 @@ impl Kind {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Whether the run is pinned to one CPU (see [`crate::cpu`]): every
+    /// Whether the run is pinned to one CPU at a time (see [`crate::cpu`]): every
     /// daemon workload, whose single client makes each request a chain of
     /// thread hand-offs. `oneshot` stays unpinned, so its context compile
     /// builds menus on every CPU, as the CLI does.
     pub fn pinned(self) -> bool {
         self != Kind::Oneshot
+    }
+
+    /// The windows a run is split into; the end-to-end timings come from
+    /// the fastest quarter of them (see [`Measured::fastest_quarter`]). A
+    /// pinned run's window is its CPU slice, so each window sees one CPU
+    /// in one host state; `oneshot`'s holds about ten stratified blocks of
+    /// requests.
+    fn window(self) -> Duration {
+        if self.pinned() {
+            CPU_SLICE
+        } else {
+            Duration::from_secs(1)
+        }
     }
 
     /// The fixed verification key list and how to serve it.
@@ -243,8 +256,9 @@ impl Env {
 
     /// Measures for `seconds` with no tracing: the closed-loop client
     /// times every request it sends and keeps its first responses for the
-    /// byte-identity check.
-    pub fn measure(&mut self, seconds: f64) -> Measured {
+    /// byte-identity check. At the end of every CPU slice a pinned run
+    /// moves to the next CPU, and every run reads the host's speed.
+    pub fn measure(&mut self, seconds: f64, mut rotation: Option<&mut Rotation>) -> Measured {
         let (sheds_before, failovers_before) = self.fault_counts();
         let start = Instant::now();
         let deadline = start + Duration::from_secs_f64(seconds);
@@ -257,16 +271,24 @@ impl Env {
                 return out;
             }
         }
-        let (hist, samples) = (&mut out.hist, &mut out.samples);
+        let (hist, samples, windows) = (&mut out.hist, &mut out.samples, &mut out.windows);
         let mut window = Hist::default();
-        let mut window_end = start + P50_WINDOW;
+        let (mut window_start, mut slice_start) = (start, start);
         while Instant::now() < deadline {
-            if Instant::now() >= window_end {
-                if window.samples() > 0 {
-                    out.window_p50s.push(window.quantile_ms(0.5));
-                }
+            let window_due = window_start.elapsed() >= self.kind.window();
+            if window_due {
+                Window::close(windows, &window, window_start);
                 window = Hist::default();
-                window_end = Instant::now() + P50_WINDOW;
+            }
+            if slice_start.elapsed() >= CPU_SLICE {
+                if let Some(r) = rotation.as_deref_mut() {
+                    r.advance();
+                }
+                out.calibration_ns.push(calib::sample_ns());
+                slice_start = Instant::now();
+            }
+            if window_due {
+                window_start = Instant::now();
             }
             let line = &self.lines[self.cursor % self.lines.len()];
             self.cursor += 1;
@@ -294,9 +316,7 @@ impl Env {
                 }
             }
         }
-        if window.samples() > 0 {
-            out.window_p50s.push(window.quantile_ms(0.5));
-        }
+        Window::close(windows, &window, window_start);
         out.wall_s = start.elapsed().as_secs_f64();
         let (sheds, failovers) = self.fault_counts();
         out.sheds = sheds - sheds_before;
@@ -309,7 +329,7 @@ impl Env {
     /// timed span, the same request goes straight to a backend (front
     /// only), through an in-process mirror of the daemon's engine, and, on
     /// a miss, through the decomposed miss path.
-    pub fn measure_traced(&mut self, seconds: f64) -> Traced {
+    pub fn measure_traced(&mut self, seconds: f64, rotation: Option<&mut Rotation>) -> Traced {
         let epoch = Instant::now();
 
         // The mirror answers the same requests in the same state as the
@@ -346,7 +366,14 @@ impl Env {
         let deadline = Instant::now() + Duration::from_secs_f64(seconds);
         let mut out = Traced::default();
         let mut rec = Recorder::new(epoch);
-        self.traced_loop(&mut out, &mut rec, deadline, &mirror, &replay_registry);
+        self.traced_loop(
+            &mut out,
+            &mut rec,
+            deadline,
+            rotation,
+            &mirror,
+            &replay_registry,
+        );
         out.spans = rec.spans;
 
         let stats = self.solution_stats();
@@ -378,6 +405,7 @@ impl Env {
         out: &mut Traced,
         rec: &mut Recorder,
         deadline: Instant,
+        mut rotation: Option<&mut Rotation>,
         mirror: &Engine,
         replay_registry: &ContextRegistry,
     ) {
@@ -401,7 +429,14 @@ impl Env {
             }
         }
         let mut next_rid = 0u64;
+        let mut slice_end = Instant::now() + CPU_SLICE;
         while Instant::now() < deadline {
+            if Instant::now() >= slice_end {
+                if let Some(r) = rotation.as_deref_mut() {
+                    r.advance();
+                }
+                slice_end = Instant::now() + CPU_SLICE;
+            }
             let line = &self.lines[self.cursor % self.lines.len()];
             self.cursor += 1;
             let rid = next_rid;
@@ -590,17 +625,56 @@ impl FrontCounts {
     }
 }
 
+/// One [`Kind::window`] of an untraced run.
+#[derive(Debug)]
+pub struct Window {
+    p50_ms: f64,
+    secs: f64,
+    hist: Compact,
+}
+
+impl Window {
+    /// Ends the window begun at `start` that recorded `hist`, keeping it
+    /// if it saw a request.
+    fn close(windows: &mut Vec<Window>, hist: &Hist, start: Instant) {
+        if hist.samples() > 0 {
+            windows.push(Window {
+                p50_ms: hist.quantile_ms(0.5),
+                secs: start.elapsed().as_secs_f64(),
+                hist: hist.compact(),
+            });
+        }
+    }
+}
+
 /// Client-side outcome of an untraced measurement.
 #[derive(Debug, Default)]
 pub struct Measured {
     pub hist: Hist,
-    /// The median latency of each [`P50_WINDOW`] of the run, in ms.
-    pub window_p50s: Vec<f64>,
+    pub windows: Vec<Window>,
+    /// One [`calib::sample_ns`] reading per CPU slice.
+    pub calibration_ns: Vec<f64>,
     pub wall_s: f64,
     /// `(request line, response)` pairs for the byte-identity check.
     pub samples: Vec<(String, String)>,
     pub sheds: u64,
     pub failovers: u64,
+}
+
+impl Measured {
+    /// The quarter of the run's windows with the lowest median latency:
+    /// their merged latencies and their summed length in seconds.
+    pub fn fastest_quarter(&self) -> (Hist, f64) {
+        let mut order: Vec<&Window> = self.windows.iter().collect();
+        order.sort_by(|a, b| a.p50_ms.total_cmp(&b.p50_ms));
+        let mut hist = Hist::default();
+        let mut secs = 0.0;
+        for w in &order[..self.windows.len().div_ceil(4)] {
+            hist.merge(&w.hist);
+            secs += w.secs;
+        }
+        (hist, secs)
+    }
 }
 
 /// Outcome of a traced measurement.
