@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soctam_core::soc::benchmarks;
-use soctam_core::wrapper::{CoreTest, RectangleSet, WrapperDesign};
+use soctam_core::wrapper::{CoreTest, RectangleSet, TamWidth, WrapperDesign};
 
 fn bench_design_wrapper(c: &mut Criterion) {
     let core = CoreTest::builder()
@@ -23,15 +23,26 @@ fn bench_design_wrapper(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every core's full-cap menu, built by the time-only evaluator and by the
+/// materializing reference it replaced.
 fn bench_rectangle_sets(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rectangle_set_soc");
+    bench_soc_menus(c, "rectangle_set_soc", RectangleSet::build);
+    bench_soc_menus(
+        c,
+        "rectangle_set_soc_reference",
+        RectangleSet::build_reference,
+    );
+}
+
+fn bench_soc_menus(c: &mut Criterion, group: &str, build: fn(&CoreTest, TamWidth) -> RectangleSet) {
+    let mut group = c.benchmark_group(group);
     for name in benchmarks::NAMES {
         let soc = benchmarks::by_name(name).expect("known benchmark");
         group.bench_function(name, |b| {
             b.iter(|| {
                 soc.cores()
                     .iter()
-                    .map(|core| RectangleSet::build(core.test(), 64).min_area())
+                    .map(|core| build(core.test(), 64).min_area())
                     .sum::<u128>()
             });
         });

@@ -92,7 +92,6 @@ struct ColdTiming {
     params: (u32, u16),
     stats: SweepStats,
     menu_builds: u64,
-    touched_caps: u64,
 }
 
 /// Times the cold path — fresh registry, first request — for one SOC at
@@ -123,15 +122,6 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     let solve_seconds = (trace.phase_total(obs::Phase::Sweep)
         + trace.phase_total(obs::Phase::MenuBuild)) as f64
         / 1e6;
-
-    // The caps this request touched: the full cap (forced by the cutoff's
-    // lower bound) and, when narrower, the request width's effective cap —
-    // which must be prefix-derived, not rebuilt.
-    let touched_caps = if base.effective_w_max() < base.w_max {
-        2
-    } else {
-        1
-    };
     ColdTiming {
         name,
         width,
@@ -144,7 +134,6 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
         params: (m, d),
         stats,
         menu_builds: instrument::menu_builds() - builds_before,
-        touched_caps,
     }
 }
 
@@ -221,7 +210,7 @@ fn main() {
         println!(
             "{name} W={width}     cold: {:.3}s ({:.3}s compile + {:.3}s solve), \
              T = {} (LB {}, m={}, d={}), {} of {} runs ({} cut), \
-             {} menu builds / {} caps",
+             {} menu builds",
             t.total_seconds,
             t.compile_seconds,
             t.solve_seconds,
@@ -233,7 +222,6 @@ fn main() {
             t.stats.runs_total,
             t.stats.runs_cut,
             t.menu_builds,
-            t.touched_caps,
         );
         cold_blocks.push(t);
     }
@@ -313,7 +301,7 @@ fn main() {
              \"solve_seconds\": {:.6}, \"phase_micros\": {}, \
              \"makespan\": {}, \"lower_bound\": {}, \
              \"m\": {}, \"d\": {}, \"runs_total\": {}, \"runs_executed\": {}, \
-             \"runs_cut\": {}, \"menu_builds\": {}, \"touched_caps\": {}}}{sep}",
+             \"runs_cut\": {}, \"menu_builds\": {}}}{sep}",
             json_escape(t.name),
             t.width,
             t.total_seconds,
@@ -328,7 +316,6 @@ fn main() {
             t.stats.runs_executed,
             t.stats.runs_cut,
             t.menu_builds,
-            t.touched_caps,
         );
     }
     json.push_str("  ]\n}\n");
@@ -347,16 +334,16 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Cold-path gates. (i) Lazy compilation must build rectangle menus at
-    // most once per width cap the request touched — a second build for the
-    // same cap means prefix derivation or the OnceLock full-cap slot
-    // regressed to rebuilding.
+    // Cold-path gates. (i) A cold solve builds rectangle menus exactly
+    // once: the full cap, from which any narrower cap is prefix-derived. A
+    // second build means derivation or the OnceLock full-cap slot
+    // regressed to rebuilding; none means the counter went dead.
     for t in &cold_blocks {
-        if t.menu_builds > t.touched_caps {
+        if t.menu_builds != 1 {
             eprintln!(
-                "error: {} cold solve built {} rectangle menus for {} touched width \
-                 caps — lazy menu reuse regressed",
-                t.name, t.menu_builds, t.touched_caps
+                "error: {} cold solve built rectangle menus {} times, not once — \
+                 lazy menu reuse regressed",
+                t.name, t.menu_builds
             );
             std::process::exit(1);
         }

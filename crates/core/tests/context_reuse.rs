@@ -5,12 +5,12 @@
 //! * **Amortization** — instrumentation counters
 //!   (`soctam_schedule::instrument`, `soctam_wrapper::instrument`) prove
 //!   that a whole `(m, d, slack)` sweep builds `RectangleMenus` and
-//!   compiles `ConstraintSet` exactly once per SOC, that width sweeps
-//!   *derive* smaller-cap menus from the full-cap build instead of
-//!   rebuilding them, that baseline evaluations over a shared context
-//!   rebuild *zero* menus, that a registry-backed preemption ablation
-//!   compiles one context per budget variant, and that an `Engine` batch
-//!   compiles one context per `(SOC, w_max, budget)` key.
+//!   compiles `ConstraintSet` exactly once per SOC, that width sweeps —
+//!   served or direct — build menus once and *derive* every smaller cap
+//!   from that full-cap build, that baseline evaluations over a shared
+//!   context rebuild *zero* menus, that a registry-backed preemption
+//!   ablation compiles one context per budget variant, and that an
+//!   `Engine` batch compiles one context per `(SOC, w_max, budget)` key.
 //! * **Bit-identity** — every context-reuse path (scheduler, bounds,
 //!   baselines) produces results identical to a rebuild-per-call run on
 //!   all four benchmark SOCs.
@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use soctam_core::baseline::{fixed_width_best, session_schedule, shelf_pack};
 use soctam_core::engine::{Engine, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, TestFlow};
+use soctam_core::protocol::{benchmark_resolver, parse_request};
 use soctam_core::report::{preemption_sweep, preemption_sweep_with};
 use soctam_core::schedule::{instrument, CompiledSoc, ContextRegistry};
 use soctam_core::soc::benchmarks;
@@ -106,22 +107,22 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
 
     let before = counters();
     let flow = TestFlow::new(&soc, quick_flow());
-    // Compilation is lazy, so the first width (16) fresh-builds just its
-    // narrow cap, and that width's bound query forces the one full-cap
-    // (64) build. Caps 32 and 48 then prefix-derive from the full build,
-    // 64 reuses it, and widths past w_max share the 64-wide cap.
+    // Compilation is lazy, so the first width (16) forces the one full-cap
+    // (64) build and derives its narrow cap from it. Caps 32 and 48 then
+    // prefix-derive too, 64 reuses the build, and widths past w_max share
+    // the 64-wide cap.
     flow.sweep_widths([16u16, 32, 48, 64, 72]).unwrap();
     let after = counters();
 
     assert_eq!(
         after.menus - before.menus,
-        2,
-        "exactly two menu builds: the first narrow cap, then the full cap"
+        1,
+        "exactly one menu build: the full cap"
     );
     assert_eq!(
         after.menu_derives - before.menu_derives,
-        2,
-        "one prefix derivation per later smaller distinct effective cap"
+        3,
+        "one prefix derivation per smaller distinct effective cap"
     );
     assert_eq!(
         after.constraints - before.constraints,
@@ -130,12 +131,12 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
     );
     assert_eq!(
         after.rects - before.rects,
-        2 * soc.len() as u64,
-        "rectangle sets are built at the narrow and full caps, then prefixed"
+        soc.len() as u64,
+        "rectangle sets are built once, at the full cap, then prefixed"
     );
     assert_eq!(
         after.rect_derives - before.rect_derives,
-        2 * soc.len() as u64
+        3 * soc.len() as u64
     );
 
     // A second sweep over the same flow is fully amortized.
@@ -145,6 +146,25 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
     assert_eq!(
         after, before,
         "re-sweeping must rebuild and re-derive nothing"
+    );
+}
+
+#[test]
+fn served_width_sweep_builds_menus_once() {
+    let _guard = lock();
+    let request = parse_request("sweep d695 --from 16 --to 32", &mut benchmark_resolver())
+        .expect("valid request");
+    let engine = Engine::new();
+
+    let before = counters();
+    let result = engine.serve_one(&request);
+    let after = counters();
+    assert!(result.is_ok());
+    assert_eq!(after.contexts - before.contexts, 1);
+    assert_eq!(
+        after.menus - before.menus,
+        1,
+        "a cold 17-width sweep builds the full-cap menus once and derives the rest"
     );
 }
 
@@ -228,17 +248,17 @@ fn preemption_ablation_compiles_one_context_per_budget_variant() {
     assert_eq!(after.menus - before.menus, 0);
     assert_eq!(after.constraints - before.constraints, 0);
 
-    // Another width also reuses every context; the only new work allowed
-    // is the lazy first-touch menu build for that cap on contexts no
-    // earlier request forced to the full cap.
+    // Another width also reuses every context, and builds no menus: each
+    // context built its full cap on first use and derives the new cap.
     let before = counters();
     let other_width = preemption_sweep_with(&registry, &soc, 24, &budgets, &quick_flow()).unwrap();
     let after = counters();
     assert_eq!(after.contexts - before.contexts, 0);
     assert_eq!(after.constraints - before.constraints, 0);
-    assert!(
-        after.menus - before.menus <= budgets.len() as u64,
-        "at most one first-touch menu build per budget context"
+    assert_eq!(
+        after.menus - before.menus,
+        0,
+        "a new width on a used context derives its menus, never builds"
     );
     assert_eq!(registry.stats().hits, 2 * budgets.len() as u64);
     assert_eq!(again, first, "registry reuse is bit-identical");

@@ -20,11 +20,11 @@
 //! Rectangle menus depend on the *effective* per-core width cap
 //! (`min(W, w_max)`), so the context keeps a small per-cap cache behind a
 //! mutex. The full-cap build itself is *lazy* (a `OnceLock` filled on the
-//! first bound query or full-cap menu read), and once it exists smaller
-//! caps are cheap prefix *derivations* of it ([`RectangleMenus::prefix`]);
-//! a narrow request on a fresh context builds just that narrow cap.
-//! Everything else is immutable shared data, and the whole context is
-//! `Sync` — the flow's parallel sweep reads it from many threads.
+//! first bound query or menu read), and every smaller cap is a cheap prefix
+//! *derivation* of it ([`RectangleMenus::prefix`]), so a context builds
+//! menus exactly once. Everything else is immutable shared data, and the
+//! whole context is `Sync` — the flow's parallel sweep reads it from many
+//! threads.
 //!
 //! # Example
 //!
@@ -86,9 +86,8 @@ pub struct CompiledSoc {
     constraints: ConstraintSet,
     /// The full-cap (`w_max`-wide) menus and bound ingredients, built
     /// lazily on the first path that needs them — bound queries, Pareto /
-    /// full-menu reads, or a `menus_at` request at the full cap. Requests
-    /// that never touch the full cap (e.g. a narrow-width schedule) skip
-    /// this cost entirely.
+    /// full-menu reads, or a `menus_at` request at any cap up to `w_max`.
+    /// Compiling a context that is never queried skips this cost entirely.
     full: OnceLock<FullCap>,
     menu_cache: Mutex<HashMap<TamWidth, Arc<RectangleMenus>>>,
 }
@@ -186,26 +185,30 @@ impl CompiledSoc {
         self.w_max.min(w).max(1)
     }
 
-    /// The rectangle menus for an arbitrary width cap, built on first use
-    /// and cached. The full cap routes through the lazy full-cap build;
-    /// smaller caps are prefix-derived from it when it already exists
-    /// ([`RectangleMenus::prefix`] — bit-identical to a fresh build, no
-    /// wrapper-design reruns) and built fresh at just that narrow cap when
-    /// it does not, so a narrow request never pays for the full cap. Caps
-    /// above `w_max` (only reachable by calling this directly with an
-    /// unclamped value) fall back to a fresh build. A width sweep touches
-    /// one cap per distinct `min(W, w_max)`, so the cache stays tiny.
+    /// The rectangle menus for an arbitrary width cap, made on first use
+    /// and cached. The full cap is the lazy full-cap build; every smaller
+    /// cap is prefix-derived from it ([`RectangleMenus::prefix`] —
+    /// bit-identical to a fresh build, no wrapper-design reruns). Every
+    /// served schedule and sweep also asks for the lower bound, which needs
+    /// the full cap anyway, so forcing it here costs nothing extra and a
+    /// context builds menus once. Caps above `w_max` (only reachable by
+    /// calling this directly with an unclamped value) fall back to a fresh
+    /// build. A width sweep touches one cap per distinct `min(W, w_max)`,
+    /// so the cache stays tiny.
     pub fn menus_at(&self, cap: TamWidth) -> Arc<RectangleMenus> {
         let cap = cap.max(1);
         if cap == self.w_max {
             return Arc::clone(&self.full_cap().menus);
         }
+        // Force the full cap before taking the cache lock, so a first build
+        // never blocks readers of other caps.
+        let full = (cap < self.w_max).then(|| &self.full_cap().menus);
         let mut cache = lock_unpoisoned(&self.menu_cache);
         Arc::clone(cache.entry(cap).or_insert_with(|| {
             let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
-            Arc::new(match self.full.get() {
-                Some(full) if cap <= full.menus.w_max() => full.menus.prefix(cap),
-                _ => RectangleMenus::build(&self.soc, cap),
+            Arc::new(match full {
+                Some(full) => full.prefix(cap),
+                None => RectangleMenus::build(&self.soc, cap),
             })
         }))
     }
@@ -291,22 +294,21 @@ mod tests {
     }
 
     #[test]
-    fn narrow_request_never_pays_for_the_full_cap() {
+    fn narrow_request_derives_from_the_full_cap() {
         let soc = benchmarks::d695();
         let ctx = CompiledSoc::compile(&soc, 64);
+        let derives = crate::instrument::menu_derives();
         let m = ctx.menus_at(16);
         assert_eq!(m.w_max(), 16);
-        // The 64-wide menus were never made for the narrow request.
-        assert!(ctx.full.get().is_none());
-        assert_eq!(ctx.cached_caps(), 1);
-        assert_eq!(*m, RectangleMenus::build(&soc, 16));
-        // The bound forces the full cap; later narrower caps derive.
-        let _ = ctx.lower_bound(32);
+        // The first narrow request builds the full cap and derives from it.
         assert!(ctx.full.get().is_some());
-        let derives = crate::instrument::menu_derives();
-        let m32 = ctx.menus_at(32);
         assert!(crate::instrument::menu_derives() > derives);
-        assert_eq!(*m32, RectangleMenus::build(&soc, 32));
+        assert_eq!(ctx.cached_caps(), 2);
+        assert_eq!(*m, RectangleMenus::build(&soc, 16));
+        assert_eq!(*m, ctx.full_menus().prefix(16));
+        // The bound reuses that build instead of making another.
+        let _ = ctx.lower_bound(32);
+        assert_eq!(ctx.cached_caps(), 2);
     }
 
     #[test]
@@ -331,11 +333,14 @@ mod tests {
         let a = ctx.menus_at(16);
         let b = ctx.menus_at(16);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.cached_caps(), 1);
+        // The full cap it derives from, plus the cap itself.
+        assert_eq!(ctx.cached_caps(), 2);
         assert_eq!(*a, RectangleMenus::build(&soc, 16));
-        // Forcing the full cap adds one more cached build.
+        // The full cap was already there; another narrow cap adds one.
         let _ = ctx.menus_at(64);
         assert_eq!(ctx.cached_caps(), 2);
+        let _ = ctx.menus_at(32);
+        assert_eq!(ctx.cached_caps(), 3);
     }
 
     #[test]
@@ -364,9 +369,9 @@ mod tests {
         // Every cache path shrugs the poison off instead of panicking.
         let m = ctx.menus_at(16);
         assert_eq!(*m, RectangleMenus::build(&soc, 16));
-        assert_eq!(ctx.cached_caps(), 1);
+        assert_eq!(ctx.cached_caps(), 2);
         let cloned = ctx.clone();
-        assert_eq!(cloned.cached_caps(), 1);
+        assert_eq!(cloned.cached_caps(), 2);
         assert!(Arc::ptr_eq(&cloned.menus_at(16), &m));
     }
 

@@ -8,9 +8,6 @@
 //! [`ScheduleBuilder`](crate::ScheduleBuilder); the menus are plain shared
 //! data, so a parallel sweep can read them from many threads at once.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use soctam_soc::{CoreIdx, Soc};
 use soctam_wrapper::{RectangleSet, TamWidth};
 
@@ -46,65 +43,21 @@ pub struct RectangleMenus {
 }
 
 impl RectangleMenus {
-    /// Builds every core's menu for widths `1..=w_max`.
-    ///
-    /// Per-core builds are independent, so they fan out across
-    /// `std::thread::available_parallelism` scoped threads; results are
-    /// collected in core order, so the build is deterministic and equal to
-    /// the sequential one.
+    /// Builds every core's menu for widths `1..=w_max`, in core order on
+    /// the caller's thread.
     ///
     /// # Panics
     ///
     /// Panics if `w_max == 0`.
     pub fn build(soc: &Soc, w_max: TamWidth) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_with_threads(soc, w_max, threads)
-    }
-
-    /// [`RectangleMenus::build`] with an explicit worker-thread count
-    /// (`threads <= 1` builds sequentially on the caller's thread).
-    ///
-    /// Each worker claims the next unbuilt core off a shared cursor and
-    /// writes the result into that core's dedicated slot, so the finished
-    /// menu vector is in core order no matter how the cores were
-    /// interleaved across workers — bit-identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w_max == 0`.
-    pub fn build_with_threads(soc: &Soc, w_max: TamWidth, threads: usize) -> Self {
         assert!(w_max > 0, "w_max must be at least one wire");
         crate::instrument::note_menu_build();
-        let cores = soc.cores();
-        let workers = threads.min(cores.len());
-        if workers <= 1 {
-            return Self {
-                w_max,
-                menus: cores
-                    .iter()
-                    .map(|core| RectangleSet::build(core.test(), w_max))
-                    .collect(),
-            };
-        }
-
-        let slots: Vec<OnceLock<RectangleSet>> =
-            (0..cores.len()).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(core) = cores.get(i) else { break };
-                    let built = RectangleSet::build(core.test(), w_max);
-                    slots[i].set(built).expect("each core is claimed once");
-                });
-            }
-        });
         Self {
             w_max,
-            menus: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every core was built"))
+            menus: soc
+                .cores()
+                .iter()
+                .map(|core| RectangleSet::build(core.test(), w_max))
                 .collect(),
         }
     }
@@ -243,16 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential() {
-        let soc = benchmarks::d695();
-        let sequential = RectangleMenus::build_with_threads(&soc, 40, 1);
-        for threads in [2usize, 3, 16, 1000] {
+    fn full_cap_menus_match_the_design_reference_on_all_benchmarks() {
+        for soc in benchmarks::all() {
+            let reference: Vec<RectangleSet> = soc
+                .cores()
+                .iter()
+                .map(|core| RectangleSet::build_reference(core.test(), 64))
+                .collect();
             assert_eq!(
-                RectangleMenus::build_with_threads(&soc, 40, threads),
-                sequential,
-                "thread count {threads} drifted from the sequential build"
+                RectangleMenus::build(&soc, 64).menus(),
+                &reference[..],
+                "{}",
+                soc.name()
             );
         }
-        assert_eq!(RectangleMenus::build(&soc, 40), sequential);
     }
 }

@@ -7,6 +7,9 @@
 //! chains by decreasing length and repeatedly places the next chain on the
 //! currently shortest wrapper chain.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Result of partitioning items onto `k` bins: per-bin loads and the
 /// assignment of each input item to its bin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,12 +46,8 @@ impl Partition {
 ///
 /// Ties between equally loaded bins are broken toward the lowest bin index,
 /// and ties between equally sized items toward the earlier input index, so
-/// the result is deterministic.
-///
-/// The lightest bin is tracked in a min-heap keyed on `(load, bin)`, so
-/// each placement costs O(log bins) instead of an O(bins) scan — the same
-/// tie-break as the scan, since the heap key orders equal loads by bin
-/// index.
+/// the result is deterministic. The placements themselves are
+/// [`place_decreasing`]'s.
 ///
 /// # Panics
 ///
@@ -64,9 +63,6 @@ impl Partition {
 /// assert_eq!(p.max_load(), 12);
 /// ```
 pub fn partition_bfd(items: &[u32], bins: usize) -> Partition {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     assert!(bins > 0, "cannot partition onto zero bins");
     let mut order: Vec<usize> = (0..items.len()).collect();
     // Decreasing size, stable on input index.
@@ -74,16 +70,63 @@ pub fn partition_bfd(items: &[u32], bins: usize) -> Partition {
 
     let mut loads = vec![0u64; bins];
     let mut assignment = vec![0usize; items.len()];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..bins).map(|bin| Reverse((0, bin))).collect();
-    for idx in order {
-        let Reverse((load, bin)) = heap.pop().expect("one entry per bin");
-        let load = load + u64::from(items[idx]);
-        loads[bin] = load;
-        assignment[idx] = bin;
-        heap.push(Reverse((load, bin)));
-    }
+    place_decreasing(
+        order.iter().map(|&idx| u64::from(items[idx])),
+        &mut loads,
+        &mut Vec::new(),
+        |rank, bin| assignment[order[rank]] = bin,
+    );
     Partition { loads, assignment }
+}
+
+/// Places `sizes`, given in decreasing order, one at a time on the
+/// currently lightest of the `loads.len()` bins (ties toward the lowest bin
+/// index), reporting each placement as `place(rank, bin)`. `loads` is
+/// reset first and holds the final bin loads.
+///
+/// While every bin filled so far holds a positive load, the lightest bin
+/// is the next empty one, so the first items (up to one per bin) land on
+/// bins `0, 1, 2, …` in order. A min-heap keyed on `(load, bin)` places the
+/// rest in O(log bins) each — the same tie-break as a first-minimum scan,
+/// since the key orders equal loads by bin index. `heap` is the heap's
+/// storage, passed in so repeated calls reuse one allocation.
+pub(crate) fn place_decreasing(
+    sizes: impl IntoIterator<Item = u64>,
+    loads: &mut [u64],
+    heap: &mut Vec<Reverse<(u64, usize)>>,
+    mut place: impl FnMut(usize, usize),
+) {
+    loads.fill(0);
+    let mut sizes = sizes.into_iter().enumerate().peekable();
+    for (bin, load) in loads.iter_mut().enumerate() {
+        let Some((rank, size)) = sizes.next() else {
+            return;
+        };
+        *load = size;
+        place(rank, bin);
+        if size == 0 {
+            break;
+        }
+    }
+    if sizes.peek().is_none() {
+        return;
+    }
+
+    heap.clear();
+    heap.extend(
+        loads
+            .iter()
+            .enumerate()
+            .map(|(bin, &load)| Reverse((load, bin))),
+    );
+    let mut lightest = BinaryHeap::from(std::mem::take(heap));
+    for (rank, size) in sizes {
+        let Reverse((load, bin)) = lightest.pop().expect("one entry per bin");
+        loads[bin] = load + size;
+        place(rank, bin);
+        lightest.push(Reverse((loads[bin], bin)));
+    }
+    *heap = lightest.into_vec();
 }
 
 /// Index of the first bin with the minimum load.
@@ -126,6 +169,15 @@ mod tests {
         let p = partition_bfd(&[], 3);
         assert_eq!(p.max_load(), 0);
         assert!(p.assignment().is_empty());
+    }
+
+    #[test]
+    fn zero_size_items_share_the_first_empty_bin() {
+        // A zero-size item leaves its bin the lightest, so the next one
+        // lands there too rather than on the next empty bin.
+        let p = partition_bfd(&[5, 0, 0], 3);
+        assert_eq!(p.assignment(), &[0, 1, 1]);
+        assert_eq!(p.loads(), &[5, 0, 0]);
     }
 
     #[test]
@@ -193,10 +245,11 @@ mod tests {
             prop_assert!(wide.max_load() <= narrow.max_load());
         }
 
-        /// The heap placement reproduces the linear min-scan reference
-        /// bit for bit (same loads AND same assignment).
+        /// The in-order first placements plus the heap reproduce the
+        /// linear min-scan reference bit for bit (same loads AND same
+        /// assignment), zero-size items included.
         #[test]
-        fn heap_matches_linear_scan(items in proptest::collection::vec(1u32..500, 0..40),
+        fn heap_matches_linear_scan(items in proptest::collection::vec(0u32..500, 0..40),
                                     bins in 1usize..16) {
             let mut order: Vec<usize> = (0..items.len()).collect();
             order.sort_by(|&a, &b| items[b].cmp(&items[a]).then(a.cmp(&b)));

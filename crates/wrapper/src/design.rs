@@ -2,9 +2,8 @@
 //! given TAM width.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use crate::bfd::partition_bfd;
+use crate::bfd::{partition_bfd, place_decreasing};
 use crate::{CoreTest, Cycles, TamWidth, WrapperError};
 
 /// A concrete wrapper design for one core at one TAM width.
@@ -84,57 +83,19 @@ impl WrapperDesign {
         if width == 0 {
             return Err(WrapperError::ZeroWidth);
         }
-        let k = usize::from(width);
-        let partition = partition_bfd(core.scan_chains(), k);
-        let chain_flops: Vec<u64> = partition.loads().to_vec();
-        let placement = partition.assignment().to_vec();
-
-        let mut chain_inputs = vec![0u64; k];
-        let mut chain_outputs = vec![0u64; k];
-        let mut chain_bidirs = vec![0u64; k];
-
-        // Wrapper input cells: each lengthens one chain's scan-in path.
-        // Greedily place each cell on the chain with the shortest current
-        // scan-in (flops + input cells so far), ties toward the lowest
-        // chain index; `place_unit_cells` evaluates that greedy process in
-        // closed form.
-        let mut in_len: Vec<u64> = chain_flops.clone();
-        place_unit_cells(&mut in_len, &mut chain_inputs, core.inputs());
-
-        // Wrapper output cells likewise for scan-out.
-        let mut out_len: Vec<u64> = chain_flops.clone();
-        place_unit_cells(&mut out_len, &mut chain_outputs, core.outputs());
-
-        // Bidirectional cells sit on both the scan-in and scan-out paths of
-        // their chain; place each on the chain minimizing the worse of the
-        // two resulting lengths. Same heap scheme, keyed on that cost: a
-        // placement changes only the placed chain's cost, so re-pushing the
-        // one updated entry keeps every key current.
-        if core.bidirs() > 0 {
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..k)
-                .map(|i| Reverse(((in_len[i] + 1).max(out_len[i] + 1), i)))
-                .collect();
-            for _ in 0..core.bidirs() {
-                let Reverse((_, best)) = heap.pop().expect("one entry per chain");
-                in_len[best] += 1;
-                out_len[best] += 1;
-                chain_inputs[best] += 1;
-                chain_outputs[best] += 1;
-                chain_bidirs[best] += 1;
-                heap.push(Reverse(((in_len[best] + 1).max(out_len[best] + 1), best)));
-            }
-        }
-
+        let partition = partition_bfd(core.scan_chains(), usize::from(width));
+        let mut cells = ChainCells::default();
+        cells.place(core, partition.loads());
         let design = Self {
             width,
-            scan_in: in_len.iter().copied().max().unwrap_or(0),
-            scan_out: out_len.iter().copied().max().unwrap_or(0),
+            scan_in: cells.scan_in(),
+            scan_out: cells.scan_out(),
             patterns: core.patterns(),
-            chain_flops,
-            chain_inputs,
-            chain_outputs,
+            chain_flops: partition.loads().to_vec(),
+            chain_inputs: cells.inputs,
+            chain_outputs: cells.outputs,
         };
-        Ok((design, placement, chain_bidirs))
+        Ok((design, partition.assignment().to_vec(), cells.bidirs))
     }
 
     /// The TAM width (number of wrapper scan chains) of this design.
@@ -179,9 +140,7 @@ impl WrapperDesign {
     /// `max` per pattern, one capture cycle per pattern, and a final
     /// residual shift-out of `min(si, so)`.
     pub fn test_time(&self) -> Cycles {
-        let long = self.scan_in.max(self.scan_out);
-        let short = self.scan_in.min(self.scan_out);
-        (1 + long) * self.patterns + short
+        test_time(self.scan_in, self.scan_out, self.patterns)
     }
 
     /// Extra cycles charged when a test of this design is preempted and
@@ -192,9 +151,186 @@ impl WrapperDesign {
     }
 }
 
+/// The scan test-time formula `(1 + max(si, so)) · p + min(si, so)`; see
+/// [`WrapperDesign::test_time`].
+pub(crate) fn test_time(scan_in: u64, scan_out: u64, patterns: u64) -> Cycles {
+    let long = scan_in.max(scan_out);
+    let short = scan_in.min(scan_out);
+    (1 + long) * patterns + short
+}
+
+/// `Design_wrapper`'s longest scan-in and scan-out paths at any width,
+/// without building the design: all a rectangle menu needs from it
+/// ([`crate::RectangleSet::build`] asks for every width of one core).
+///
+/// The scan chains are sorted once. Each width then runs the BFD placement
+/// ([`place_decreasing`]) for the wrapper chains' flop loads alone, in
+/// buffers reused across widths. Without bidirectional cells, both paths
+/// follow from the longest load in closed form ([`filled_max`]), so no
+/// per-chain cell tally is built; bidirectional cells are placed on the
+/// per-chain lengths, so those cores run [`ChainCells`]. Bit-identical to
+/// [`WrapperDesign::design`]'s `scan_in` and `scan_out`.
+pub(crate) struct ScanPaths<'a> {
+    core: &'a CoreTest,
+    /// Scan chain lengths, longest first.
+    chains: Vec<u64>,
+    /// Total scan flops: the sum of the loads at every width.
+    flops: u64,
+    loads: Vec<u64>,
+    heap: Vec<Reverse<(u64, usize)>>,
+    cells: ChainCells,
+}
+
+impl<'a> ScanPaths<'a> {
+    pub(crate) fn new(core: &'a CoreTest) -> Self {
+        let mut chains: Vec<u64> = core.scan_chains().iter().map(|&l| u64::from(l)).collect();
+        chains.sort_unstable_by(|a, b| b.cmp(a));
+        Self {
+            core,
+            chains,
+            flops: core.scan_flops(),
+            loads: Vec::new(),
+            heap: Vec::new(),
+            cells: ChainCells::default(),
+        }
+    }
+
+    /// `(scan_in, scan_out)` of the design at `width >= 1` wires.
+    pub(crate) fn at(&mut self, width: TamWidth) -> (u64, u64) {
+        let k = usize::from(width);
+        self.loads.resize(k, 0);
+        place_decreasing(
+            self.chains.iter().copied(),
+            &mut self.loads,
+            &mut self.heap,
+            |_, _| {},
+        );
+        if self.core.bidirs() > 0 {
+            self.cells.place(self.core, &self.loads);
+            return (self.cells.scan_in(), self.cells.scan_out());
+        }
+        let longest = self.loads.iter().copied().max().unwrap_or(0);
+        (
+            filled_max(longest, self.flops, k, self.core.inputs()),
+            filled_max(longest, self.flops, k, self.core.outputs()),
+        )
+    }
+}
+
+/// The cell half of `Design_wrapper`: the wrapper input, output, and
+/// bidirectional cells placed on wrapper chains that already hold their
+/// scan flops, with the per-chain scan lengths that result. Shared by
+/// [`WrapperDesign::design`] and [`ScanPaths`]; [`ChainCells::place`]
+/// reuses the vectors' allocations.
+#[derive(Debug, Default)]
+struct ChainCells {
+    /// Scan-in length per chain: flops plus input-side cells.
+    in_len: Vec<u64>,
+    /// Scan-out length per chain: flops plus output-side cells.
+    out_len: Vec<u64>,
+    /// Input-side cells per chain, bidirectional cells included.
+    inputs: Vec<u64>,
+    /// Output-side cells per chain, bidirectional cells included.
+    outputs: Vec<u64>,
+    /// Bidirectional cells per chain.
+    bidirs: Vec<u64>,
+    /// Scratch: the bidirectional placement cost per chain.
+    cost: Vec<u64>,
+    /// Scratch: [`place_unit_cells`]'s shortest-first chain order.
+    order: Vec<usize>,
+}
+
+impl ChainCells {
+    /// Places `core`'s cells on wrapper chains holding `flops` scan flops
+    /// each.
+    fn place(&mut self, core: &CoreTest, flops: &[u64]) {
+        for lengths in [&mut self.in_len, &mut self.out_len] {
+            lengths.clear();
+            lengths.extend_from_slice(flops);
+        }
+        for counts in [&mut self.inputs, &mut self.outputs, &mut self.bidirs] {
+            counts.clear();
+            counts.resize(flops.len(), 0);
+        }
+
+        // Wrapper input cells: each lengthens one chain's scan-in path.
+        // Greedily place each cell on the chain with the shortest current
+        // scan-in (flops + input cells so far), ties toward the lowest
+        // chain index; `place_unit_cells` evaluates that greedy process in
+        // closed form.
+        place_unit_cells(
+            &mut self.in_len,
+            &mut self.inputs,
+            core.inputs(),
+            &mut self.order,
+        );
+
+        // Wrapper output cells likewise for scan-out.
+        place_unit_cells(
+            &mut self.out_len,
+            &mut self.outputs,
+            core.outputs(),
+            &mut self.order,
+        );
+
+        // Bidirectional cells sit on both the scan-in and scan-out paths of
+        // their chain; place each on the chain minimizing the worse of the
+        // two resulting lengths. A placement raises both of its chain's
+        // lengths, and so the worse of them, by exactly one: the same
+        // unit-cell greedy over the cost `max(in, out)`, with the same
+        // lowest-index tie-break.
+        if core.bidirs() > 0 {
+            self.cost.clear();
+            self.cost.extend(
+                self.in_len
+                    .iter()
+                    .zip(&self.out_len)
+                    .map(|(&si, &so)| si.max(so)),
+            );
+            place_unit_cells(
+                &mut self.cost,
+                &mut self.bidirs,
+                core.bidirs(),
+                &mut self.order,
+            );
+            for (chain, &b) in self.bidirs.iter().enumerate() {
+                self.in_len[chain] += b;
+                self.out_len[chain] += b;
+                self.inputs[chain] += b;
+                self.outputs[chain] += b;
+            }
+        }
+    }
+
+    /// Longest scan-in path over the chains.
+    fn scan_in(&self) -> u64 {
+        self.in_len.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Longest scan-out path over the chains.
+    fn scan_out(&self) -> u64 {
+        self.out_len.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// The longest chain [`place_unit_cells`] leaves after dropping `cells`
+/// cells on `chains` chains whose longest is `longest` and whose lengths
+/// sum to `total`, without placing anything.
+///
+/// In `place_unit_cells`'s pool/level terms: if the cells run out before
+/// the pool takes in every chain, the final level stays at or below the
+/// longest chain, which stays the longest. Otherwise every chain reaches
+/// the longest and the rest deal round-robin, leaving
+/// `ceil((total + cells) / chains)`. Either way the result is the larger
+/// of the two.
+fn filled_max(longest: u64, total: u64, chains: usize, cells: u32) -> u64 {
+    longest.max((total + u64::from(cells)).div_ceil(chains as u64))
+}
+
 /// Greedily drops `cells` unit-length wrapper cells one at a time onto the
 /// chain with the shortest current length (ties toward the lowest chain
-/// index), updating the per-chain length and placed-cell tallies.
+/// index), updating the per-chain length and placed-cell tallies. `order`
+/// is scratch space, passed in so repeated calls reuse one allocation.
 ///
 /// The one-at-a-time process is evaluated in closed form by water-filling:
 /// repeatedly incrementing the minimum `(length, chain)` first raises the
@@ -203,7 +339,7 @@ impl WrapperDesign {
 /// O(k log k) total instead of O(cells · log k), with the exact same final
 /// distribution (pinned by the `heap_placement_matches_scan_reference`
 /// proptest below).
-fn place_unit_cells(lengths: &mut [u64], counts: &mut [u64], cells: u32) {
+fn place_unit_cells(lengths: &mut [u64], counts: &mut [u64], cells: u32, order: &mut Vec<usize>) {
     if cells == 0 {
         return;
     }
@@ -217,7 +353,8 @@ fn place_unit_cells(lengths: &mut [u64], counts: &mut [u64], cells: u32) {
     let mut cells = u64::from(cells);
 
     // Shortest-first (stable, so equal lengths keep chain-index order).
-    let mut order: Vec<usize> = (0..k).collect();
+    order.clear();
+    order.extend(0..k);
     order.sort_by_key(|&i| lengths[i]);
 
     // Grow the pool of shortest chains: raising the current pool to the
@@ -424,6 +561,42 @@ mod tests {
             let got = WrapperDesign::design_with_placement(&c, width).unwrap();
             let want = design_scan_reference(&c, width);
             prop_assert_eq!(got, want);
+        }
+
+        /// The closed form is the longest chain the placement leaves.
+        #[test]
+        fn filled_max_matches_placement(
+            lengths in proptest::collection::vec(0u64..200, 1..20),
+            cells in 0u32..3000,
+        ) {
+            let longest = lengths.iter().copied().max().unwrap();
+            let want = filled_max(longest, lengths.iter().sum(), lengths.len(), cells);
+            let mut placed = lengths.clone();
+            let mut counts = vec![0; lengths.len()];
+            place_unit_cells(&mut placed, &mut counts, cells, &mut Vec::new());
+            prop_assert_eq!(placed.iter().copied().max().unwrap(), want);
+        }
+
+        /// The time-only evaluator reports the materialized design's
+        /// longest paths at every width, through one set of buffers reused
+        /// while the width grows and shrinks — half the cores with
+        /// bidirectional cells.
+        #[test]
+        fn scan_paths_match_design(
+            inputs in 0u32..300,
+            outputs in 0u32..300,
+            bidirs in (0u32..2, 1u32..80).prop_map(|(on, n)| on * n),
+            chains in proptest::collection::vec(1u32..60, 0..50),
+            patterns in 1u64..500,
+            w_max in 1u16..81,
+        ) {
+            prop_assume!(inputs + outputs + bidirs > 0 || !chains.is_empty());
+            let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            let mut paths = ScanPaths::new(&c);
+            for w in (1..=w_max).chain((1..w_max).rev()) {
+                let d = WrapperDesign::design(&c, w).unwrap();
+                prop_assert_eq!(paths.at(w), (d.scan_in(), d.scan_out()), "width {}", w);
+            }
         }
 
         /// Monotonicity: test time is non-increasing in TAM width.

@@ -7,6 +7,7 @@
 //! more wires never costs time, plus the Pareto-optimal subset that the
 //! scheduler actually considers.
 
+use crate::design::{test_time, ScanPaths};
 use crate::pareto::pareto_points;
 use crate::{CoreTest, Cycles, ParetoPoint, StaircasePoint, TamWidth, WrapperDesign};
 
@@ -48,10 +49,10 @@ impl Rectangle {
 
 /// The full rectangle menu for one core, for widths `1..=w_max`.
 ///
-/// Construction runs `Design_wrapper` at every width and monotonizes the
-/// resulting staircase: `time_at(w)` is the best time achievable with *at
-/// most* `w` wires, and `rect_at(w).effective_width` records how many wires
-/// that best design actually needs.
+/// Construction evaluates `Design_wrapper`'s testing time at every width
+/// and monotonizes the resulting staircase: `time_at(w)` is the best time
+/// achievable with *at most* `w` wires, and `rect_at(w).effective_width`
+/// records how many wires that best design actually needs.
 ///
 /// # Example
 ///
@@ -84,29 +85,59 @@ pub struct RectangleSet {
 impl RectangleSet {
     /// Builds the rectangle set for `core` considering widths `1..=w_max`.
     ///
+    /// Only each width's longest scan-in and scan-out paths reach the
+    /// menu, so the design at each width is evaluated for those alone: the
+    /// scan chains are sorted once, and no wrapper chain is materialized.
+    /// Bit-identical to [`RectangleSet::build_reference`].
+    ///
     /// # Panics
     ///
     /// Panics if `w_max == 0`.
     pub fn build(core: &CoreTest, w_max: TamWidth) -> Self {
-        assert!(w_max > 0, "w_max must be at least one wire");
         crate::instrument::note_rectangle_set_build();
+        let mut paths = ScanPaths::new(core);
+        Self::from_scan_paths(core, w_max, |w| paths.at(w))
+    }
+
+    /// The materializing reference for [`RectangleSet::build`]: runs the
+    /// full [`WrapperDesign::design`] at every width. Same result, several
+    /// times slower; kept to pin the fast path in tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w_max == 0`.
+    pub fn build_reference(core: &CoreTest, w_max: TamWidth) -> Self {
+        Self::from_scan_paths(core, w_max, |w| {
+            // Design_wrapper never fails for w >= 1 on a valid core.
+            let d = WrapperDesign::design(core, w).expect("width >= 1");
+            (d.scan_in(), d.scan_out())
+        })
+    }
+
+    /// The monotonized staircase over the `(scan_in, scan_out)` that
+    /// `paths_at` reports for each width `1..=min(max_useful_width, w_max)`.
+    fn from_scan_paths(
+        core: &CoreTest,
+        w_max: TamWidth,
+        mut paths_at: impl FnMut(TamWidth) -> (u64, u64),
+    ) -> Self {
+        assert!(w_max > 0, "w_max must be at least one wire");
         let useful = core.max_useful_width().min(u64::from(w_max)) as TamWidth;
 
         let mut rects: Vec<Rectangle> = Vec::with_capacity(usize::from(w_max));
         let mut best_time = Cycles::MAX;
         let mut best: Option<Rectangle> = None;
         for w in 1..=useful {
-            // Design_wrapper never fails for w >= 1 on a valid core.
-            let d = WrapperDesign::design(core, w).expect("width >= 1");
-            let t = d.test_time();
+            let (scan_in, scan_out) = paths_at(w);
+            let t = test_time(scan_in, scan_out, core.patterns());
             if t < best_time {
                 best_time = t;
                 best = Some(Rectangle {
                     width: w,
                     effective_width: w,
                     time: t,
-                    scan_in: d.scan_in(),
-                    scan_out: d.scan_out(),
+                    scan_in,
+                    scan_out,
                 });
             }
             let mut r = best.expect("set on first iteration");
@@ -480,6 +511,26 @@ mod tests {
             }
             prop_assert_eq!(s.min_time(), s.time_at(w_max));
             prop_assert!(s.min_area() > 0);
+        }
+
+        /// The time-only build equals the set built from the full
+        /// `Design_wrapper` design at every width, bidirectional cells and
+        /// caps past `max_useful_width` included.
+        #[test]
+        fn build_matches_design_reference(
+            inputs in 0u32..300,
+            outputs in 0u32..300,
+            bidirs in (0u32..2, 1u32..80).prop_map(|(on, n)| on * n),
+            chains in proptest::collection::vec(1u32..60, 0..51),
+            patterns in 1u64..500,
+            w_max in 1u16..81,
+        ) {
+            prop_assume!(inputs + outputs + bidirs > 0 || !chains.is_empty());
+            let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            prop_assert_eq!(
+                RectangleSet::build(&c, w_max),
+                RectangleSet::build_reference(&c, w_max)
+            );
         }
 
         /// Any prefix of a build equals the fresh build at that cap.
