@@ -469,8 +469,7 @@ impl TestFlow {
         // (and any later sweep over the same context).
         let mut out = Vec::new();
         for w in widths {
-            let menus = self.menus_for(w);
-            let (schedule, _, _) = self.best_schedule_with_menus(w, &menus)?;
+            let (schedule, _, _) = self.best_schedule_detailed(w)?;
             let time = schedule.makespan();
             out.push(SweepPoint {
                 width: w,

@@ -41,18 +41,17 @@
 //! shared by any number of later requests. Short-lived handles —
 //! [`ScheduleBuilder`], validation calls — borrow a context; long-lived
 //! ownership lives in `Arc<CompiledSoc>`, usually managed by a
-//! [`ContextRegistry`]: a sharded, bounded, thread-safe cache keyed by
-//! `(SOC content, w_max, power budget)` with LRU eviction and hit/miss
-//! instrumentation. `soctam_core`'s `Engine` serves whole request batches
-//! through one registry; cross-request caching falls out of the keying.
+//! [`ContextRegistry`]: a [`SolutionCache`] keyed by `(SOC content, w_max,
+//! power budget)`, with LRU eviction and hit/miss instrumentation.
+//! `soctam_core`'s `Engine` serves whole request batches through one
+//! registry; cross-request caching falls out of the keying.
 //! Per-cap rectangle menus inside a context are prefix-derived from the
 //! full-cap build ([`RectangleMenus::prefix`]) instead of rebuilt.
 //!
-//! One tier above the registry, a [`SolutionCache`] memoizes whole solved
-//! *results* (sharded, LRU+TTL-bounded, with in-flight request
-//! coalescing), so a repeat request skips the solver entirely; the same
-//! TTL machinery gives the registry time-based expiry
-//! ([`ContextRegistry::with_ttl`]) for long-lived daemons.
+//! One tier above the registry, a second [`SolutionCache`] memoizes whole
+//! solved *results* (sharded, LRU+TTL-bounded, with in-flight request
+//! coalescing), so a repeat request skips the solver entirely. Both take
+//! an optional TTL ([`ContextRegistry::with_ttl`]) for long-lived daemons.
 //!
 //! # Example
 //!
@@ -78,7 +77,6 @@ mod config;
 mod constraints;
 mod context;
 mod error;
-mod expiry;
 pub mod instrument;
 mod menus;
 pub mod obs;

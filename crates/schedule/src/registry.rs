@@ -1,4 +1,4 @@
-//! A sharded, thread-safe registry of compiled schedule contexts.
+//! A thread-safe registry of compiled schedule contexts.
 //!
 //! [`CompiledSoc`] made one *sweep* cheap; [`ContextRegistry`] makes one
 //! *service* cheap: a long-lived, concurrently shared cache of
@@ -21,34 +21,25 @@
 //!   accounting ("one compile per (SOC, budget)") holds even though the
 //!   compiled tables themselves are budget-independent.
 //!
-//! # Sharding, eviction, instrumentation
+//! # Caching
 //!
-//! Entries live in `shards` independently locked maps selected by key
-//! hash; the shard lock covers only the map probe, never a compile.
-//! Concurrent requests for the *same* key rendezvous on a per-entry cell —
-//! exactly one compiles, the rest wait on that cell (no dogpile) — while
-//! requests for other keys, same shard or not, proceed immediately
-//! instead of stalling behind a multi-millisecond compilation. Each shard
-//! holds at most
-//! `capacity / shards` entries; inserting past that evicts the shard's
-//! least-recently-used entry. Hits, misses, and evictions are counted on
-//! the registry ([`ContextRegistry::stats`]); whole-process compile counts
-//! are in [`instrument::context_compiles`](crate::instrument::context_compiles).
+//! The registry is a typed key over a [`SolutionCache`]: sharding, LRU and
+//! TTL bounds, in-flight coalescing (concurrent same-key requests wait on
+//! one compile), and panic teardown are the cache's. Hits, misses, and
+//! evictions are counted on the registry ([`ContextRegistry::stats`]);
+//! whole-process compile counts are in
+//! [`instrument::context_compiles`](crate::instrument::context_compiles).
 
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, DefaultHasher, Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::convert::Infallible;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
+use std::time::Duration;
 
 use soctam_soc::Soc;
 use soctam_wrapper::TamWidth;
 
 use crate::context::CompiledSoc;
-use crate::expiry::TtlPolicy;
-use crate::sync::{lock_unpoisoned, panic_message};
+use crate::solution_cache::SolutionCache;
 
 /// The identity of one compiled context: SOC content, width cap, and the
 /// constraint-relevant configuration (power budget).
@@ -91,29 +82,11 @@ impl Hash for ContextKey {
     }
 }
 
-/// One cache slot. The context lives behind a `OnceLock` so compilation
-/// happens *outside* the shard lock: a miss publishes the empty cell and
-/// releases the shard, then compiles into the cell — concurrent requests
-/// for the *same* key rendezvous on the cell (one compiles, the rest
-/// wait), while hits on other keys in the shard proceed immediately
-/// instead of stalling behind a multi-millisecond compile.
-/// What a rendezvous cell ends up holding: the compiled context, or the
-/// rendered payload of the panic that killed the compile. Publishing the
-/// panic keeps waiters rendezvoused on the cell from blocking forever
-/// (and keeps the `OnceLock` from poisoning every later same-key
-/// request).
-type CompileOutcome = Result<Arc<CompiledSoc>, String>;
-
-struct Entry {
-    cell: Arc<OnceLock<CompileOutcome>>,
-    last_used: u64,
-    deadline: Option<Instant>,
-}
-
 /// Cumulative counters of one registry's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// Requests served from the cache.
+    /// Requests served without compiling: from the cache, or by waiting on
+    /// a same-key compile already in flight.
     pub hits: u64,
     /// Requests that had to compile a context.
     pub misses: u64,
@@ -123,8 +96,7 @@ pub struct RegistryStats {
     /// [`ContextRegistry::with_ttl`]).
     pub expiries: u64,
     /// Compiles that panicked (caught, torn down, and re-raised in the
-    /// panicking thread; rendezvoused waiters retried instead of
-    /// hanging and no shard lock was poisoned).
+    /// panicking thread; waiting requests retried instead of hanging).
     pub panics: u64,
 }
 
@@ -158,16 +130,7 @@ impl RegistryStats {
 /// assert_eq!(registry.stats().hits, 1);
 /// ```
 pub struct ContextRegistry {
-    shards: Vec<Mutex<HashMap<ContextKey, Entry>>>,
-    per_shard_capacity: usize,
-    ttl: TtlPolicy,
-    hasher: RandomState,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    expiries: AtomicU64,
-    panics: AtomicU64,
+    cache: SolutionCache<ContextKey, Arc<CompiledSoc>, Infallible>,
 }
 
 impl ContextRegistry {
@@ -183,19 +146,8 @@ impl ContextRegistry {
     /// `capacity / shards`, minimum one). Both arguments are clamped to at
     /// least 1.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.max(1).div_ceil(shards).max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            per_shard_capacity,
-            ttl: TtlPolicy::new(None),
-            hasher: RandomState::new(),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            expiries: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
+            cache: SolutionCache::new(shards, capacity, None),
         }
     }
 
@@ -205,7 +157,7 @@ impl ContextRegistry {
     /// Long-lived daemons use this so a cached compilation for an SOC that
     /// stopped receiving traffic does not stay resident forever.
     pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = TtlPolicy::new(Some(ttl));
+        self.cache.set_ttl(Some(ttl));
         self
     }
 
@@ -213,16 +165,7 @@ impl ContextRegistry {
     /// flight are spared), returning how many were dropped. Expiries are
     /// counted in [`ContextRegistry::stats`].
     pub fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut map = lock_unpoisoned(shard);
-            let before = map.len();
-            map.retain(|_, e| e.cell.get().is_none() || !TtlPolicy::expired(e.deadline, now));
-            dropped += before - map.len();
-        }
-        self.expiries.fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
+        self.cache.purge_expired()
     }
 
     /// The context for `(soc, w_max, power_budget)`: served from the cache
@@ -231,10 +174,8 @@ impl ContextRegistry {
     /// `w_max` is clamped to at least 1, mirroring
     /// [`CompiledSoc::compile`], so a clamped and an unclamped request for
     /// the same cap share one entry. Concurrent callers with the same key
-    /// rendezvous on one cell and get the same `Arc` (exactly one of them
-    /// compiles — no dogpile); the shard lock is held only for the map
-    /// lookup, never across a compile, so hits on other keys in the shard
-    /// are never stuck behind one.
+    /// get the same `Arc`: exactly one of them compiles, and no lock is
+    /// held across the compile.
     pub fn get_or_compile(
         &self,
         soc: &Arc<Soc>,
@@ -242,135 +183,20 @@ impl ContextRegistry {
         power_budget: Option<u64>,
     ) -> Arc<CompiledSoc> {
         let key = ContextKey::new(soc, w_max, power_budget);
-        let compile_soc = Arc::clone(&key.soc);
-        let compile_cap = key.w_max;
-        self.get_or_compile_with(key, || {
-            Arc::new(CompiledSoc::compile_arc(
-                Arc::clone(&compile_soc),
-                compile_cap,
-            ))
-        })
+        let (soc, cap) = (Arc::clone(&key.soc), key.w_max);
+        self.get_or_compile_with(key, || Arc::new(CompiledSoc::compile_arc(soc, cap)))
     }
 
-    /// The rendezvous machinery behind [`ContextRegistry::get_or_compile`],
-    /// parameterized over the compile step so the panic-isolation
-    /// discipline can be exercised by tests without a genuinely crashing
-    /// compiler.
+    /// [`ContextRegistry::get_or_compile`] over a caller-supplied compile
+    /// step, so tests can exercise panic isolation without a genuinely
+    /// crashing compiler.
     fn get_or_compile_with(
         &self,
         key: ContextKey,
-        compile: impl Fn() -> Arc<CompiledSoc>,
+        compile: impl FnOnce() -> Arc<CompiledSoc>,
     ) -> Arc<CompiledSoc> {
-        let shard = &self.shards[self.shard_of(&key)];
-
-        loop {
-            let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-            let cell = {
-                let mut map = lock_unpoisoned(shard);
-                // A context past its TTL deadline is dead even if
-                // resident: evict it and recompile (a compile still in
-                // flight is never expired out from under the thread
-                // publishing it). An entry whose compile panicked is dead
-                // too: its publisher tears it down, but a racing probe
-                // may see it first and must not rendezvous with it.
-                let mut resident = None;
-                if let Some(entry) = map.get_mut(&key) {
-                    let completed = entry.cell.get();
-                    let panicked = matches!(completed, Some(Err(_)));
-                    if panicked
-                        || (completed.is_some()
-                            && TtlPolicy::expired(entry.deadline, Instant::now()))
-                    {
-                        map.remove(&key);
-                        if !panicked {
-                            self.expiries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        entry.last_used = stamp;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        resident = Some(Arc::clone(&entry.cell));
-                    }
-                }
-                match resident {
-                    Some(cell) => cell,
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        if map.len() >= self.per_shard_capacity {
-                            // Victim selection skips in-flight slots:
-                            // evicting an entry whose cell is unset would
-                            // discard the compile in progress and detach
-                            // later same-key requests from it (recompiling
-                            // instead of rendezvousing). When every slot
-                            // is in flight the shard over-admits by one —
-                            // in-flight compiles always complete and
-                            // become evictable.
-                            let lru = map
-                                .iter()
-                                .filter(|(_, e)| e.cell.get().is_some())
-                                .min_by_key(|(_, e)| e.last_used)
-                                .map(|(k, _)| k.clone());
-                            if let Some(lru) = lru {
-                                map.remove(&lru);
-                                self.evictions.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        let cell = Arc::new(OnceLock::new());
-                        map.insert(
-                            key.clone(),
-                            Entry {
-                                cell: Arc::clone(&cell),
-                                last_used: stamp,
-                                deadline: self.ttl.deadline(),
-                            },
-                        );
-                        cell
-                    }
-                }
-            };
-
-            // Outside the shard lock: the publishing thread compiles into
-            // the cell; same-key requests that arrived meanwhile block
-            // here (and only here) until the context is ready. An
-            // evicted-mid-compile entry still completes through the
-            // caller's own cell handle. The compile runs under
-            // `catch_unwind` so a panicking compiler still publishes the
-            // cell — waiters are released instead of hanging, and the
-            // `OnceLock` is never poisoned.
-            let mut ran = false;
-            let outcome = cell.get_or_init(|| {
-                ran = true;
-                match catch_unwind(AssertUnwindSafe(&compile)) {
-                    Ok(ctx) => Ok(ctx),
-                    Err(payload) => Err(panic_message(payload.as_ref())),
-                }
-            });
-
-            match outcome {
-                Ok(ctx) => return Arc::clone(ctx),
-                Err(message) => {
-                    // Tear the dead slot down (idempotent under the
-                    // ptr_eq guard) so later requests recompile instead
-                    // of rendezvousing with a corpse.
-                    {
-                        let mut map = lock_unpoisoned(shard);
-                        if map.get(&key).is_some_and(|e| Arc::ptr_eq(&e.cell, &cell)) {
-                            map.remove(&key);
-                        }
-                    }
-                    if ran {
-                        // The panic was ours: re-raise it now that the
-                        // cell is published and the entry torn down, so
-                        // the caller's isolation layer sees it exactly
-                        // once.
-                        self.panics.fetch_add(1, Ordering::Relaxed);
-                        panic!("context compilation panicked: {message}");
-                    }
-                    // A waiter: the compile we rendezvoused with died.
-                    // Retry as a fresh miss — our own compile may well
-                    // succeed (the panic could be an injected fault).
-                }
-            }
-        }
+        let Ok(ctx) = self.cache.get_or_compute(key, || Ok(compile()));
+        ctx
     }
 
     /// Like [`ContextRegistry::get_or_compile`], but only returns a cached
@@ -381,53 +207,39 @@ impl ContextRegistry {
         w_max: TamWidth,
         power_budget: Option<u64>,
     ) -> Option<Arc<CompiledSoc>> {
-        let key = ContextKey::new(soc, w_max, power_budget);
-        let map = lock_unpoisoned(&self.shards[self.shard_of(&key)]);
-        // An entry whose compile is still in flight is not yet peekable,
-        // and an expired entry is no longer servable (eviction is left to
-        // `get_or_compile`/`purge_expired`).
-        let entry = map.get(&key)?;
-        if TtlPolicy::expired(entry.deadline, Instant::now()) {
-            return None;
-        }
-        entry.cell.get().and_then(|o| o.as_ref().ok()).cloned()
+        self.cache.peek(&ContextKey::new(soc, w_max, power_budget))
     }
 
     /// Number of contexts currently resident.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
+        self.cache.len()
     }
 
     /// Whether the registry holds no contexts.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.cache.is_empty()
     }
 
     /// Total capacity (shards × per-shard bound).
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.per_shard_capacity
+        self.cache.capacity()
     }
 
     /// Drops every cached context (stats are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            lock_unpoisoned(shard).clear();
-        }
+        self.cache.clear();
     }
 
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> RegistryStats {
+        let s = self.cache.stats();
         RegistryStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expiries: self.expiries.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
+            hits: s.hits + s.coalesced,
+            misses: s.misses,
+            evictions: s.evictions,
+            expiries: s.expiries,
+            panics: s.panics,
         }
-    }
-
-    fn shard_of(&self, key: &ContextKey) -> usize {
-        (self.hasher.hash_one(key) % self.shards.len() as u64) as usize
     }
 }
 
@@ -442,8 +254,7 @@ impl Default for ContextRegistry {
 impl std::fmt::Debug for ContextRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContextRegistry")
-            .field("shards", &self.shards.len())
-            .field("per_shard_capacity", &self.per_shard_capacity)
+            .field("cache", &self.cache)
             .field("len", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -550,49 +361,6 @@ mod tests {
         reg.get_or_compile(&s, 8, Some(1));
         assert_eq!(reg.stats().misses, 4);
         assert_eq!(reg.stats().evictions, 2);
-    }
-
-    #[test]
-    fn lru_never_evicts_an_in_flight_slot() {
-        // Capacity-1 shard with a planted in-flight entry (empty cell) for
-        // key (d695, 8, None) — exactly the state a concurrent
-        // get_or_compile leaves between publishing the cell and finishing
-        // the compile. Capacity pressure must over-admit rather than evict
-        // it: eviction would discard the compile in progress and detach
-        // later same-key requests from the rendezvous.
-        let reg = ContextRegistry::new(1, 1);
-        let soc = Arc::new(benchmarks::d695());
-        let key = ContextKey::new(&soc, 8, None);
-        let planted: Arc<OnceLock<CompileOutcome>> = Arc::new(OnceLock::new());
-        reg.shards[reg.shard_of(&key)].lock().unwrap().insert(
-            key,
-            Entry {
-                cell: Arc::clone(&planted),
-                last_used: 0,
-                deadline: None,
-            },
-        );
-
-        // Pressure from another key: over-admit by one, evict nothing.
-        reg.get_or_compile(&soc, 16, None);
-        assert_eq!(reg.len(), 2, "over-admitted past capacity");
-        assert_eq!(reg.stats().evictions, 0, "in-flight slot spared");
-
-        // The planted slot is intact: a same-key request rendezvouses on
-        // the planted cell (a registry hit) and completes it in place.
-        let ctx = reg.get_or_compile(&soc, 8, None);
-        assert!(
-            planted
-                .get()
-                .and_then(|o| o.as_ref().ok())
-                .is_some_and(|c| Arc::ptr_eq(c, &ctx)),
-            "the request completed the planted cell, not a replacement"
-        );
-        assert_eq!(reg.stats().hits, 1);
-
-        // With every slot completed, capacity pressure evicts normally.
-        reg.get_or_compile(&soc, 32, None);
-        assert_eq!(reg.stats().evictions, 1);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! A sharded, bounded, TTL-aware cache of solved *results*.
+//! A sharded, bounded, TTL-aware cache with in-flight coalescing.
 //!
-//! [`ContextRegistry`](crate::ContextRegistry) amortizes *compilation*: a
-//! repeat request still re-runs the solver over its cached context.
-//! [`SolutionCache`] closes that gap for a serving tier — it memoizes
-//! whole request *outcomes*, keyed by whatever identifies a request
-//! (`soctam_core`'s engine keys on the registry key plus width, mode, and
+//! [`SolutionCache`] is the crate's one cache. A serving tier memoizes
+//! whole request *outcomes* in it, keyed by whatever identifies a request
+//! (`soctam_core`'s engine keys on the context key plus width, mode, and
 //! parameter grid), so a repeat request returns without invoking the
-//! solver at all.
+//! solver at all. [`ContextRegistry`](crate::ContextRegistry) is a typed
+//! key over the same cache that memoizes *compiled contexts* instead.
 //!
 //! The cache is deliberately generic over key, value, and error type: this
 //! crate knows nothing about the flow-level result types layered above it,
@@ -15,12 +14,13 @@
 //!
 //! # Concurrency discipline
 //!
-//! Same sharding and in-flight coalescing as the registry: the shard lock
-//! covers only the map probe, never a solve. A miss publishes an empty
-//! per-entry cell and releases the shard; concurrent requests for the
-//! *same* key rendezvous on that cell — exactly one runs the solver, the
-//! rest block until the result is published ([`SolutionCacheStats::coalesced`]
-//! counts them) — while requests for other keys proceed immediately.
+//! Entries live in independently locked shards selected by key hash; the
+//! shard lock covers only the map probe, never a solve. A miss publishes
+//! an empty per-entry cell and releases the shard; concurrent requests
+//! for the *same* key rendezvous on that cell — exactly one runs the
+//! solver, the rest block until the result is published
+//! ([`SolutionCacheStats::coalesced`] counts them) — while requests for
+//! other keys proceed immediately.
 //!
 //! # Errors are not cached
 //!
@@ -42,10 +42,12 @@
 //!
 //! # Bounds
 //!
-//! Entry *count* is bounded per shard with LRU eviction, exactly like the
-//! registry. Entry *lifetime* is optionally bounded by a TTL: expired
-//! entries are evicted lazily on access, or in bulk via
-//! [`SolutionCache::purge_expired`].
+//! Entry *count* is bounded per shard with LRU eviction that never picks
+//! an in-flight entry. Entry *lifetime* is optionally bounded by a TTL:
+//! every insertion is stamped with a deadline, expired entries are
+//! evicted lazily on access, and [`SolutionCache::purge_expired`] sweeps
+//! the whole cache for long-lived daemons that want bounded staleness
+//! even on cold keys.
 //!
 //! # Example
 //!
@@ -68,8 +70,31 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::expiry::TtlPolicy;
 use crate::sync::{lock_unpoisoned, panic_message};
+
+/// How long a cache entry stays servable after insertion. `None` means
+/// entries never expire (the default).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TtlPolicy {
+    ttl: Option<Duration>,
+}
+
+impl TtlPolicy {
+    fn new(ttl: Option<Duration>) -> Self {
+        Self { ttl }
+    }
+
+    /// The deadline a fresh entry inserted *now* carries.
+    fn deadline(&self) -> Option<Instant> {
+        self.ttl.map(|ttl| Instant::now() + ttl)
+    }
+
+    /// Whether an entry stamped with `deadline` is expired at `now`.
+    /// Entries without a deadline never expire.
+    fn expired(deadline: Option<Instant>, now: Instant) -> bool {
+        deadline.is_some_and(|d| now >= d)
+    }
+}
 
 /// What a rendezvous cell ends up holding: the solve's result, or the
 /// rendered payload of the panic that killed it. Publishing the panic
@@ -80,9 +105,9 @@ enum SlotOutcome<V, E> {
     Panicked(String),
 }
 
-/// One cache slot. As in the registry, the result lives behind a
-/// `OnceLock` cell so the solve happens outside the shard lock and
-/// same-key requests rendezvous on the cell.
+/// One cache slot. The result lives behind a `OnceLock` cell so the solve
+/// happens outside the shard lock and same-key requests rendezvous on the
+/// cell.
 struct Slot<V, E> {
     cell: Arc<OnceLock<SlotOutcome<V, E>>>,
     last_used: u64,
@@ -199,6 +224,11 @@ where
             failures: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         }
+    }
+
+    /// Sets the entry TTL for later insertions (`None`: never expire).
+    pub(crate) fn set_ttl(&mut self, ttl: Option<Duration>) {
+        self.ttl = TtlPolicy::new(ttl);
     }
 
     /// The cached result for `key`, solving (and caching) via `solve` on a
@@ -328,32 +358,28 @@ where
                 }
             });
 
+            // Only ever remove the entry this cell published — the key may
+            // already hold a newer entry from a later request — so the
+            // removal is idempotent when racing probes remove it too.
+            let remove_own_entry = || {
+                let mut map = lock_unpoisoned(shard);
+                if map.get(&key).is_some_and(|s| Arc::ptr_eq(&s.cell, &cell)) {
+                    map.remove(&key);
+                }
+            };
             match outcome {
                 SlotOutcome::Done(result) => {
                     let result = result.clone();
                     if ran && result.is_err() {
                         self.failures.fetch_add(1, Ordering::Relaxed);
-                        let mut map = lock_unpoisoned(shard);
-                        // Only remove the entry this solve published — the
-                        // key may already hold a newer entry from a later
-                        // request.
-                        if map.get(&key).is_some_and(|s| Arc::ptr_eq(&s.cell, &cell)) {
-                            map.remove(&key);
-                        }
+                        remove_own_entry();
                     }
                     return (result, lookup);
                 }
                 SlotOutcome::Panicked(message) => {
-                    // Tear the dead slot down (idempotent under the
-                    // ptr_eq guard — probes racing with us remove it too)
-                    // so later requests re-solve instead of rendezvousing
-                    // with a corpse.
-                    {
-                        let mut map = lock_unpoisoned(shard);
-                        if map.get(&key).is_some_and(|s| Arc::ptr_eq(&s.cell, &cell)) {
-                            map.remove(&key);
-                        }
-                    }
+                    // Tear the dead slot down so later requests re-solve
+                    // instead of rendezvousing with a corpse.
+                    remove_own_entry();
                     if ran {
                         // The panic was ours: re-raise it now that the
                         // cell is published and the entry torn down, so
@@ -730,6 +756,25 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(SolutionCacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn no_ttl_never_expires() {
+        let policy = TtlPolicy::new(None);
+        assert_eq!(policy.deadline(), None);
+        assert!(!TtlPolicy::expired(None, Instant::now()));
+    }
+
+    #[test]
+    fn deadline_expires_after_the_ttl() {
+        let policy = TtlPolicy::new(Some(Duration::from_millis(1)));
+        let deadline = policy.deadline();
+        assert!(deadline.is_some());
+        assert!(!TtlPolicy::expired(deadline, Instant::now()));
+        assert!(TtlPolicy::expired(
+            deadline,
+            Instant::now() + Duration::from_millis(5)
+        ));
     }
 
     #[test]

@@ -46,6 +46,15 @@
 //! histograms (bucket counts are integral, so summing series merges the
 //! backends' histograms bucket-wise, exactly).
 //!
+//! # Client connections
+//!
+//! The front takes client connections through the daemon's own connection
+//! front: the same bounded admission (`503` + `Retry-After` for HTTP
+//! peers, a structured busy line for protocol peers once the queue is
+//! full), worker respawn, line caps, and idle deadlines. It has no drain
+//! window: a proxied request is bounded by the pooled clients' I/O
+//! deadline, so shutdown severs client connections at once.
+//!
 //! # Sizing the connection pool
 //!
 //! Each backend worker serves one connection until it closes, and pooled
@@ -55,10 +64,10 @@
 //! (`backend_conns = 2` against the daemon's 4 workers) leave headroom
 //! for probes, scrapes, and direct clients.
 
-use std::io::{self, BufReader, Read as _, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,8 +76,8 @@ use soctam_core::schedule::lock_unpoisoned;
 use soctam_core::schedule::obs;
 
 use crate::client::{self, RetryPolicy, RetryingClient};
-use crate::{drain_http_headers, read_bounded_line, render_http_response, BenchmarkCatalog};
-use crate::{LineRead, MAX_SHED_THREADS, SHED_GRACE};
+use crate::front::{Conn, Front, FrontStats, Handler, Limits};
+use crate::BenchmarkCatalog;
 
 /// Configuration of a balancer front.
 #[derive(Debug, Clone)]
@@ -179,7 +188,7 @@ impl Backend {
     /// Takes a pooled client, establishing one if the pool is under its
     /// cap, else waiting (shutdown-aware) for a checkin. `None` on
     /// shutdown or connect-policy failure.
-    fn checkout(&self, shared: &FrontShared) -> Option<RetryingClient> {
+    fn checkout(&self, shared: &Proxy) -> Option<RetryingClient> {
         let mut pool = lock_unpoisoned(&self.pool);
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -282,54 +291,77 @@ impl Ring {
     }
 }
 
-/// Front-side traffic counters (`soctam_balance_*` families).
+/// Proxy-side traffic counters (`soctam_balance_*` families, next to the
+/// front's connection counters).
 #[derive(Default)]
-struct FrontCounters {
-    connections: AtomicU64,
-    http_requests: AtomicU64,
+struct ProxyCounters {
     parse_errors: AtomicU64,
     /// Requests answered by a backend other than their ring owner.
     failovers: AtomicU64,
     /// Requests no backend could answer.
     unrouted: AtomicU64,
-    sheds: AtomicU64,
-    timeouts: AtomicU64,
     /// Completed prober sweeps over the whole backend set.
     probes: AtomicU64,
 }
 
-/// Everything the front's worker, prober, and scrape paths share.
-struct FrontShared {
+/// The balancer's request handler: parse, route, and proxy over the
+/// backend pools, shared with the prober and the scrape path.
+struct Proxy {
     cfg: BalancerConfig,
     backends: Vec<Backend>,
     ring: Ring,
     catalog: BenchmarkCatalog,
-    counters: FrontCounters,
+    counters: ProxyCounters,
+    /// The front's connection counters and gauges.
+    front: Arc<FrontStats>,
     started: Instant,
+    /// Stops the prober and any worker waiting on a full backend pool.
     shutdown: AtomicBool,
-    active: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
     conn_seq: AtomicU64,
-    queue_depth: AtomicU64,
-    shed_threads: AtomicU64,
     /// Wall latency of each proxied request line (parse, route, forward,
     /// and failover passes included) — `soctam_balance_proxy_latency_seconds`.
     proxy_latency: obs::Histogram,
 }
 
-impl FrontShared {
+impl Proxy {
     fn any_backend_up(&self) -> bool {
         self.backends.iter().any(|b| b.up.load(Ordering::SeqCst))
+    }
+}
+
+impl Handler for Proxy {
+    fn line(&self, conn: &Conn<'_>, line: &str) -> Option<String> {
+        conn.begin_request();
+        let t0 = Instant::now();
+        let response = proxy_request(self, line);
+        self.proxy_latency.record(t0.elapsed());
+        Some(response)
+    }
+
+    /// `/healthz` (cluster-aware), `/metrics` (front families + roll-up),
+    /// 404.
+    fn http(&self, path: &str) -> (&'static str, String) {
+        match path {
+            "/healthz" if !self.any_backend_up() => (
+                "503 Service Unavailable",
+                "no backend available\n".to_owned(),
+            ),
+            "/healthz" => ("200 OK", "ok\n".to_owned()),
+            "/metrics" => ("200 OK", front_metrics(self)),
+            _ => ("404 Not Found", "not found\n".to_owned()),
+        }
+    }
+
+    fn oversized(&self, _conn: &Conn<'_>) {
+        self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// A running balancer front. Dropping (or [`Balancer::shutdown`]) stops
 /// accepting, severs client connections, and joins every thread.
 pub struct Balancer {
-    shared: Arc<FrontShared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Proxy>,
+    front: Front<Proxy>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -354,7 +386,6 @@ impl Balancer {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         cfg.threads = cfg.threads.max(1);
         cfg.max_pending = cfg.max_pending.max(1);
         cfg.max_line_bytes = cfg.max_line_bytes.max(64);
@@ -364,90 +395,50 @@ impl Balancer {
 
         let backends: Vec<Backend> = backends.iter().copied().map(Backend::new).collect();
         let labels: Vec<String> = backends.iter().map(|b| b.label.clone()).collect();
-        let shared = Arc::new(FrontShared {
+        // No drain window: front requests are bounded by the pooled
+        // clients' I/O deadline, so severing client connections at once
+        // unblocks every worker promptly without corrupting backend state.
+        let limits = Limits {
+            name: "balancer",
+            threads: cfg.threads,
+            max_pending: cfg.max_pending,
+            max_line_bytes: cfg.max_line_bytes,
+            idle_timeout: cfg.idle_timeout,
+            max_requests: None,
+            drain: Duration::ZERO,
+        };
+        let shared = Arc::new(Proxy {
             ring: Ring::new(&labels, cfg.replicas),
             cfg,
             backends,
             catalog: BenchmarkCatalog::new(),
-            counters: FrontCounters::default(),
+            counters: ProxyCounters::default(),
+            front: Arc::default(),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
-            active: Mutex::new(std::collections::HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            shed_threads: AtomicU64::new(0),
             proxy_latency: obs::Histogram::new(),
         });
-
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(shared.cfg.max_pending);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..shared.cfg.threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    let stream = lock_unpoisoned(&rx).recv();
-                    match stream {
-                        Ok(stream) => {
-                            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            serve_front_connection(&shared, stream);
-                        }
-                        Err(_) => {
-                            // Acceptor gone: zero the gauge over whatever
-                            // queued connections die unserved (the same
-                            // shutdown discipline as the daemon).
-                            shared.queue_depth.store(0, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                        shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(mpsc::TrySendError::Full(stream)) => {
-                                shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                shed_front(&shared, stream);
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => {
-                                shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
-        };
-
+        let front = Front::start(
+            listener,
+            limits,
+            Arc::clone(&shared.front),
+            Arc::clone(&shared),
+        )?;
         let prober = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || probe_loop(&shared))
         };
-
         Ok(Self {
             shared,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
+            front,
             prober: Some(prober),
         })
     }
 
     /// The address the front is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Per-backend health, in construction order — what the prober (and
@@ -477,39 +468,26 @@ impl Balancer {
     /// only a signal will stop) — the foreground mode `soctam balance`
     /// uses.
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.front.join();
     }
 }
 
 impl Drop for Balancer {
     fn drop(&mut self) {
+        // First release workers waiting on a full backend pool, then stop
+        // the front, then the prober.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Front requests are bounded by the pooled clients' I/O deadline,
-        // so severing client connections now (no drain window) unblocks
-        // every worker promptly without corrupting backend state.
-        for conn in lock_unpoisoned(&self.shared.active).values() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.front.shutdown();
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
-        self.shared.queue_depth.store(0, Ordering::SeqCst);
     }
 }
 
 impl std::fmt::Debug for Balancer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Balancer")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .field("backends", &self.shared.backends.len())
             .finish_non_exhaustive()
     }
@@ -517,7 +495,7 @@ impl std::fmt::Debug for Balancer {
 
 /// The prober: sweeps every backend's `/healthz` each interval, marking
 /// 200s up and everything else (503, refused, hung) down.
-fn probe_loop(shared: &FrontShared) {
+fn probe_loop(shared: &Proxy) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -541,108 +519,6 @@ fn probe_loop(shared: &FrontShared) {
     }
 }
 
-/// Sheds one connection the front's bounded queue refused, mirroring the
-/// daemon's shed discipline (capped courtesy threads, short deadlines).
-fn shed_front(shared: &Arc<FrontShared>, stream: TcpStream) {
-    shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
-    if shared.shed_threads.fetch_add(1, Ordering::SeqCst) >= MAX_SHED_THREADS {
-        shared.shed_threads.fetch_sub(1, Ordering::SeqCst);
-        return; // flood: drop without the courtesy reply
-    }
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(SHED_GRACE));
-        let _ = stream.set_write_timeout(Some(SHED_GRACE));
-        let mut writer = stream;
-        let busy = format!(
-            "{{\"ok\": false, \"busy\": true, \"transient\": true, \"error\": \
-             \"balancer at capacity ({} connections pending); retry with backoff\"}}\n",
-            shared.cfg.max_pending
-        );
-        let _ = writer.write_all(busy.as_bytes());
-        let _ = writer.flush();
-        shared.shed_threads.fetch_sub(1, Ordering::SeqCst);
-    });
-}
-
-/// Serves one accepted client connection: an HTTP GET gets one response
-/// and a close; anything else is a stream of protocol request lines,
-/// each parsed, routed, and proxied.
-fn serve_front_connection(shared: &FrontShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(shared.cfg.idle_timeout);
-    let _ = stream.set_write_timeout(shared.cfg.idle_timeout);
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    if let Ok(clone) = stream.try_clone() {
-        lock_unpoisoned(&shared.active).insert(conn_id, clone);
-    }
-    struct Deregister<'a>(&'a FrontShared, u64);
-    impl Drop for Deregister<'_> {
-        fn drop(&mut self) {
-            lock_unpoisoned(&self.0.active).remove(&self.1);
-        }
-    }
-    let _deregister = Deregister(shared, conn_id);
-
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut first = true;
-    let mut buf = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_bounded_line(&mut reader, &mut buf, shared.cfg.max_line_bytes) {
-            LineRead::Eof | LineRead::Failed => return,
-            LineRead::TimedOut => {
-                shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            LineRead::Oversized => {
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let response = protocol::render_parse_error(&format!(
-                    "request line exceeds the {}-byte cap; closing connection",
-                    shared.cfg.max_line_bytes
-                ));
-                let _ = writer.write_all(response.as_bytes());
-                let _ = writer.write_all(b"\n");
-                let _ = writer.flush();
-                let _ = io::copy(&mut reader.by_ref().take(1 << 20), &mut io::sink());
-                return;
-            }
-            LineRead::Line => {}
-        }
-        let line = String::from_utf8_lossy(&buf);
-        if first && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
-            shared
-                .counters
-                .http_requests
-                .fetch_add(1, Ordering::Relaxed);
-            serve_front_http(shared, &mut reader, &mut writer, line.trim());
-            return; // Connection: close
-        }
-        first = false;
-        let request = line.trim();
-        if request.is_empty() || request.starts_with('#') {
-            continue;
-        }
-        let request = request.to_owned();
-        let t0 = Instant::now();
-        let response = proxy_request(shared, &request);
-        shared.proxy_latency.record(t0.elapsed());
-        let write_ok = writer.write_all(response.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok();
-        if !write_ok {
-            return;
-        }
-    }
-}
-
 /// What one forwarding attempt toward one backend produced.
 enum Forward {
     /// A real answer (ok, engine error, or parse error — the backend
@@ -657,7 +533,7 @@ enum Forward {
 }
 
 /// Forwards one raw request line to one backend over its pool.
-fn forward(shared: &FrontShared, backend: &Backend, line: &str) -> Forward {
+fn forward(shared: &Proxy, backend: &Backend, line: &str) -> Forward {
     let Some(mut conn) = backend.checkout(shared) else {
         return Forward::Dead;
     };
@@ -686,7 +562,7 @@ fn forward(shared: &FrontShared, backend: &Backend, line: &str) -> Forward {
 /// solution-cache key, and walk the ring from its owner. Two passes:
 /// believed-up backends first, then — total-outage desperation — the
 /// marked-down ones, in case the prober's view is stale.
-fn proxy_request(shared: &FrontShared, line: &str) -> String {
+fn proxy_request(shared: &Proxy, line: &str) -> String {
     let parsed = protocol::parse_request(line, &mut |name: &str| shared.catalog.resolve(name));
     let request = match parsed {
         Err(e) => {
@@ -729,42 +605,12 @@ fn proxy_request(shared: &FrontShared, line: &str) -> String {
     last_busy.unwrap_or_else(|| NO_BACKEND_RESPONSE.to_owned())
 }
 
-/// Serves the front's HTTP surface: `/healthz` (cluster-aware),
-/// `/metrics` (front families + roll-up), 404.
-fn serve_front_http(
-    shared: &FrontShared,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_line: &str,
-) {
-    let header_overflow = drain_http_headers(reader, shared.cfg.max_line_bytes);
-    let (status, body) = if header_overflow {
-        (
-            "431 Request Header Fields Too Large",
-            "header block exceeds the configured cap\n".to_owned(),
-        )
-    } else {
-        let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-        match path {
-            "/healthz" if !shared.any_backend_up() => (
-                "503 Service Unavailable",
-                "no backend available\n".to_owned(),
-            ),
-            "/healthz" => ("200 OK", "ok\n".to_owned()),
-            "/metrics" => ("200 OK", front_metrics(shared)),
-            _ => ("404 Not Found", "not found\n".to_owned()),
-        }
-    };
-    let response = render_http_response(status, &body, request_line.starts_with("HEAD "));
-    let _ = writer.write_all(response.as_bytes());
-    let _ = writer.flush();
-}
-
 /// Renders the front's Prometheus exposition: `soctam_balance_*`
 /// families, then the roll-up summing every live backend's families.
-fn front_metrics(shared: &FrontShared) -> String {
+fn front_metrics(shared: &Proxy) -> String {
     use std::fmt::Write as _;
     let c = &shared.counters;
+    let front = &shared.front;
     let mut out = String::new();
     let mut family = |name: &str, kind: &str, samples: &[(String, u64)]| {
         let _ = writeln!(out, "# TYPE {name} {kind}");
@@ -809,11 +655,11 @@ fn front_metrics(shared: &FrontShared) -> String {
     for (name, value) in [
         ("soctam_balance_failover_total", &c.failovers),
         ("soctam_balance_unrouted_total", &c.unrouted),
-        ("soctam_balance_connections_total", &c.connections),
-        ("soctam_balance_http_requests_total", &c.http_requests),
+        ("soctam_balance_connections_total", &front.connections),
+        ("soctam_balance_http_requests_total", &front.http_requests),
         ("soctam_balance_parse_errors_total", &c.parse_errors),
-        ("soctam_balance_shed_total", &c.sheds),
-        ("soctam_balance_timeouts_total", &c.timeouts),
+        ("soctam_balance_shed_total", &front.sheds),
+        ("soctam_balance_timeouts_total", &front.timeouts),
         ("soctam_balance_probes_total", &c.probes),
     ] {
         family(name, "counter", &scalar(value.load(Ordering::Relaxed)));
@@ -821,7 +667,7 @@ fn front_metrics(shared: &FrontShared) -> String {
     family(
         "soctam_balance_queue_depth",
         "gauge",
-        &scalar(shared.queue_depth.load(Ordering::SeqCst)),
+        &scalar(front.queue_depth.load(Ordering::SeqCst)),
     );
     let _ = writeln!(out, "# TYPE soctam_balance_uptime_seconds gauge");
     let _ = writeln!(
@@ -852,7 +698,7 @@ fn front_metrics(shared: &FrontShared) -> String {
 /// sees cluster-wide counters. Counters sum naturally; summed gauges
 /// read as cluster totals (queue depths add; uptimes become aggregate
 /// process-seconds).
-fn rollup_backend_metrics(shared: &FrontShared) -> String {
+fn rollup_backend_metrics(shared: &Proxy) -> String {
     use std::fmt::Write as _;
     let mut kinds: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     let mut order: Vec<String> = Vec::new();

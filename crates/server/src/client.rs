@@ -304,23 +304,7 @@ impl RetryingClient {
 ///
 /// Propagates transport failures or a malformed (header-less) response.
 pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<(String, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: soctam\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let (head, body) = raw.split_once("\r\n\r\n").ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response carries no header/body separator",
-        )
-    })?;
-    let status = head.lines().next().unwrap_or_default().to_owned();
-    Ok((status, body.to_owned()))
+    http_exchange(TcpStream::connect(addr)?, path)
 }
 
 /// [`http_get`] with a deadline on connect, reads, and writes — what the
@@ -337,10 +321,14 @@ pub fn http_get_timeout(
     timeout: Duration,
 ) -> std::io::Result<(String, String)> {
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut stream = stream;
+    http_exchange(stream, path)
+}
+
+/// Writes one `GET <path>` on `stream` and reads the whole response.
+fn http_exchange(mut stream: TcpStream, path: &str) -> std::io::Result<(String, String)> {
+    stream.set_nodelay(true).ok();
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: soctam\r\nConnection: close\r\n\r\n"

@@ -93,15 +93,20 @@
 //! Shedding keeps tail latency bounded under overload: capacity is spent
 //! finishing admitted requests, not growing an unbounded backlog.
 //!
+//! Admission, shedding, the worker pool, the line loop and its limits, the
+//! HTTP framing, and the shutdown drain are one connection front shared
+//! with the [`balance`] front; the daemon plugs in only what a request
+//! line and an HTTP path mean.
+//!
 //! # Panic isolation
 //!
 //! A panic anywhere in a request's solve path is confined to that
 //! request. The engine catches solver panics and renders them as
-//! transient error responses; the solution cache and context registry
-//! publish panics to coalesced waiters and tear the slot down (waiters
-//! retry, never hang); and each pool worker is guarded — if a connection
-//! handler panics anyway, the worker is respawned and the daemon keeps
-//! serving. Every recovery is visible in `/metrics`
+//! transient error responses; the solution cache (which also backs the
+//! context registry) publishes panics to coalesced waiters and tears the
+//! slot down (waiters retry, never hang); and each pool worker is guarded
+//! — if a connection handler panics anyway, the worker is respawned and
+//! the daemon keeps serving. Every recovery is visible in `/metrics`
 //! (`soctam_worker_panics_total`, `soctam_solver_panics_recovered_total`,
 //! cache/registry panic counters). Shared-state mutexes recover from
 //! poisoning rather than propagating it: a panic that interleaved with a
@@ -186,12 +191,12 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::fs::OpenOptions;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use soctam_core::engine::{CacheDisposition, Engine, EngineOp};
@@ -201,8 +206,11 @@ use soctam_core::schedule::obs;
 use soctam_core::schedule::{instrument, lock_unpoisoned, ContextRegistry};
 use soctam_core::soc::Soc;
 
+use front::{Conn, Front, FrontStats, Handler, Limits};
+
 pub mod balance;
 pub mod client;
+mod front;
 
 /// Configuration of a serving daemon.
 #[derive(Debug, Clone)]
@@ -305,27 +313,16 @@ fn kind_and_cache_indices(op: &EngineOp, disposition: CacheDisposition) -> (usiz
     (kind, cache)
 }
 
-/// Request/response traffic counters, exported through `/metrics`.
+/// Request/response traffic counters, exported through `/metrics` next to
+/// the front's connection counters.
 #[derive(Debug, Default)]
 struct Counters {
-    connections: AtomicU64,
-    http_requests: AtomicU64,
     schedule_requests: AtomicU64,
     sweep_requests: AtomicU64,
     bounds_requests: AtomicU64,
     parse_errors: AtomicU64,
     responses_ok: AtomicU64,
     responses_err: AtomicU64,
-    /// Connections reaped by the idle (read/write) deadline.
-    timeouts: AtomicU64,
-    /// Request lines that blew the byte cap (connection closed).
-    oversized_lines: AtomicU64,
-    /// Keep-alive connections closed by the per-connection request cap.
-    request_cap_closes: AtomicU64,
-    /// Connections shed by admission control (queue full).
-    sheds: AtomicU64,
-    /// Worker threads that died to a panic and were respawned.
-    worker_panics: AtomicU64,
 }
 
 /// The daemon's SOC resolver: every benchmark model, resolved once at
@@ -359,27 +356,16 @@ impl BenchmarkCatalog {
     }
 }
 
-/// One registered connection: the severing handle plus the busy flag the
-/// worker raises while a request is in flight (read but not yet answered),
-/// so shutdown can distinguish "blocked waiting for a peer" (sever now)
-/// from "solving/flushing" (drain first).
-struct ActiveConn {
-    stream: TcpStream,
-    busy: Arc<AtomicBool>,
-}
-
-/// Everything a worker thread needs to serve connections.
+/// The daemon's request handler: the engine behind the shared connection
+/// front, plus everything the daemon records about each request.
 struct Shared {
     engine: Engine,
     cfg: ServerConfig,
     counters: Counters,
+    /// The front's connection counters and gauges.
+    front: Arc<FrontStats>,
     catalog: BenchmarkCatalog,
     started: Instant,
-    shutdown: AtomicBool,
-    /// Handles on every connection currently being served, so shutdown
-    /// can sever them instead of waiting for idle peers to hang up.
-    active: Mutex<std::collections::HashMap<u64, ActiveConn>>,
-    next_conn_id: AtomicU64,
     /// The JSONL request log, when configured.
     log: Option<Mutex<std::fs::File>>,
     /// The slow-request trace log file, when a path is configured
@@ -392,65 +378,13 @@ struct Shared {
     /// Cumulative exclusive per-phase time in microseconds, indexed like
     /// [`obs::Phase::ALL`].
     phase_micros: [AtomicU64; obs::Phase::ALL.len()],
-    /// Accepted connections sitting in the bounded queue, not yet picked
-    /// up by a worker. Incremented before the enqueue attempt and backed
-    /// out on a failed one, so the gauge never under-counts; `/healthz`
-    /// reports saturation when it reaches `max_pending`.
-    queue_depth: AtomicU64,
-    /// Live pool workers (a gauge: respawns keep it at `cfg.threads`).
-    worker_threads: AtomicU64,
-    /// Short-lived threads currently writing shed responses, capped so a
-    /// connection flood cannot mint unbounded threads.
-    shed_threads: AtomicU64,
-    /// Join handles of respawned workers (the original handle died with
-    /// the panicking thread); drained by [`Server::drop`].
-    respawned: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
-    /// Registers a connection as active, returning its id and busy flag (a
-    /// clone of the stream is kept so shutdown can `Shutdown::Both` it).
-    fn register(&self, stream: &TcpStream) -> Option<(u64, Arc<AtomicBool>)> {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let stream = stream.try_clone().ok()?;
-        let busy = Arc::new(AtomicBool::new(false));
-        lock_unpoisoned(&self.active).insert(
-            id,
-            ActiveConn {
-                stream,
-                busy: Arc::clone(&busy),
-            },
-        );
-        Some((id, busy))
-    }
-
-    fn deregister(&self, id: u64) {
-        lock_unpoisoned(&self.active).remove(&id);
-    }
-
-    /// Severs connections: all of them, or only those with no request in
-    /// flight. Blocked worker reads observe EOF, so a dropped server never
-    /// waits on an idle peer.
-    fn sever(&self, idle_only: bool) {
-        let active = lock_unpoisoned(&self.active);
-        for conn in active.values() {
-            if !idle_only || !conn.busy.load(Ordering::SeqCst) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    /// Whether any registered connection has a request in flight.
-    fn any_busy(&self) -> bool {
-        lock_unpoisoned(&self.active)
-            .values()
-            .any(|c| c.busy.load(Ordering::SeqCst))
-    }
-
     /// Whether the pending queue is saturated (admission control is
     /// shedding and `/healthz` should degrade).
     fn saturated(&self) -> bool {
-        self.queue_depth.load(Ordering::SeqCst) >= self.cfg.max_pending as u64
+        self.front.queue_depth.load(Ordering::SeqCst) >= self.cfg.max_pending as u64
     }
 
     /// Appends one JSONL record to the request log, if configured. The
@@ -512,6 +446,65 @@ impl Shared {
     }
 }
 
+impl Handler for Shared {
+    fn line(&self, conn: &Conn<'_>, request: &str) -> Option<String> {
+        // `io`-site fault injection fires once per protocol request line,
+        // before the request counts as in flight: latency stalls compose,
+        // then `error` severs the connection (a dead transport) and
+        // `panic` kills this worker mid-request (the front's respawn guard
+        // recovers the pool).
+        if let Some(plan) = &self.cfg.fault_plan {
+            for action in plan.fire(FaultSite::Io) {
+                match action {
+                    FaultAction::Latency(d) => std::thread::sleep(d),
+                    FaultAction::Error => return None,
+                    FaultAction::Panic => panic!("injected fault: io panic"),
+                }
+            }
+        }
+        // In flight from here until the front flushes the response:
+        // shutdown's drain waits for this window instead of severing
+        // mid-solve.
+        conn.begin_request();
+        let t0 = Instant::now();
+        let line = serve_request_line(self, request);
+        let latency = t0.elapsed();
+        self.observe_request(conn.peer, request, &line, latency);
+        // Log before the response flushes: once the peer reads its reply,
+        // the record is already durable.
+        self.log_request(
+            conn.peer,
+            Some(request),
+            line.outcome,
+            line.cache,
+            latency,
+            line.trace.as_ref(),
+        );
+        Some(line.response)
+    }
+
+    /// The minimal HTTP/1.1 GET surface: `/healthz`, `/metrics`, 404.
+    fn http(&self, path: &str) -> (&'static str, String) {
+        match path {
+            // Load-aware health: a saturated instance reports 503 so load
+            // balancers stop routing to it until the queue drains.
+            "/healthz" if self.saturated() => (
+                "503 Service Unavailable",
+                "saturated: the pending queue is full\n".to_owned(),
+            ),
+            "/healthz" => ("200 OK", "ok\n".to_owned()),
+            "/metrics" => ("200 OK", metrics_text(self)),
+            _ => ("404 Not Found", "not found\n".to_owned()),
+        }
+    }
+
+    fn oversized(&self, conn: &Conn<'_>) {
+        self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.responses_err.fetch_add(1, Ordering::Relaxed);
+        self.log_request(conn.peer, None, "oversized", "none", Duration::ZERO, None);
+    }
+}
+
 /// Renders one request-log JSONL record. `full` additionally embeds the
 /// span tree — the slow-log shape; the regular log keeps only the compact
 /// non-zero `"phases"` object.
@@ -566,15 +559,13 @@ pub struct WarmReport {
     pub skipped: usize,
 }
 
-/// A running serving daemon: a TCP acceptor plus a pool of connection
-/// workers over one cached [`Engine`]. Dropping (or calling
-/// [`Server::shutdown`]) stops accepting, drains in-flight responses
-/// (severing idle peers immediately), and joins every thread.
+/// A running serving daemon: the shared connection front over one cached
+/// [`Engine`]. Dropping (or calling [`Server::shutdown`]) stops accepting,
+/// drains in-flight responses (severing idle peers immediately), and
+/// joins every thread.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    front: Front<Shared>,
 }
 
 impl Server {
@@ -587,7 +578,6 @@ impl Server {
     /// request-log open failures.
     pub fn bind(addr: impl ToSocketAddrs, mut cfg: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         cfg.max_line_bytes = cfg.max_line_bytes.max(64);
         cfg.max_pending = cfg.max_pending.max(1);
 
@@ -604,93 +594,49 @@ impl Server {
             engine = engine.with_fault_plan(Arc::clone(plan));
         }
 
-        let log = match &cfg.log_path {
-            None => None,
-            Some(path) => Some(Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )),
+        // The request log and the slow log: appended to, never truncated.
+        let open_append = |path: &Option<PathBuf>| {
+            path.as_ref()
+                .map(|p| OpenOptions::new().create(true).append(true).open(p))
+                .transpose()
+                .map(|file| file.map(Mutex::new))
         };
-        let slow_log = match &cfg.slow_log_path {
-            None => None,
-            Some(path) => Some(Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )),
-        };
+        let log = open_append(&cfg.log_path)?;
+        let slow_log = open_append(&cfg.slow_log_path)?;
 
+        let limits = Limits {
+            name: "server",
+            threads: cfg.threads,
+            max_pending: cfg.max_pending,
+            max_line_bytes: cfg.max_line_bytes,
+            idle_timeout: cfg.idle_timeout,
+            max_requests: cfg.max_requests,
+            drain: cfg.drain,
+        };
         let shared = Arc::new(Shared {
             engine,
             cfg,
             counters: Counters::default(),
+            front: Arc::default(),
             catalog: BenchmarkCatalog::new(),
             started: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            active: Mutex::new(std::collections::HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
             log,
             slow_log,
             latency: std::array::from_fn(|_| std::array::from_fn(|_| obs::Histogram::new())),
             phase_micros: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_depth: AtomicU64::new(0),
-            worker_threads: AtomicU64::new(0),
-            shed_threads: AtomicU64::new(0),
-            respawned: Mutex::new(Vec::new()),
         });
-
-        // The *bounded* connection queue: admission control. `try_send`
-        // either queues (at most `max_pending` waiting) or fails
-        // immediately, and a failed enqueue becomes a shed, not a stall.
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(shared.cfg.max_pending);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..shared.cfg.threads.max(1))
-            .map(|_| spawn_worker(&shared, &rx))
-            .collect();
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break; // tx drops here; workers drain and exit
-                    }
-                    if let Ok(stream) = stream {
-                        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                        // Raise the gauge *before* the enqueue attempt
-                        // (backing out on failure): a worker's decrement
-                        // can then never race it below the true depth.
-                        shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(mpsc::TrySendError::Full(stream)) => {
-                                shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                shed(&shared, stream);
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => {
-                                shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
-        };
-
-        Ok(Self {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        let front = Front::start(
+            listener,
+            limits,
+            Arc::clone(&shared.front),
+            Arc::clone(&shared),
+        )?;
+        Ok(Self { shared, front })
     }
 
     /// The address the daemon is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The engine serving this daemon's requests (for inspecting cache and
@@ -752,53 +698,7 @@ impl Server {
     /// daemon only a signal will stop) — the foreground mode `soctam
     /// serve` uses.
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock `accept` so the acceptor observes the flag. The dummy
-        // connection, if it wins the race into the queue, reads EOF and
-        // costs a worker nothing.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Graceful drain: sever idle connections immediately (their
-        // workers are blocked waiting on a peer, with nothing to flush),
-        // then give connections with a request in flight up to the drain
-        // window to finish solving and flush before severing the rest.
-        self.shared.sever(true);
-        let deadline = Instant::now() + self.shared.cfg.drain;
-        while self.shared.any_busy() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        self.shared.sever(false);
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Workers respawned after a panic are tracked in `Shared` (the
-        // original handle died with the panicking thread); a respawn can
-        // itself panic and respawn, so drain until the list stays empty.
-        loop {
-            let respawned: Vec<_> = lock_unpoisoned(&self.shared.respawned).drain(..).collect();
-            if respawned.is_empty() {
-                break;
-            }
-            for worker in respawned {
-                let _ = worker.join();
-            }
-        }
-        // Every worker has exited and the queue's sender is gone: any
-        // residual depth is connections that died queued — e.g. the last
-        // worker left through a panic (no respawn at shutdown), never
-        // reaching its disconnected-`recv` drain. Zero it so a
-        // post-shutdown scrape ([`MetricsProbe`]) reads a clean gauge.
-        self.shared.queue_depth.store(0, Ordering::SeqCst);
+        self.front.join();
     }
 }
 
@@ -828,327 +728,9 @@ impl std::fmt::Debug for MetricsProbe {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("addr", &self.local_addr())
+            .field("workers", &self.shared.cfg.threads.max(1))
             .finish_non_exhaustive()
-    }
-}
-
-/// Spawns one pool worker: a loop taking connections off the bounded
-/// queue, guarded so a panic in a connection handler costs the daemon one
-/// request, not one worker.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    let rx = Arc::clone(rx);
-    shared.worker_threads.fetch_add(1, Ordering::SeqCst);
-    std::thread::spawn(move || {
-        let _guard = RespawnGuard {
-            shared: Arc::clone(&shared),
-            rx: Arc::clone(&rx),
-        };
-        loop {
-            // Take the next connection under the lock, serve it outside:
-            // peers queue behind `recv`, not behind a long-running
-            // request on another worker.
-            let stream = lock_unpoisoned(&rx).recv();
-            match stream {
-                Ok(stream) => {
-                    shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                    serve_connection(&shared, stream);
-                }
-                Err(_) => {
-                    // Acceptor gone: shutdown. The channel is empty (a
-                    // disconnected `recv` drains before erroring) and its
-                    // sender is dropped, so whatever the gauge still
-                    // counts are queued connections discarded unserved —
-                    // zero it, or the final `/metrics` scrape reports
-                    // phantom depth forever.
-                    shared.queue_depth.store(0, Ordering::SeqCst);
-                    break;
-                }
-            }
-        }
-    })
-}
-
-/// Keeps the worker pool at strength: if a worker thread unwinds out of
-/// its loop (a connection handler panicked — e.g. an injected `io:panic`
-/// fault), the guard's drop respawns a replacement and counts the
-/// recovery. A normal shutdown exit respawns nothing.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-    rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        self.shared.worker_threads.fetch_sub(1, Ordering::SeqCst);
-        if std::thread::panicking() && !self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared
-                .counters
-                .worker_panics
-                .fetch_add(1, Ordering::Relaxed);
-            let replacement = spawn_worker(&self.shared, &self.rx);
-            lock_unpoisoned(&self.shared.respawned).push(replacement);
-        }
-    }
-}
-
-/// Most shed responses in flight at once. Beyond this, shed connections
-/// are dropped without a reply: the courtesy write must never become its
-/// own resource exhaustion under a connection flood.
-pub(crate) const MAX_SHED_THREADS: u64 = 32;
-
-/// How long a shed-response thread will wait on the peer. Sheds happen
-/// when the daemon is drowning; a slow peer gets cut off, not waited for.
-pub(crate) const SHED_GRACE: Duration = Duration::from_secs(2);
-
-/// Sheds one connection the bounded queue refused: counts it and answers
-/// on a short-lived thread (the acceptor must never block on peer I/O),
-/// with a structured busy line for protocol peers or `503` +
-/// `Retry-After` for HTTP peers.
-fn shed(shared: &Arc<Shared>, stream: TcpStream) {
-    shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
-    if shared.shed_threads.fetch_add(1, Ordering::SeqCst) >= MAX_SHED_THREADS {
-        shared.shed_threads.fetch_sub(1, Ordering::SeqCst);
-        return; // flood: drop without the courtesy reply
-    }
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        write_shed_response(&shared, stream);
-        shared.shed_threads.fetch_sub(1, Ordering::SeqCst);
-    });
-}
-
-/// Reads just the first request line (briefly — see [`SHED_GRACE`]) to
-/// tell HTTP from wire-protocol peers, answers accordingly, and closes.
-fn write_shed_response(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(SHED_GRACE));
-    let _ = stream.set_write_timeout(Some(SHED_GRACE));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut buf = Vec::new();
-    let first_line = match read_bounded_line(&mut reader, &mut buf, shared.cfg.max_line_bytes) {
-        LineRead::Line => String::from_utf8_lossy(&buf).trim().to_owned(),
-        _ => return, // peer hung up or stalled: nothing owed
-    };
-    let response = if first_line.starts_with("GET ") || first_line.starts_with("HEAD ") {
-        let body = "busy: workers and the pending queue are full; retry with backoff\n";
-        format!(
-            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; \
-             charset=utf-8\r\nContent-Length: {}\r\nRetry-After: 1\r\n\
-             Connection: close\r\n\r\n{}",
-            body.len(),
-            if first_line.starts_with("HEAD ") {
-                ""
-            } else {
-                body
-            }
-        )
-    } else {
-        format!(
-            "{{\"ok\": false, \"busy\": true, \"transient\": true, \"error\": \
-             \"server at capacity ({} connections pending); retry with backoff\"}}\n",
-            shared.cfg.max_pending
-        )
-    };
-    let _ = writer.write_all(response.as_bytes());
-    let _ = writer.flush();
-}
-
-/// Outcome of one bounded line read.
-pub(crate) enum LineRead {
-    /// A complete line (or the final, newline-less line before EOF) is in
-    /// the buffer.
-    Line,
-    /// The byte cap was hit before a newline arrived.
-    Oversized,
-    /// The peer hung up cleanly.
-    Eof,
-    /// The read deadline elapsed (`WouldBlock`/`TimedOut`).
-    TimedOut,
-    /// Any other transport failure.
-    Failed,
-}
-
-/// Reads one `\n`-terminated line into `buf` (cleared first), never
-/// buffering more than `max + 1` bytes of it — the bounded read that keeps
-/// a newline-free byte stream from growing daemon memory without limit.
-pub(crate) fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> LineRead {
-    buf.clear();
-    let mut bounded = reader.by_ref().take(max as u64 + 1);
-    match bounded.read_until(b'\n', buf) {
-        Ok(0) => LineRead::Eof,
-        Ok(_) if buf.last() == Some(&b'\n') || buf.len() <= max => LineRead::Line,
-        Ok(_) => LineRead::Oversized,
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            LineRead::TimedOut
-        }
-        Err(_) => LineRead::Failed,
-    }
-}
-
-/// Serves one accepted connection to completion: an HTTP GET gets one
-/// response and a close; anything else is a stream of protocol request
-/// lines, each answered with one JSON line.
-fn serve_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(shared.cfg.idle_timeout);
-    let _ = stream.set_write_timeout(shared.cfg.idle_timeout);
-    let Some((conn_id, busy)) = shared.register(&stream) else {
-        return;
-    };
-    // Deregister on drop, not on fall-through: a panicking handler (e.g.
-    // an injected `io:panic` fault) must not leak its entry in the
-    // active-connection table — shutdown would wait a full drain window
-    // on a connection no worker is serving.
-    struct Deregister<'a>(&'a Shared, u64);
-    impl Drop for Deregister<'_> {
-        fn drop(&mut self) {
-            self.0.deregister(self.1);
-        }
-    }
-    let _deregister = Deregister(shared, conn_id);
-    serve_registered_connection(shared, stream, &busy);
-}
-
-/// The connection loop proper (split out so registration is impossible to
-/// leak past an early return).
-fn serve_registered_connection(shared: &Shared, stream: TcpStream, busy: &AtomicBool) {
-    let peer = stream
-        .peer_addr()
-        .map_or_else(|_| "unknown".to_owned(), |a| a.to_string());
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut first = true;
-    let mut served: u64 = 0;
-    let mut buf = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // draining: no new request is read
-        }
-        match read_bounded_line(&mut reader, &mut buf, shared.cfg.max_line_bytes) {
-            LineRead::Eof | LineRead::Failed => return,
-            LineRead::TimedOut => {
-                shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                return; // idle (or unwriteable) peer reaped
-            }
-            LineRead::Oversized => {
-                busy.store(true, Ordering::SeqCst);
-                shared
-                    .counters
-                    .oversized_lines
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .responses_err
-                    .fetch_add(1, Ordering::Relaxed);
-                let response = protocol::render_parse_error(&format!(
-                    "request line exceeds the {}-byte cap; closing connection",
-                    shared.cfg.max_line_bytes
-                ));
-                shared.log_request(&peer, None, "oversized", "none", Duration::ZERO, None);
-                let _ = writer.write_all(response.as_bytes());
-                let _ = writer.write_all(b"\n");
-                let _ = writer.flush();
-                // Discard (bounded, fixed-buffer — memory never grows) what
-                // remains of the over-long line: closing with unread data
-                // would RST the verdict out from under the peer.
-                let _ = io::copy(&mut reader.by_ref().take(1 << 20), &mut io::sink());
-                busy.store(false, Ordering::SeqCst);
-                return; // the over-long line is never buffered, only drained
-            }
-            LineRead::Line => {}
-        }
-        let line = String::from_utf8_lossy(&buf);
-        if first && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
-            shared
-                .counters
-                .http_requests
-                .fetch_add(1, Ordering::Relaxed);
-            busy.store(true, Ordering::SeqCst);
-            serve_http(shared, &mut reader, &mut writer, line.trim());
-            busy.store(false, Ordering::SeqCst);
-            return; // Connection: close
-        }
-        first = false;
-        let request = line.trim();
-        if request.is_empty() || request.starts_with('#') {
-            continue; // same skip rule as a batch file
-        }
-        // `io`-site fault injection fires once per protocol request line:
-        // latency stalls compose, then `error` severs the connection (a
-        // dead transport) and `panic` kills this worker mid-request (the
-        // respawn guard recovers the pool).
-        if let Some(plan) = &shared.cfg.fault_plan {
-            let mut severed = false;
-            for action in plan.fire(FaultSite::Io) {
-                match action {
-                    FaultAction::Latency(d) => std::thread::sleep(d),
-                    FaultAction::Error => {
-                        severed = true;
-                        break;
-                    }
-                    FaultAction::Panic => panic!("injected fault: io panic"),
-                }
-            }
-            if severed {
-                return;
-            }
-        }
-        // Busy from "request read" to "response flushed": shutdown's
-        // drain waits for this window instead of severing mid-solve.
-        busy.store(true, Ordering::SeqCst);
-        let request = request.to_owned();
-        let t0 = Instant::now();
-        let line = serve_request_line(shared, &request);
-        let latency = t0.elapsed();
-        shared.observe_request(&peer, &request, &line, latency);
-        // Log before the response flushes: once the peer reads its reply,
-        // the record is already durable.
-        shared.log_request(
-            &peer,
-            Some(&request),
-            line.outcome,
-            line.cache,
-            latency,
-            line.trace.as_ref(),
-        );
-        let write_ok = writer.write_all(line.response.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok();
-        busy.store(false, Ordering::SeqCst);
-        if !write_ok {
-            return;
-        }
-        served += 1;
-        if shared.cfg.max_requests.is_some_and(|cap| served >= cap) {
-            shared
-                .counters
-                .request_cap_closes
-                .fetch_add(1, Ordering::Relaxed);
-            return; // cap'th response flushed; keep-alive ends here
-        }
     }
 }
 
@@ -1278,82 +860,12 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
     }
 }
 
-/// Most header lines one HTTP request may carry before the daemon stops
-/// reading and answers 431 — with the per-line byte cap, this bounds the
-/// bytes a header block can make the daemon consume.
-const MAX_HTTP_HEADER_LINES: usize = 128;
-
-/// Drains an HTTP request's header block (the surface is GET/HEAD-only,
-/// so no body follows) under the per-line byte cap, returning whether
-/// the block overflowed the caps — in which case the caller answers 431.
-/// Shared by the daemon's and the balancer's HTTP surfaces.
-pub(crate) fn drain_http_headers(reader: &mut BufReader<TcpStream>, max_line: usize) -> bool {
-    let mut header = Vec::new();
-    let mut lines = 0;
-    loop {
-        if lines >= MAX_HTTP_HEADER_LINES {
-            break true;
-        }
-        lines += 1;
-        match read_bounded_line(reader, &mut header, max_line) {
-            LineRead::Oversized => break true,
-            LineRead::Line if !header.iter().all(|b| b.is_ascii_whitespace()) => {}
-            _ => break false, // blank line, EOF, timeout, or failure
-        }
-    }
-}
-
-/// Renders one full HTTP/1.1 response (headers and, for GET, the body)
-/// with the `Connection: close` discipline both daemons speak.
-pub(crate) fn render_http_response(status: &str, body: &str, head_only: bool) -> String {
-    // A HEAD response carries the headers a GET would (including the
-    // body's Content-Length) but never the body itself (RFC 9110 §9.3.2).
-    format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        if head_only { "" } else { body }
-    )
-}
-
-/// Serves the minimal HTTP/1.1 GET surface: `/healthz`, `/metrics`, 404.
-fn serve_http(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_line: &str,
-) {
-    let header_overflow = drain_http_headers(reader, shared.cfg.max_line_bytes);
-    let (status, body) = if header_overflow {
-        (
-            "431 Request Header Fields Too Large",
-            "header block exceeds the configured cap\n".to_owned(),
-        )
-    } else {
-        let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-        match path {
-            // Load-aware health: a saturated instance reports 503 so load
-            // balancers stop routing to it until the queue drains.
-            "/healthz" if shared.saturated() => (
-                "503 Service Unavailable",
-                "saturated: the pending queue is full\n".to_owned(),
-            ),
-            "/healthz" => ("200 OK", "ok\n".to_owned()),
-            "/metrics" => ("200 OK", metrics_text(shared)),
-            _ => ("404 Not Found", "not found\n".to_owned()),
-        }
-    };
-    let head_only = request_line.starts_with("HEAD ");
-    let response = render_http_response(status, &body, head_only);
-    let _ = writer.write_all(response.as_bytes());
-    let _ = writer.flush();
-}
-
 /// Renders the Prometheus text exposition of the daemon's counters. Every
 /// metric family carries its `# TYPE` line (counter or gauge) so real
 /// scrapers ingest the exposition, not just `grep`.
 fn metrics_text(shared: &Shared) -> String {
     let c = &shared.counters;
+    let front = &shared.front;
     let registry = shared.engine.registry();
     let reg_stats = registry.stats();
     let sol_stats = shared.engine.solution_stats().unwrap_or_default();
@@ -1372,12 +884,12 @@ fn metrics_text(shared: &Shared) -> String {
         (
             "soctam_connections_total",
             "counter",
-            vec![("", c.connections.load(Ordering::Relaxed))],
+            vec![("", front.connections.load(Ordering::Relaxed))],
         ),
         (
             "soctam_http_requests_total",
             "counter",
-            vec![("", c.http_requests.load(Ordering::Relaxed))],
+            vec![("", front.http_requests.load(Ordering::Relaxed))],
         ),
         (
             "soctam_requests_total",
@@ -1412,27 +924,27 @@ fn metrics_text(shared: &Shared) -> String {
         (
             "soctam_connection_timeouts_total",
             "counter",
-            vec![("", c.timeouts.load(Ordering::Relaxed))],
+            vec![("", front.timeouts.load(Ordering::Relaxed))],
         ),
         (
             "soctam_request_line_oversized_total",
             "counter",
-            vec![("", c.oversized_lines.load(Ordering::Relaxed))],
+            vec![("", front.oversized_lines.load(Ordering::Relaxed))],
         ),
         (
             "soctam_request_cap_closes_total",
             "counter",
-            vec![("", c.request_cap_closes.load(Ordering::Relaxed))],
+            vec![("", front.request_cap_closes.load(Ordering::Relaxed))],
         ),
         (
             "soctam_shed_total",
             "counter",
-            vec![("", c.sheds.load(Ordering::Relaxed))],
+            vec![("", front.sheds.load(Ordering::Relaxed))],
         ),
         (
             "soctam_queue_depth",
             "gauge",
-            vec![("", shared.queue_depth.load(Ordering::SeqCst))],
+            vec![("", front.queue_depth.load(Ordering::SeqCst))],
         ),
         (
             "soctam_queue_capacity",
@@ -1442,12 +954,12 @@ fn metrics_text(shared: &Shared) -> String {
         (
             "soctam_worker_threads",
             "gauge",
-            vec![("", shared.worker_threads.load(Ordering::SeqCst))],
+            vec![("", front.worker_threads.load(Ordering::SeqCst))],
         ),
         (
             "soctam_worker_panics_total",
             "counter",
-            vec![("", c.worker_panics.load(Ordering::Relaxed))],
+            vec![("", front.worker_panics.load(Ordering::Relaxed))],
         ),
         (
             "soctam_solver_panics_recovered_total",

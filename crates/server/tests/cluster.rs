@@ -392,3 +392,62 @@ fn a_backend_rejoins_once_the_prober_sees_healthz_recover() {
     backend_a.shutdown();
     backend_b.shutdown();
 }
+
+#[test]
+fn a_saturated_front_sheds_http_with_503_and_protocol_lines_with_busy() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let _guard = serialize();
+    let backend = backend();
+    let front = front(
+        &[backend.local_addr()],
+        BalancerConfig {
+            threads: 1,
+            max_pending: 1,
+            ..failover_cfg()
+        },
+    );
+    let addr = front.local_addr();
+    let wait_for = |name: &str, want: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while metric_value(&front.metrics(), name) != want {
+            assert!(Instant::now() < deadline, "{name} never reached {want}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    // An idle connection holds the one worker, a second holds the one
+    // queue slot: every later connection is shed.
+    let _held_worker = TcpStream::connect(addr).expect("connect");
+    wait_for("soctam_balance_connections_total", 1);
+    wait_for("soctam_balance_queue_depth", 0);
+    let _held_slot = TcpStream::connect(addr).expect("connect");
+    wait_for("soctam_balance_queue_depth", 1);
+
+    // An HTTP probe learns it is refused, and when to come back.
+    let mut probe = TcpStream::connect(addr).expect("probe connect");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: soctam\r\nConnection: close\r\n\r\n")
+        .expect("probe write");
+    let mut raw = String::new();
+    probe.read_to_string(&mut raw).expect("shed answer");
+    let (head, _) = raw.split_once("\r\n\r\n").expect("an HTTP response");
+    assert!(head.starts_with("HTTP/1.1 503 "), "{raw}");
+    assert!(head.lines().any(|h| h == "Retry-After: 1"), "{raw}");
+
+    // A protocol peer gets the structured busy line.
+    let mut conn = Connection::connect(addr).expect("protocol connect");
+    let busy = conn.request(&keys(1)[0]).expect("busy answer");
+    assert!(
+        !client::response_ok(&busy) && client::response_busy(&busy),
+        "structured shed answer: {busy}"
+    );
+    assert_eq!(
+        metric_value(&front.metrics(), "soctam_balance_shed_total"),
+        2
+    );
+
+    front.shutdown();
+    backend.shutdown();
+}

@@ -288,3 +288,37 @@ fn a_zero_threshold_slow_log_captures_full_traces_for_every_request() {
     std::fs::remove_file(&slow_path).ok();
     server.shutdown();
 }
+
+#[test]
+fn cold_traced_requests_bill_their_time_to_the_phases_that_ran() {
+    let _guard = serialize();
+    for request in [
+        "schedule d695 --width 16 --trace",
+        "sweep d695 --from 16 --to 32 --trace",
+        "bounds d695 --widths 16,32 --trace",
+    ] {
+        // A fresh daemon per request: nothing is cached, not even the
+        // compiled context.
+        let server = server(ServerConfig::default());
+        let mut conn = client::Connection::connect(server.local_addr()).expect("connect");
+        let cold = conn.request(request).expect("cold traced");
+        assert!(client::response_ok(&cold), "{cold}");
+        assert!(cold.contains("\"cache\": \"miss\""), "{cold}");
+
+        // The solve is billed to the phases that ran it, so the cache
+        // probe's own exclusive time is small...
+        let total = json_u64(&cold, "total_micros");
+        let lookup = json_u64(&cold, "cache_lookup");
+        assert!(
+            lookup * 10 < total,
+            "`{request}` bills {lookup} of {total} µs to cache_lookup:\n{cold}"
+        );
+        // ...and the phases account for nearly all of the request.
+        let phase_sum = phases_sum(&cold);
+        assert!(
+            phase_sum * 100 >= total * 95,
+            "`{request}`: phases sum to {phase_sum} of {total} µs:\n{cold}"
+        );
+        server.shutdown();
+    }
+}
