@@ -140,7 +140,7 @@ fn realize(
 mod tests {
     use super::*;
     use soctam_schedule::validate::validate;
-    use soctam_schedule::SchedulerConfig;
+    use soctam_schedule::{best_of, ParamSweep, SchedulerConfig};
     use soctam_soc::benchmarks;
 
     #[test]
@@ -186,22 +186,18 @@ mod tests {
         validate(&soc, &r.schedule).unwrap();
     }
 
-    fn flexible_best(soc: &soctam_soc::Soc, w: u16) -> u64 {
+    fn flexible_best(ctx: &CompiledSoc, w: u16) -> u64 {
         // Extended m sweep plus two idle-fill slack settings, mirroring the
         // headline experiment configuration.
-        let ms: Vec<u32> = (1..=10).chain([15, 22, 30, 45, 60]).collect();
-        [3u16, 8]
-            .iter()
-            .map(|&slack| {
-                let mut base = SchedulerConfig::new(w);
-                base.idle_fill_slack = slack;
-                soctam_schedule::schedule_best(soc, &base, ms.clone(), 0..=4)
-                    .unwrap()
-                    .0
-                    .makespan()
-            })
-            .min()
+        let grid = ParamSweep {
+            percents: (1..=10).chain([15, 22, 30, 45, 60]).collect(),
+            bumps: (0..=4).collect(),
+            slacks: vec![3, 8],
+        };
+        best_of(ctx, &SchedulerConfig::new(w), &grid)
             .unwrap()
+            .0
+            .makespan()
     }
 
     #[test]
@@ -214,7 +210,7 @@ mod tests {
         let soc = benchmarks::d695();
         let ctx = CompiledSoc::compile(&soc, 64);
         for w in [48u16, 64] {
-            let flexible = flexible_best(&soc, w);
+            let flexible = flexible_best(&ctx, w);
             let fixed = fixed_width_best(&ctx, w, 3).makespan;
             assert!(
                 flexible <= fixed,
@@ -222,7 +218,7 @@ mod tests {
             );
         }
         for w in [16u16, 32] {
-            let flexible = flexible_best(&soc, w);
+            let flexible = flexible_best(&ctx, w);
             // Two-bus architectures (the scale [12, 13] actually explored
             // for narrow TAMs) lose to flexible packing everywhere...
             let fixed2 = fixed_width_best(&ctx, w, 2).makespan;

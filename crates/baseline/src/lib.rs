@@ -30,13 +30,13 @@
 //!
 //! ```
 //! use soctam_baseline::{fixed_width_best, shelf_pack};
-//! use soctam_schedule::{schedule_best, CompiledSoc, SchedulerConfig};
+//! use soctam_schedule::{best_of, CompiledSoc, ParamSweep, SchedulerConfig};
 //! use soctam_soc::benchmarks;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let soc = benchmarks::d695();
 //! let ctx = CompiledSoc::compile(&soc, 64);
-//! let (flexible, _, _) = schedule_best(&soc, &SchedulerConfig::new(64), 1..=10, 0..=4)?;
+//! let (flexible, _, _) = best_of(&ctx, &SchedulerConfig::new(64), &ParamSweep::paper())?;
 //! let fixed = fixed_width_best(&ctx, 64, 3);
 //! let shelf = shelf_pack(&ctx, 64, 5, 1);
 //! // The paper's claim: at wide TAMs, flexible-width packing beats static

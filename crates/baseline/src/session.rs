@@ -169,7 +169,7 @@ fn session_time(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Cyc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_schedule::SchedulerConfig;
+    use soctam_schedule::{best_of, ParamSweep, SchedulerConfig};
     use soctam_soc::benchmarks;
 
     #[test]
@@ -239,20 +239,15 @@ mod tests {
             for w in widths {
                 // The headline sweep: extended m range and two slack
                 // settings (see EXPERIMENTS.md methodology).
-                let ms: Vec<u32> = (1..=10).chain([15, 22, 30, 45, 60]).collect();
-                let flexible_time = [3u16, 8]
-                    .iter()
-                    .map(|&slack| {
-                        let mut base = SchedulerConfig::new(w);
-                        base.idle_fill_slack = slack;
-                        soctam_schedule::schedule_best(&soc, &base, ms.clone(), 0..=4)
-                            .unwrap()
-                            .0
-                            .makespan()
-                    })
-                    .min()
-                    .unwrap();
-                let flexible = flexible_time;
+                let grid = ParamSweep {
+                    percents: (1..=10).chain([15, 22, 30, 45, 60]).collect(),
+                    bumps: (0..=4).collect(),
+                    slacks: vec![3, 8],
+                };
+                let flexible = best_of(&ctx, &SchedulerConfig::new(w), &grid)
+                    .unwrap()
+                    .0
+                    .makespan();
                 let sessions = session_schedule(&ctx, w).makespan;
                 if w < strict_below {
                     assert!(

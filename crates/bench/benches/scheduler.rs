@@ -88,8 +88,8 @@ fn bench_menu_sharing(c: &mut Criterion) {
 }
 
 fn bench_flow_sweep(c: &mut Criterion) {
-    // The quick (m, d, slack) grid end to end: shared menus + dedup +
-    // parallel execution inside `best_schedule`.
+    // The quick (m, d, slack) grid end to end: shared menus, dedup, and
+    // the bound cutoff inside `best_schedule`.
     let mut group = c.benchmark_group("flow_quick_sweep");
     group.sample_size(10);
     for name in ["d695", "p22810"] {

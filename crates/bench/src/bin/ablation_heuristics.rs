@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use soctam_core::schedule::{schedule_best_with, CompiledSoc, HeuristicToggles, SchedulerConfig};
+use soctam_core::schedule::{best_of, CompiledSoc, HeuristicToggles, ParamSweep, SchedulerConfig};
 use soctam_core::soc::benchmarks;
 
 /// Heuristic toggles are run parameters, so all five toggle sets of one
@@ -15,8 +15,12 @@ use soctam_core::soc::benchmarks;
 /// per cell.
 fn best_with(ctx: &CompiledSoc, w: u16, toggles: HeuristicToggles) -> u64 {
     let base = SchedulerConfig::new(w).with_toggles(toggles);
-    let ms: Vec<u32> = (1..=10).chain([15, 22, 30, 45, 60]).collect();
-    schedule_best_with(ctx, &base, ms, 0..=4)
+    let grid = ParamSweep {
+        percents: (1..=10).chain([15, 22, 30, 45, 60]).collect(),
+        bumps: (0..=4).collect(),
+        slacks: vec![base.idle_fill_slack],
+    };
+    best_of(ctx, &base, &grid)
         .expect("schedulable")
         .0
         .makespan()

@@ -3,7 +3,10 @@
 //! For each benchmark SOC, times the best-of parameter sweep at the SOC's
 //! widest Table 1 TAM width — the quick sweep always, the headline
 //! (extended) sweep unless `--quick` — and writes the measurements to
-//! `BENCH_sweep.json`, seeding the repo's perf trajectory.
+//! `BENCH_sweep.json`, seeding the repo's perf trajectory. A cold section
+//! then serves the same width as a fresh daemon would: a new `Engine`, a
+//! schedule request with the protocol's flow configuration. Every block
+//! records `schedule_runs`, the solver invocations it cost.
 //!
 //! Each timing is split into *compile* (obtaining the `CompiledSoc`
 //! context from the shared `ContextRegistry`: a real compilation on the
@@ -27,11 +30,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use soctam_bench::{headline_config, json_escape, opt_value};
-use soctam_core::flow::{FlowConfig, ParamSweep, SweepStats, TestFlow};
+use soctam_core::engine::{Engine, EngineOutput, EngineRequest};
+use soctam_core::flow::{FlowConfig, ParamSweep, SweepParams, SweepStats, TestFlow};
+use soctam_core::protocol::request_flow;
 use soctam_core::schedule::obs;
-use soctam_core::schedule::{
-    instrument, schedule_best_with_stats, ContextRegistry, SchedulerConfig,
-};
+use soctam_core::schedule::{instrument, ContextRegistry};
 use soctam_core::soc::benchmarks;
 
 struct Timing {
@@ -39,8 +42,9 @@ struct Timing {
     compile_seconds: f64,
     solve_seconds: f64,
     makespan: u64,
-    params: (u32, u16, u16),
+    params: SweepParams,
     stats: SweepStats,
+    schedule_runs: u64,
 }
 
 impl Timing {
@@ -62,6 +66,7 @@ fn time_sweep(
     let menus = flow.menus_for(width); // prewarm the width's menu cap
     let compile_seconds = t0.elapsed().as_secs_f64();
     drop(menus);
+    let runs_before = instrument::schedule_runs();
     let t1 = Instant::now();
     let (schedule, params, stats) = flow
         .best_schedule_detailed(width)
@@ -73,10 +78,11 @@ fn time_sweep(
         makespan: schedule.makespan(),
         params,
         stats,
+        schedule_runs: instrument::schedule_runs() - runs_before,
     }
 }
 
-/// One cold-start measurement: a fresh registry serving its very first
+/// One cold-start measurement: a fresh engine serving its very first
 /// request for this SOC, split into phases by the span recorder.
 struct ColdTiming {
     name: &'static str,
@@ -89,35 +95,34 @@ struct ColdTiming {
     phases_json: String,
     makespan: u64,
     lower_bound: u64,
-    params: (u32, u16),
+    params: SweepParams,
     stats: SweepStats,
     menu_builds: u64,
+    schedule_runs: u64,
 }
 
-/// Times the cold path — fresh registry, first request — for one SOC at
-/// its widest Table 1 width, under an armed span recorder: the
-/// compile/solve split comes from the `context_compile` and
+/// Times the served cold path — a fresh `Engine`, first request — for one
+/// SOC at its widest Table 1 width, under an armed span recorder. The
+/// request is the daemon's `schedule <soc> --width W`, so the sweep is the
+/// one the daemon runs, bound cutoff included (p34392 reaches its bound at
+/// W=32). The compile/solve split comes from the `context_compile` and
 /// `sweep`+`menu_build` phases the work sites record, not from an ad-hoc
-/// stopwatch around call boundaries. The sweep runs the extended percent
-/// tail so saturating SOCs (p34392 at W=32) reach their lower bound and
-/// exercise the bound-gated cutoff.
+/// stopwatch around call boundaries.
 fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     let soc = Arc::new(benchmarks::by_name(name).expect("known benchmark"));
-    let base = SchedulerConfig::new(width);
-    let registry = ContextRegistry::default();
+    let request = EngineRequest::schedule(soc, request_flow(false, false), width);
+    let engine = Engine::new();
     let builds_before = instrument::menu_builds();
+    let runs_before = instrument::schedule_runs();
 
     obs::trace_begin();
     let t0 = Instant::now();
-    // Lazy context compilation builds constraint tables only; rectangle
-    // menus are deferred to first use inside the sweep.
-    let ctx = registry.get_or_compile(&soc, base.w_max, None);
-    // Bound-gated best-of sweep over the shared context.
-    let percents = (1..=10).chain([12, 15, 18, 22, 26, 30, 35, 40, 45, 52, 60]);
-    let (schedule, m, d, stats) =
-        schedule_best_with_stats(&ctx, &base, percents, 0..=4, true).expect("cold sweep");
+    let (result, _) = engine.serve_one_traced(&request);
     let total_seconds = t0.elapsed().as_secs_f64();
     let trace = obs::trace_end().expect("the recorder armed above");
+    let Ok(EngineOutput::Schedule(run)) = result else {
+        panic!("{name}: cold schedule request failed: {result:?}");
+    };
     let compile_seconds = trace.phase_total(obs::Phase::ContextCompile) as f64 / 1e6;
     let solve_seconds = (trace.phase_total(obs::Phase::Sweep)
         + trace.phase_total(obs::Phase::MenuBuild)) as f64
@@ -129,11 +134,12 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
         compile_seconds,
         solve_seconds,
         phases_json: trace.phases_json(false),
-        makespan: schedule.makespan(),
-        lower_bound: ctx.lower_bound(base.tam_width),
-        params: (m, d),
-        stats,
+        makespan: run.schedule.makespan(),
+        lower_bound: run.lower_bound,
+        params: run.params,
+        stats: run.sweep,
         menu_builds: instrument::menu_builds() - builds_before,
+        schedule_runs: instrument::schedule_runs() - runs_before,
     }
 }
 
@@ -177,7 +183,7 @@ fn main() {
         for t in &timings {
             println!(
                 "{name} W={width} {:>8}: {:.3}s ({:.3}s compile + {:.3}s solve), \
-                 T = {} (m={}, d={}, slack={}), {} of {} runs ({} deduped)",
+                 T = {} (m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut)",
                 t.sweep,
                 t.total_seconds(),
                 t.compile_seconds,
@@ -189,6 +195,7 @@ fn main() {
                 t.stats.runs_executed,
                 t.stats.runs_total,
                 t.stats.runs_skipped,
+                t.stats.runs_cut,
             );
         }
         soc_blocks.push((name, width, timings));
@@ -198,7 +205,7 @@ fn main() {
     // deliberately compiles one fresh context per SOC.
     let context_compiles = instrument::context_compiles() - compiles_before;
 
-    // Cold path: a fresh registry's very first request per SOC, the
+    // Cold path: a fresh engine's very first request per SOC, the
     // latency a daemon pays before any cache is warm.
     let mut cold_blocks = Vec::new();
     for name in benchmarks::NAMES {
@@ -209,7 +216,7 @@ fn main() {
         let t = time_cold(name, width);
         println!(
             "{name} W={width}     cold: {:.3}s ({:.3}s compile + {:.3}s solve), \
-             T = {} (LB {}, m={}, d={}), {} of {} runs ({} cut), \
+             T = {} (LB {}, m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut), \
              {} menu builds",
             t.total_seconds,
             t.compile_seconds,
@@ -218,8 +225,10 @@ fn main() {
             t.lower_bound,
             t.params.0,
             t.params.1,
+            t.params.2,
             t.stats.runs_executed,
             t.stats.runs_total,
+            t.stats.runs_skipped,
             t.stats.runs_cut,
             t.menu_builds,
         );
@@ -274,7 +283,8 @@ fn main() {
                  \"compile_seconds\": {:.6}, \"solve_seconds\": {:.6}, \
                  \"makespan\": {}, \
                  \"m\": {}, \"d\": {}, \"slack\": {}, \"runs_total\": {}, \
-                 \"runs_executed\": {}, \"runs_skipped\": {}}}{sep}",
+                 \"runs_executed\": {}, \"runs_skipped\": {}, \"runs_cut\": {}, \
+                 \"schedule_runs\": {}}}{sep}",
                 t.sweep,
                 t.total_seconds(),
                 t.compile_seconds,
@@ -286,6 +296,8 @@ fn main() {
                 t.stats.runs_total,
                 t.stats.runs_executed,
                 t.stats.runs_skipped,
+                t.stats.runs_cut,
+                t.schedule_runs,
             );
         }
         let sep = if i + 1 == soc_blocks.len() { "" } else { "," };
@@ -300,8 +312,9 @@ fn main() {
              \"seconds\": {:.6}, \"compile_seconds\": {:.6}, \
              \"solve_seconds\": {:.6}, \"phase_micros\": {}, \
              \"makespan\": {}, \"lower_bound\": {}, \
-             \"m\": {}, \"d\": {}, \"runs_total\": {}, \"runs_executed\": {}, \
-             \"runs_cut\": {}, \"menu_builds\": {}}}{sep}",
+             \"m\": {}, \"d\": {}, \"slack\": {}, \"runs_total\": {}, \
+             \"runs_executed\": {}, \"runs_skipped\": {}, \"runs_cut\": {}, \
+             \"menu_builds\": {}, \"schedule_runs\": {}}}{sep}",
             json_escape(t.name),
             t.width,
             t.total_seconds,
@@ -312,10 +325,13 @@ fn main() {
             t.lower_bound,
             t.params.0,
             t.params.1,
+            t.params.2,
             t.stats.runs_total,
             t.stats.runs_executed,
+            t.stats.runs_skipped,
             t.stats.runs_cut,
             t.menu_builds,
+            t.schedule_runs,
         );
     }
     json.push_str("  ]\n}\n");

@@ -1079,7 +1079,7 @@ mod tests {
         let requests = parse_batch_file(&lines.join("\n")).unwrap();
         let results = Engine::new().with_threads(3).serve(&requests);
         for (req, result) in requests.iter().zip(&results) {
-            let flow = TestFlow::new(&req.soc, req.flow.clone().with_parallel(false));
+            let flow = TestFlow::new(&req.soc, req.flow.clone());
             match (&req.op, result.as_ref().unwrap()) {
                 (EngineOp::Schedule { width }, EngineOutput::Schedule(run)) => {
                     let want = flow.run(*width).unwrap();

@@ -192,8 +192,8 @@ impl From<CacheLookup> for CacheDisposition {
 /// change the result. That is the [`ContextRegistry`] key — SOC content,
 /// width cap, resolved power budget — plus the operation (kind and
 /// widths), the scheduling mode, and the parameter grid searched. The
-/// flow's `parallel` switch and the engine's thread count are *excluded*:
-/// the equivalence suites pin that they never change an output bit.
+/// engine's thread count is *excluded*: the equivalence suites pin that it
+/// never changes an output bit.
 #[derive(Debug, Clone)]
 struct SolutionKey {
     w_max: TamWidth,
@@ -383,28 +383,19 @@ impl Engine {
     /// sequence (each request's work is independent; the winner rules and
     /// grid orders inside a request never depend on batch scheduling).
     ///
-    /// Requests are distributed over scoped worker threads. When the
-    /// batch alone saturates the machine (at least as many requests as
-    /// cores), each request's *inner* parameter grid runs sequentially —
-    /// batch-level parallelism replaces it, results are identical either
-    /// way, and thread oversubscription is avoided. A small batch on a
-    /// wide machine keeps the inner grid parallelism its flow
-    /// configuration asks for, so two requests on sixteen cores don't
-    /// idle fourteen of them.
+    /// Requests are distributed over scoped worker threads, one request
+    /// per worker at a time; each request's parameter grid runs
+    /// sequentially on the worker that took it.
     pub fn serve(&self, requests: &[EngineRequest]) -> Vec<EngineResult> {
         let n = requests.len();
-        let hardware = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
         let threads = self
             .threads
-            .map(NonZeroUsize::get)
-            .unwrap_or(hardware)
+            .or_else(|| std::thread::available_parallelism().ok())
+            .map_or(1, NonZeroUsize::get)
             .min(n.max(1));
         if threads <= 1 {
             return requests.iter().map(|r| self.serve_one(r)).collect();
         }
-        let inner_sequential = threads >= hardware;
 
         // Work-stealing over an atomic cursor: long requests (headline
         // sweeps) don't leave a statically chunked worker idle. Each
@@ -421,7 +412,7 @@ impl Engine {
                             if i >= n {
                                 break;
                             }
-                            out.push((i, self.serve_request(&requests[i], inner_sequential)));
+                            out.push((i, self.serve_one(&requests[i])));
                         }
                         out
                     })
@@ -445,7 +436,7 @@ impl Engine {
 
     /// Serves a single request through the registry.
     pub fn serve_one(&self, request: &EngineRequest) -> EngineResult {
-        self.serve_request(request, false)
+        self.serve_one_traced(request).0
     }
 
     /// [`Engine::serve_one`], additionally reporting how the solution
@@ -462,24 +453,11 @@ impl Engine {
                 let _lookup_span = obs::span(obs::Phase::CacheLookup);
                 let (result, lookup) = cache
                     .get_or_compute_traced(SolutionKey::new(request, budget), || {
-                        self.solve(request, budget, false)
+                        self.solve(request, budget)
                     });
                 (result, lookup.into())
             }
-            None => (
-                self.solve(request, budget, false),
-                CacheDisposition::Uncached,
-            ),
-        }
-    }
-
-    fn serve_request(&self, request: &EngineRequest, inner_sequential: bool) -> EngineResult {
-        let budget = request.flow.power.resolve(&request.soc);
-        match &self.solutions {
-            Some(cache) => cache.get_or_compute(SolutionKey::new(request, budget), || {
-                self.solve(request, budget, inner_sequential)
-            }),
-            None => self.solve(request, budget, inner_sequential),
+            None => (self.solve(request, budget), CacheDisposition::Uncached),
         }
     }
 
@@ -492,15 +470,10 @@ impl Engine {
     /// panicking solve publishes an error into the rendezvous cell like
     /// any other failure: coalesced waiters receive it and the entry is
     /// torn down, never cached.
-    fn solve(
-        &self,
-        request: &EngineRequest,
-        budget: Option<u64>,
-        inner_sequential: bool,
-    ) -> EngineResult {
+    fn solve(&self, request: &EngineRequest, budget: Option<u64>) -> EngineResult {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.fire_solve_faults()?;
-            self.solve_unguarded(request, budget, inner_sequential)
+            self.solve_unguarded(request, budget)
         }));
         match outcome {
             Ok(result) => result,
@@ -537,20 +510,12 @@ impl Engine {
 
     /// The solve body proper: context from the registry, then the
     /// requested operation over it.
-    fn solve_unguarded(
-        &self,
-        request: &EngineRequest,
-        budget: Option<u64>,
-        inner_sequential: bool,
-    ) -> EngineResult {
+    fn solve_unguarded(&self, request: &EngineRequest, budget: Option<u64>) -> EngineResult {
         let ctx = self
             .registry
             .get_or_compile(&request.soc, request.flow.w_max, budget);
         let mut cfg = request.flow.clone();
         cfg.w_max = ctx.w_max(); // the registry clamps w_max to >= 1
-        if inner_sequential {
-            cfg.parallel = false;
-        }
         let flow = TestFlow::with_context(ctx, cfg);
         match &request.op {
             EngineOp::Schedule { width } => flow

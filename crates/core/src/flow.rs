@@ -3,86 +3,30 @@
 //!
 //! The flow's `(m, d, slack)` best-of search is the system's hot path: one
 //! table reproduction executes the scheduler hundreds of times per TAM
-//! width. Three sweep-scale optimizations keep it fast without changing a
-//! single output bit:
+//! width. Every width runs the one sequential sweep, [`best_of`], whose
+//! sweep-scale optimizations keep it fast without changing a single
+//! output bit:
 //!
-//! 1. **Shared menus** — rectangle menus are invariant across the grid, so
-//!    one [`RectangleMenus`] build per width feeds every run;
-//! 2. **Deduplication** — `(m, d)` pairs that resolve to identical per-core
-//!    preferred-width vectors schedule identically and run once;
-//! 3. **Parallelism** — the surviving runs execute on scoped threads, and
-//!    the winner is reduced in grid order, bit-identical to the
-//!    sequential sweep.
-//! 4. **One compilation per SOC** — every SOC-level precomputation
+//! 1. **One compilation per SOC** — every SOC-level precomputation
 //!    (rectangle menus, constraint tables, lower-bound ingredients) lives
 //!    in a shared [`CompiledSoc`]; a whole `(m, d, slack) × width` sweep
 //!    compiles the SOC exactly once, and several flows over the same SOC
 //!    (e.g. the three Table 1 scheduling modes) can share one context via
-//!    [`TestFlow::with_context`].
+//!    [`TestFlow::with_context`];
+//! 2. **Deduplication** — `(m, d)` pairs that resolve to identical per-core
+//!    preferred-width vectors schedule identically and run once;
+//! 3. **Bound cutoff** — once the incumbent meets the width's lower bound,
+//!    no later grid point can be strictly better, so none runs.
 
-use std::collections::HashSet;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use soctam_schedule::obs;
 use soctam_schedule::{
-    CompiledSoc, RectangleMenus, Schedule, ScheduleBuilder, ScheduleError, SchedulerConfig,
-    TamWidth,
+    best_of, CompiledSoc, RectangleMenus, Schedule, ScheduleError, SchedulerConfig, TamWidth,
 };
 use soctam_soc::Soc;
 use soctam_tam::WireAssignment;
 use soctam_volume::{volume_of, CostCurve, SweepPoint};
-
-/// The parameter grid the flow searches per width, mirroring the paper's
-/// "best result over all integer values of m and d" methodology, extended
-/// with the idle-fill slack (which the paper fixes at 3 but explicitly
-/// allows the system integrator to retune).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ParamSweep {
-    /// Preferred-width percentages `m` to try.
-    pub percents: Vec<u32>,
-    /// Pareto bump distances `d` to try.
-    pub bumps: Vec<TamWidth>,
-    /// Idle-fill slack values to try.
-    pub slacks: Vec<TamWidth>,
-}
-
-impl ParamSweep {
-    /// The paper's sweep: `1 ≤ m ≤ 10`, `0 ≤ d ≤ 4`, slack fixed at 3.
-    pub fn paper() -> Self {
-        Self {
-            percents: (1..=10).collect(),
-            bumps: (0..=4).collect(),
-            slacks: vec![3],
-        }
-    }
-
-    /// An extended sweep that also explores coarser preferred widths and
-    /// wider idle-fill slack; used for the headline table reproductions.
-    pub fn extended() -> Self {
-        Self {
-            percents: (1..=10)
-                .chain([12, 15, 18, 22, 26, 30, 35, 40, 45, 52, 60])
-                .collect(),
-            bumps: (0..=4).collect(),
-            slacks: vec![3, 5, 8, 12],
-        }
-    }
-
-    /// A small sweep for unit tests and interactive use.
-    pub fn quick() -> Self {
-        Self {
-            percents: vec![1, 5, 10, 25, 45],
-            bumps: vec![0, 1, 3],
-            slacks: vec![3, 8],
-        }
-    }
-
-    /// Number of scheduler runs one width costs under this sweep.
-    pub fn runs(&self) -> usize {
-        self.percents.len() * self.bumps.len() * self.slacks.len()
-    }
-}
 
 /// How the flow derives the power ceiling `P_max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,10 +62,6 @@ pub struct FlowConfig {
     pub power: PowerPolicy,
     /// Whether per-core preemption budgets are honoured.
     pub allow_preemption: bool,
-    /// Run the parameter grid on scoped threads (`true`, the default) or
-    /// sequentially. Results are bit-identical either way; the switch
-    /// exists for debugging and for the equivalence test suite.
-    pub parallel: bool,
 }
 
 impl FlowConfig {
@@ -132,7 +72,6 @@ impl FlowConfig {
             sweep: ParamSweep::extended(),
             power: PowerPolicy::Unlimited,
             allow_preemption: true,
-            parallel: true,
         }
     }
 
@@ -155,12 +94,6 @@ impl FlowConfig {
         self.allow_preemption = false;
         self
     }
-
-    /// Selects parallel or sequential sweep execution.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
 }
 
 impl Default for FlowConfig {
@@ -169,10 +102,7 @@ impl Default for FlowConfig {
     }
 }
 
-/// Winning sweep parameters: `(m, d, slack)`.
-pub type SweepParams = (u32, TamWidth, TamWidth);
-
-pub use soctam_schedule::SweepStats;
+pub use soctam_schedule::{ParamSweep, SweepParams, SweepStats};
 
 /// Result of one flow run at one TAM width.
 #[derive(Debug, Clone)]
@@ -187,7 +117,7 @@ pub struct FlowRun {
     pub wires: WireAssignment,
     /// Tester data volume `W · T`.
     pub volume: u64,
-    /// Sweep dedup tally.
+    /// Sweep tally: points run, deduplicated, and cut.
     pub sweep: SweepStats,
 }
 
@@ -257,35 +187,22 @@ impl TestFlow {
         &self.ctx
     }
 
-    /// Builds the scheduler configuration for one `(width, m, d, slack)`
-    /// point.
-    fn scheduler_config(
-        &self,
-        w: TamWidth,
-        m: u32,
-        d: TamWidth,
-        slack: TamWidth,
-    ) -> SchedulerConfig {
-        let mut cfg = SchedulerConfig::new(w).with_percent(m).with_bump(d);
+    /// The scheduler configuration a sweep at SOC width `w` starts from;
+    /// the grid supplies `m`, `d`, and the slack.
+    fn scheduler_config(&self, w: TamWidth) -> SchedulerConfig {
+        let mut cfg = SchedulerConfig::new(w);
         cfg.w_max = self.cfg.w_max;
-        cfg.idle_fill_slack = slack;
         cfg.allow_preemption = self.cfg.allow_preemption;
         cfg.p_max = self.cfg.power.resolve(self.soc());
         cfg
     }
 
-    /// The per-core width cap a run at SOC width `w` uses. Delegates to
-    /// `SchedulerConfig::effective_w_max` (the clamp the scheduler checks
-    /// shared menus against) so the two can never drift apart; the sweep
-    /// parameters passed here don't affect the cap.
-    fn effective_w_max(&self, w: TamWidth) -> TamWidth {
-        self.scheduler_config(w, 1, 0, 3).effective_w_max()
-    }
-
     /// The shared rectangle menus for one SOC width, from the context's
-    /// per-cap cache (built on first use, reused ever after).
+    /// per-cap cache (built on first use, reused ever after). The cap is
+    /// `SchedulerConfig::effective_w_max`, the one the sweep uses.
     pub fn menus_for(&self, w: TamWidth) -> Arc<RectangleMenus> {
-        self.context().menus_at(self.effective_w_max(w))
+        self.context()
+            .menus_at(self.scheduler_config(w).effective_w_max())
     }
 
     /// Finds the best schedule at `w` over the configured parameter sweep.
@@ -299,7 +216,8 @@ impl TestFlow {
             .map(|(schedule, params, _)| (schedule, params))
     }
 
-    /// [`TestFlow::best_schedule`] plus the sweep dedup tally.
+    /// [`TestFlow::best_schedule`] plus the sweep tally (points run,
+    /// deduplicated, and cut).
     ///
     /// # Errors
     ///
@@ -308,123 +226,7 @@ impl TestFlow {
         &self,
         w: TamWidth,
     ) -> Result<(Schedule, SweepParams, SweepStats), ScheduleError> {
-        let menus = self.menus_for(w);
-        let _sweep = obs::span(obs::Phase::Sweep);
-        self.best_schedule_with_menus(w, &menus)
-    }
-
-    /// The sweep proper, over caller-provided menus (so a width sweep can
-    /// reuse one build across widths with the same effective cap).
-    fn best_schedule_with_menus(
-        &self,
-        w: TamWidth,
-        menus: &RectangleMenus,
-    ) -> Result<(Schedule, SweepParams, SweepStats), ScheduleError> {
-        // Preferred widths depend only on (m, d), never on slack; compute
-        // each vector once instead of once per slack value.
-        let prefs_by_md: Vec<Vec<TamWidth>> = self
-            .cfg
-            .sweep
-            .percents
-            .iter()
-            .flat_map(|&m| {
-                self.cfg.sweep.bumps.iter().map(move |&d| {
-                    // The slack knob is irrelevant to preferred widths.
-                    menus.preferred_widths(&self.scheduler_config(w, m, d, 0))
-                })
-            })
-            .collect();
-
-        // Enumerate the grid in its canonical order (slack, then m, then d)
-        // and drop points whose (slack, preferred-width vector) was already
-        // seen: m and d influence a run only through the preferred widths,
-        // so such points schedule identically to their representative, and
-        // the strict `<` winner rule means skipping them cannot change the
-        // winning schedule or the reported parameters.
-        let mut unique: Vec<(SchedulerConfig, SweepParams)> = Vec::new();
-        let mut seen: HashSet<(TamWidth, &[TamWidth])> = HashSet::new();
-        let mut runs_total = 0usize;
-        for &slack in &self.cfg.sweep.slacks {
-            for (mi, &m) in self.cfg.sweep.percents.iter().enumerate() {
-                for (di, &d) in self.cfg.sweep.bumps.iter().enumerate() {
-                    runs_total += 1;
-                    let prefs = &prefs_by_md[mi * self.cfg.sweep.bumps.len() + di];
-                    if seen.insert((slack, prefs)) {
-                        unique.push((self.scheduler_config(w, m, d, slack), (m, d, slack)));
-                    }
-                }
-            }
-        }
-        let stats = SweepStats {
-            runs_total,
-            runs_executed: unique.len(),
-            runs_skipped: runs_total - unique.len(),
-            runs_cut: 0,
-        };
-
-        // Execute the surviving runs, in parallel when configured. Each
-        // slot is written by exactly one thread; the reduction below walks
-        // the slots in grid order, so the winner (first strictly smaller
-        // makespan) and the reported error (first failing grid point) are
-        // bit-identical to the sequential sweep. Menus and constraint
-        // tables come from the shared context: zero per-run compilation.
-        let ctx = self.context();
-        let run_one = |cfg: &SchedulerConfig| {
-            ScheduleBuilder::new(ctx.soc(), cfg.clone())
-                .with_menus(menus)
-                .with_context(ctx)
-                .run()
-        };
-        let mut results: Vec<Option<Result<Schedule, ScheduleError>>> =
-            (0..unique.len()).map(|_| None).collect();
-        let threads = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(unique.len().max(1))
-        } else {
-            1
-        };
-        if threads <= 1 {
-            for (slot, (cfg, _)) in results.iter_mut().zip(&unique) {
-                *slot = Some(run_one(cfg));
-            }
-        } else {
-            let chunk = unique.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (slots, cfgs) in results.chunks_mut(chunk).zip(unique.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (slot, (cfg, _)) in slots.iter_mut().zip(cfgs) {
-                            *slot = Some(run_one(cfg));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut best: Option<(Schedule, SweepParams)> = None;
-        let mut first_err = None;
-        for ((_, params), result) in unique.iter().zip(results) {
-            match result.expect("every slot filled") {
-                Ok(s) => {
-                    if best
-                        .as_ref()
-                        .is_none_or(|(b, _)| s.makespan() < b.makespan())
-                    {
-                        best = Some((s, *params));
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        best.map(|(schedule, params)| (schedule, params, stats))
-            .ok_or_else(|| {
-                first_err.unwrap_or(ScheduleError::InvalidConfig {
-                    reason: "empty parameter sweep".to_owned(),
-                })
-            })
+        best_of(self.context(), &self.scheduler_config(w), &self.cfg.sweep)
     }
 
     /// Runs the full flow at one width: best schedule, lower bound, wire
@@ -492,6 +294,7 @@ impl TestFlow {
 mod tests {
     use super::*;
     use soctam_schedule::validate::{validate, validate_power};
+    use soctam_schedule::ScheduleBuilder;
     use soctam_soc::benchmarks;
 
     #[test]
@@ -623,15 +426,50 @@ mod tests {
         assert!(Arc::ptr_eq(&c, &flow.menus_for(64)));
     }
 
+    /// One grid point, `SchedulerConfig::new`'s defaults: the flow runs
+    /// the scheduler once per width.
+    fn single_run() -> FlowConfig {
+        FlowConfig {
+            sweep: ParamSweep {
+                percents: vec![5],
+                bumps: vec![1],
+                slacks: vec![3],
+            },
+            ..FlowConfig::new()
+        }
+    }
+
     #[test]
-    fn parallel_and_sequential_sweeps_agree() {
+    fn sweep_times_are_roughly_staircase() {
         let soc = benchmarks::d695();
-        let par = TestFlow::new(&soc, FlowConfig::quick());
-        let seq = TestFlow::new(&soc, FlowConfig::quick().with_parallel(false));
-        let (sp, pp, statp) = par.best_schedule_detailed(24).unwrap();
-        let (ss, ps, stats) = seq.best_schedule_detailed(24).unwrap();
-        assert_eq!(sp, ss);
-        assert_eq!(pp, ps);
-        assert_eq!(statp, stats);
+        let flow = TestFlow::new(&soc, single_run());
+        let pts = flow.sweep_widths((8..=32).step_by(4)).unwrap();
+        assert_eq!(pts.len(), 7);
+        // Heuristic times may wobble a little, but the broad trend must
+        // fall: the widest point is well below the narrowest.
+        let first = pts.first().unwrap();
+        let last = pts.last().unwrap();
+        assert!(last.time < first.time);
+        for p in &pts {
+            assert!(p.time >= p.lower_bound);
+            assert_eq!(p.volume, u64::from(p.width) * p.time);
+        }
+    }
+
+    #[test]
+    fn volume_dips_at_pareto_drops() {
+        // Where T stays flat between consecutive widths, V must rise;
+        // local V minima therefore sit at time-staircase drops.
+        let soc = benchmarks::d695();
+        let pts = TestFlow::new(&soc, single_run())
+            .sweep_widths(8..=40)
+            .unwrap();
+        let mut rises_on_flat = true;
+        for pair in pts.windows(2) {
+            if pair[1].time == pair[0].time && pair[1].volume <= pair[0].volume {
+                rises_on_flat = false;
+            }
+        }
+        assert!(rises_on_flat);
     }
 }

@@ -1,5 +1,5 @@
 //! Equivalence suite for the sweep-scale optimizations: shared rectangle
-//! menus, run deduplication, parallel grid execution, and concurrent
+//! menus, run deduplication, the bound cutoff, and concurrent
 //! registry/engine serving must all be bit-identical to the naive
 //! sequential rebuild-per-run sweep.
 
@@ -85,35 +85,6 @@ fn cached_menus_match_rebuild_per_run_p93791() {
 }
 
 #[test]
-fn parallel_matches_sequential_d695() {
-    let soc = benchmarks::d695();
-    for w in [16u16, 32, 64] {
-        let (sp, pp, statp) = TestFlow::new(&soc, quick_flow())
-            .best_schedule_detailed(w)
-            .unwrap();
-        let (ss, ps, stats) = TestFlow::new(&soc, quick_flow().with_parallel(false))
-            .best_schedule_detailed(w)
-            .unwrap();
-        assert_eq!(sp, ss, "parallel sweep diverged at W={w}");
-        assert_eq!(pp, ps);
-        assert_eq!(statp, stats);
-    }
-}
-
-#[test]
-fn parallel_matches_sequential_p22810() {
-    let soc = benchmarks::p22810();
-    let (sp, pp, _) = TestFlow::new(&soc, quick_flow())
-        .best_schedule_detailed(48)
-        .unwrap();
-    let (ss, ps, _) = TestFlow::new(&soc, quick_flow().with_parallel(false))
-        .best_schedule_detailed(48)
-        .unwrap();
-    assert_eq!(sp, ss);
-    assert_eq!(pp, ps);
-}
-
-#[test]
 fn context_bounds_match_free_functions_on_all_benchmarks() {
     use soctam_core::schedule::bounds::{lower_bound, lower_bounds};
     use soctam_core::schedule::CompiledSoc;
@@ -144,22 +115,6 @@ fn context_validator_agrees_on_flow_schedules() {
     let run = flow.run(24).unwrap();
     validate(&soc, &run.schedule).expect("flow schedule is valid");
     validate_with(flow.context(), &run.schedule).expect("context validator agrees");
-}
-
-#[test]
-fn power_constrained_sweep_is_also_equivalent() {
-    // Dedup keys only on (slack, preferred widths); make sure a sweep with
-    // an active power ceiling stays equivalent too.
-    let soc = benchmarks::d695();
-    let cfg = quick_flow().with_power(PowerPolicy::MaxCorePower);
-    let (par, pp, _) = TestFlow::new(&soc, cfg.clone())
-        .best_schedule_detailed(32)
-        .unwrap();
-    let (seq, ps, _) = TestFlow::new(&soc, cfg.with_parallel(false))
-        .best_schedule_detailed(32)
-        .unwrap();
-    assert_eq!(par, seq);
-    assert_eq!(pp, ps);
 }
 
 /// The request mix the concurrency tests hammer: three SOCs crossed with
@@ -237,7 +192,7 @@ fn concurrent_engine_hammer_matches_sequential_single_context_runs() {
         .map(|req| {
             Engine::new().with_threads(1).serve_one(&EngineRequest {
                 soc: Arc::clone(&req.soc),
-                flow: req.flow.clone().with_parallel(false),
+                flow: req.flow.clone(),
                 op: req.op.clone(),
                 trace: false,
             })

@@ -23,8 +23,8 @@
 //! first bound query or menu read), and every smaller cap is a cheap prefix
 //! *derivation* of it ([`RectangleMenus::prefix`]), so a context builds
 //! menus exactly once. Everything else is immutable shared data, and the
-//! whole context is `Sync` — the flow's parallel sweep reads it from many
-//! threads.
+//! whole context is `Sync` — the engine's batch workers share one context
+//! across threads.
 //!
 //! # Example
 //!

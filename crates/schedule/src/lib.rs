@@ -32,7 +32,8 @@
 //! [`CompiledSoc::lower_bound`], and
 //! [`validate_with`](crate::validate::validate_with) then reuse it with
 //! bit-identical results, as do the `soctam-baseline` architectures and
-//! the `soctam-core` flow.
+//! the `soctam-core` flow. [`best_of`] is the one best-of sweep over a
+//! context: every caller that searches a [`ParamSweep`] runs it.
 //!
 //! # Ownership model: contexts outlive requests
 //!
@@ -95,9 +96,7 @@ pub use constraints::ConstraintSet;
 pub use context::CompiledSoc;
 pub use error::ScheduleError;
 pub use menus::RectangleMenus;
-pub use optimizer::{
-    schedule_best, schedule_best_with, schedule_best_with_stats, ScheduleBuilder, SweepStats,
-};
+pub use optimizer::{best_of, ParamSweep, ScheduleBuilder, SweepParams, SweepStats};
 pub use registry::{ContextRegistry, RegistryStats};
 pub use schedule::{CoreScheduleStats, Schedule, Slice};
 pub use solution_cache::{CacheLookup, SolutionCache, SolutionCacheStats};

@@ -6,7 +6,7 @@
 //! Building the menus once per `(SOC, w_max)` and sharing them across every
 //! run of the sweep removes the dominant repeated cost of
 //! [`ScheduleBuilder`](crate::ScheduleBuilder); the menus are plain shared
-//! data, so a parallel sweep can read them from many threads at once.
+//! data, so many threads can read them at once.
 
 use soctam_soc::{CoreIdx, Soc};
 use soctam_wrapper::{RectangleSet, TamWidth};

@@ -1,6 +1,8 @@
 //! `TAM_schedule_optimizer` — the integrated wrapper/TAM co-optimization
 //! and constraint-driven test scheduling algorithm (paper Figures 4–8).
 
+use std::collections::HashSet;
+
 use soctam_soc::{CoreIdx, Soc};
 use soctam_wrapper::{Cycles, TamWidth};
 
@@ -17,7 +19,8 @@ use crate::{ScheduleError, SchedulerConfig};
 /// By default each run builds its own rectangle menus and compiles its own
 /// constraint tables; sweeps that execute many runs should compile a
 /// [`CompiledSoc`] once and share it via [`ScheduleBuilder::with_context`]
-/// (or share just the menus via [`ScheduleBuilder::with_menus`]).
+/// (or share just the menus via [`ScheduleBuilder::with_menus`]). The
+/// paper's best-of search over `(m, d, slack)` is [`best_of`].
 ///
 /// # Example
 ///
@@ -170,8 +173,8 @@ fn run_with_menus(
 }
 
 /// [`run_with_menus`] over caller-owned scratch, so a sweep reuses one set
-/// of packer buffers across its whole `(m, d)` grid instead of
-/// reallocating them per run.
+/// of packer buffers across its whole grid instead of reallocating them
+/// per run.
 fn run_with_menus_scratch<'m>(
     soc: &Soc,
     cfg: &SchedulerConfig,
@@ -525,52 +528,59 @@ impl Packer<'_, '_> {
     }
 }
 
-/// Sweeps the user parameters `m` (percent) and `d` (Pareto bump) over the
-/// paper's ranges and returns the best schedule found, with the winning
-/// `(m, d)` pair.
-///
-/// The paper tabulates the best result over `1 ≤ m ≤ 10`, `0 ≤ d ≤ 4`.
-///
-/// The rectangle menus and constraint tables are invariant across
-/// `(m, d)`, so the SOC is compiled once ([`CompiledSoc`]) and shared by
-/// every run of the sweep.
-///
-/// # Errors
-///
-/// Returns the first error if *every* parameter combination fails;
-/// individual failing combinations are skipped otherwise.
-pub fn schedule_best(
-    soc: &Soc,
-    base: &SchedulerConfig,
-    percents: impl IntoIterator<Item = u32>,
-    bumps: impl IntoIterator<Item = TamWidth> + Clone,
-) -> Result<(Schedule, u32, TamWidth), ScheduleError> {
-    // Compiling at the effective cap makes the seeded menus exactly the
-    // ones every run of this sweep uses: one build, one compile.
-    let ctx = CompiledSoc::compile(soc, base.effective_w_max());
-    schedule_best_with(&ctx, base, percents, bumps)
+/// The parameter grid a best-of sweep searches at one TAM width, mirroring
+/// the paper's "best result over all integer values of m and d"
+/// methodology, extended with the idle-fill slack (which the paper fixes
+/// at 3 but explicitly allows the system integrator to retune).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ParamSweep {
+    /// Preferred-width percentages `m` to try.
+    pub percents: Vec<u32>,
+    /// Pareto bump distances `d` to try.
+    pub bumps: Vec<TamWidth>,
+    /// Idle-fill slack values to try.
+    pub slacks: Vec<TamWidth>,
 }
 
-/// [`schedule_best`] over a caller-supplied precompiled context, so a
-/// registry-cached [`CompiledSoc`] can serve many best-of sweeps without
-/// recompiling. Bit-identical to [`schedule_best`] when the context was
-/// compiled from the same SOC at `base.effective_w_max()`.
-///
-/// Runs with the lower-bound sweep cutoff enabled (see
-/// [`schedule_best_with_stats`]) — the winner is provably unchanged.
-///
-/// # Errors
-///
-/// As for [`schedule_best`]; additionally rejects a context compiled from
-/// a different SOC.
-pub fn schedule_best_with(
-    ctx: &CompiledSoc,
-    base: &SchedulerConfig,
-    percents: impl IntoIterator<Item = u32>,
-    bumps: impl IntoIterator<Item = TamWidth> + Clone,
-) -> Result<(Schedule, u32, TamWidth), ScheduleError> {
-    schedule_best_with_stats(ctx, base, percents, bumps, true).map(|(s, m, d, _)| (s, m, d))
+impl ParamSweep {
+    /// The paper's sweep: `1 ≤ m ≤ 10`, `0 ≤ d ≤ 4`, slack fixed at 3.
+    pub fn paper() -> Self {
+        Self {
+            percents: (1..=10).collect(),
+            bumps: (0..=4).collect(),
+            slacks: vec![3],
+        }
+    }
+
+    /// An extended sweep that also explores coarser preferred widths and
+    /// wider idle-fill slack; used for the headline table reproductions.
+    pub fn extended() -> Self {
+        Self {
+            percents: (1..=10)
+                .chain([12, 15, 18, 22, 26, 30, 35, 40, 45, 52, 60])
+                .collect(),
+            bumps: (0..=4).collect(),
+            slacks: vec![3, 5, 8, 12],
+        }
+    }
+
+    /// A small sweep for unit tests and interactive use.
+    pub fn quick() -> Self {
+        Self {
+            percents: vec![1, 5, 10, 25, 45],
+            bumps: vec![0, 1, 3],
+            slacks: vec![3, 8],
+        }
+    }
+
+    /// Number of scheduler runs one width costs under this sweep.
+    pub fn runs(&self) -> usize {
+        self.percents.len() * self.bumps.len() * self.slacks.len()
+    }
 }
+
+/// Winning sweep parameters: `(m, d, slack)`.
+pub type SweepParams = (u32, TamWidth, TamWidth);
 
 /// Tally of one parameter sweep: how many grid points there were, how many
 /// actually ran, and how many were skipped without running.
@@ -588,31 +598,36 @@ pub struct SweepStats {
     pub runs_cut: usize,
 }
 
-/// [`schedule_best_with`], additionally reporting a [`SweepStats`] tally
-/// and exposing the bound-gated cutoff as a switch.
+/// The best schedule at `base.tam_width` over every `(slack, m, d)` point
+/// of `grid` — the paper's best-of search. `base` supplies everything
+/// else (width cap, power ceiling, preemption mode, heuristic toggles).
 ///
-/// With `use_cutoff`, the sweep consults the context-cached
-/// [`CompiledSoc::lower_bound`] at the sweep's TAM width and stops
-/// executing grid points as soon as the incumbent's makespan meets it:
-/// every schedule's makespan is at least the bound, so no remaining point
-/// can be *strictly* better and the first-winner tie-break keeps the
-/// incumbent. The winner (and error behavior) is therefore bit-identical
-/// with the cutoff on or off — only `runs_cut` differs (pinned by the
-/// `cutoff` suite on all four ITC'02 benchmarks).
+/// Points are visited in grid order (slack, then `m`, then `d`) and the
+/// first strictly smaller makespan wins. Every run shares the context's
+/// menus and constraint tables and one set of packer buffers. Two kinds
+/// of point never run, and neither can change the winner:
+///
+/// * a point whose slack and per-core preferred widths repeat an earlier
+///   point's schedules identically (`runs_skipped`);
+/// * once the incumbent meets the context's lower bound at this width, no
+///   later point can be strictly better (`runs_cut`).
 ///
 /// # Errors
 ///
-/// As for [`schedule_best_with`].
-pub fn schedule_best_with_stats(
+/// * [`ScheduleError::InvalidConfig`] — zero width, an SOC without cores,
+///   a `base` whose effective cap exceeds the context's (the bound would
+///   be computed for narrower rectangles than the runs use), or an empty
+///   grid;
+/// * [`ScheduleError::Soc`] — the SOC model fails validation;
+/// * otherwise the first failing point's error, if *every* point fails.
+pub fn best_of(
     ctx: &CompiledSoc,
     base: &SchedulerConfig,
-    percents: impl IntoIterator<Item = u32>,
-    bumps: impl IntoIterator<Item = TamWidth> + Clone,
-    use_cutoff: bool,
-) -> Result<(Schedule, u32, TamWidth, SweepStats), ScheduleError> {
+    grid: &ParamSweep,
+) -> Result<(Schedule, SweepParams, SweepStats), ScheduleError> {
     let soc = ctx.soc();
-    // Grid-invariant validation, hoisted out of the per-run path; the
-    // error values match what every run would have reported.
+    // Grid-invariant validation, done once; the error values match what
+    // every run would have reported.
     if base.tam_width == 0 {
         return Err(ScheduleError::InvalidConfig {
             reason: "TAM width must be at least one wire".to_owned(),
@@ -623,35 +638,60 @@ pub fn schedule_best_with_stats(
             reason: "SOC has no cores".to_owned(),
         });
     }
+    let cap = base.effective_w_max();
+    if cap > ctx.w_max() {
+        return Err(ScheduleError::InvalidConfig {
+            reason: format!(
+                "sweep cap {cap} exceeds the context's w_max {}",
+                ctx.w_max()
+            ),
+        });
+    }
     soc.validate()?;
 
-    let bound = use_cutoff.then(|| ctx.lower_bound(base.tam_width));
-    let menus = ctx.menus_for_config(base);
+    let menus = ctx.menus_at(cap);
+    let bound = ctx.lower_bound(base.tam_width);
     let constraints = ctx.constraints();
     let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
+    let point = |m, d, slack| {
+        let mut cfg = base.clone().with_percent(m).with_bump(d);
+        cfg.idle_fill_slack = slack;
+        cfg
+    };
+    // Preferred widths are the only way (m, d) enter a run, and slack
+    // never changes them: one vector per (m, d), shared across slacks.
+    let mut md_prefs = Vec::with_capacity(grid.percents.len() * grid.bumps.len());
+    for &m in &grid.percents {
+        for &d in &grid.bumps {
+            md_prefs.push(((m, d), menus.preferred_widths(&point(m, d, 0))));
+        }
+    }
+    let mut seen = HashSet::new();
     let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
-    let mut best: Option<(Schedule, u32, TamWidth)> = None;
-    let mut first_err: Option<ScheduleError> = None;
+    let mut best: Option<(Schedule, SweepParams)> = None;
+    let mut first_err = None;
     let mut stats = SweepStats::default();
-    for m in percents {
-        for d in bumps.clone() {
+    for &slack in &grid.slacks {
+        for ((m, d), prefs) in &md_prefs {
             stats.runs_total += 1;
-            if let (Some(bound), Some((b, _, _))) = (bound, best.as_ref()) {
-                if b.makespan() <= bound {
-                    stats.runs_cut += 1;
-                    continue;
-                }
+            if !seen.insert((slack, prefs.as_slice())) {
+                stats.runs_skipped += 1;
+                continue;
+            }
+            if best.as_ref().is_some_and(|(b, _)| b.makespan() <= bound) {
+                stats.runs_cut += 1;
+                continue;
             }
             stats.runs_executed += 1;
             crate::instrument::note_schedule_run();
-            let cfg = base.clone().with_percent(m).with_bump(d);
+            let cfg = point(*m, *d, slack);
             match run_with_menus_scratch(soc, &cfg, &menus, constraints, &mut scratch) {
                 Ok(s) => {
                     if best
                         .as_ref()
-                        .is_none_or(|(b, _, _)| s.makespan() < b.makespan())
+                        .is_none_or(|(b, _)| s.makespan() < b.makespan())
                     {
-                        best = Some((s, m, d));
+                        best = Some((s, (*m, *d, slack)));
                     }
                 }
                 Err(e) => {
@@ -660,7 +700,7 @@ pub fn schedule_best_with_stats(
             }
         }
     }
-    best.map(|(s, m, d)| (s, m, d, stats)).ok_or_else(|| {
+    best.map(|(s, params)| (s, params, stats)).ok_or_else(|| {
         first_err.unwrap_or(ScheduleError::InvalidConfig {
             reason: "empty parameter sweep".to_owned(),
         })
@@ -835,13 +875,44 @@ mod tests {
         }
     }
 
+    /// Every grid point run on its own, in grid order, first strictly
+    /// smaller makespan wins: what [`best_of`] must reproduce exactly.
+    fn run_every_point(
+        ctx: &CompiledSoc,
+        base: &SchedulerConfig,
+        grid: &ParamSweep,
+    ) -> (Schedule, SweepParams) {
+        let mut best: Option<(Schedule, SweepParams)> = None;
+        for &slack in &grid.slacks {
+            for &m in &grid.percents {
+                for &d in &grid.bumps {
+                    let mut cfg = base.clone().with_percent(m).with_bump(d);
+                    cfg.idle_fill_slack = slack;
+                    let s = ScheduleBuilder::new(ctx.soc(), cfg)
+                        .with_context(ctx)
+                        .run()
+                        .unwrap();
+                    if best
+                        .as_ref()
+                        .is_none_or(|(b, _)| s.makespan() < b.makespan())
+                    {
+                        best = Some((s, (m, d, slack)));
+                    }
+                }
+            }
+        }
+        best.unwrap()
+    }
+
     #[test]
-    fn schedule_best_sweeps_parameters() {
+    fn best_of_sweeps_parameters() {
         let soc = benchmarks::d695();
         let base = SchedulerConfig::new(16);
-        let (best, m, d) = schedule_best(&soc, &base, 1..=10, 0..=4).unwrap();
+        let ctx = CompiledSoc::compile(&soc, 64);
+        let (best, (m, d, slack), _) = best_of(&ctx, &base, &ParamSweep::paper()).unwrap();
         assert!((1..=10).contains(&m));
         assert!(d <= 4);
+        assert_eq!(slack, 3);
         // Best-of can only improve on the default single run.
         let single = ScheduleBuilder::new(&soc, base).run().unwrap();
         assert!(best.makespan() <= single.makespan());
@@ -852,41 +923,25 @@ mod tests {
         let soc = benchmarks::d695();
         let base = SchedulerConfig::new(16);
         let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
-        let (s_on, m_on, d_on, on) =
-            schedule_best_with_stats(&ctx, &base, 1..=10, 0..=4, true).unwrap();
-        let (s_off, m_off, d_off, off) =
-            schedule_best_with_stats(&ctx, &base, 1..=10, 0..=4, false).unwrap();
-        assert_eq!((s_on, m_on, d_on), (s_off, m_off, d_off));
-        // The ungated sweep executes the whole grid; the gated one accounts
-        // for every point either as executed or cut.
-        assert_eq!(off.runs_total, 50);
-        assert_eq!(off.runs_executed, 50);
-        assert_eq!(off.runs_cut, 0);
-        assert_eq!(on.runs_total, 50);
-        assert_eq!(on.runs_executed + on.runs_cut, 50);
-        assert_eq!(on.runs_skipped, 0);
+        let grid = ParamSweep::paper();
+        let (s, params, stats) = best_of(&ctx, &base, &grid).unwrap();
+        assert_eq!((s, params), run_every_point(&ctx, &base, &grid));
+        // Every point is accounted for: executed, skipped, or cut.
+        assert_eq!(stats.runs_total, 50);
+        assert_eq!(
+            stats.runs_executed + stats.runs_skipped + stats.runs_cut,
+            50
+        );
     }
 
     #[test]
-    fn stats_sweep_matches_plain_best_of() {
+    fn best_of_rejects_a_base_wider_than_its_context() {
+        // The context's bound covers cap-8 rectangles only; a W=48 sweep
+        // at cap 48 could beat it, so the cutoff would be unsound.
         let soc = benchmarks::d695();
-        let base = SchedulerConfig::new(24);
-        let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
-        let (s, m, d) = schedule_best_with(&ctx, &base, 1..=5, 0..=2).unwrap();
-        let (s2, m2, d2, stats) =
-            schedule_best_with_stats(&ctx, &base, 1..=5, 0..=2, true).unwrap();
-        assert_eq!((s, m, d), (s2, m2, d2));
-        assert_eq!(stats.runs_total, 15);
-    }
-
-    #[test]
-    fn schedule_best_with_matches_private_compilation() {
-        let soc = benchmarks::d695();
-        let base = SchedulerConfig::new(16);
-        let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
-        let shared = schedule_best_with(&ctx, &base, 1..=5, 0..=2).unwrap();
-        let private = schedule_best(&soc, &base, 1..=5, 0..=2).unwrap();
-        assert_eq!(shared, private);
+        let ctx = CompiledSoc::compile(&soc, 8);
+        let err = best_of(&ctx, &SchedulerConfig::new(48), &ParamSweep::paper());
+        assert!(matches!(err, Err(ScheduleError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -43,11 +43,12 @@
 //! # Bounds
 //!
 //! Entry *count* is bounded per shard with LRU eviction that never picks
-//! an in-flight entry. Entry *lifetime* is optionally bounded by a TTL:
-//! every insertion is stamped with a deadline, expired entries are
-//! evicted lazily on access, and [`SolutionCache::purge_expired`] sweeps
-//! the whole cache for long-lived daemons that want bounded staleness
-//! even on cold keys.
+//! an in-flight entry; a shard whose slots are all in flight admits one
+//! more and gives the room back when a solve completes. Entry *lifetime*
+//! is optionally bounded by a TTL: every insertion is stamped with a
+//! deadline, expired entries are evicted lazily on access, and
+//! [`SolutionCache::purge_expired`] sweeps the whole cache for long-lived
+//! daemons that want bounded staleness even on cold keys.
 //!
 //! # Example
 //!
@@ -305,23 +306,10 @@ where
                     None => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         if map.len() >= self.per_shard_capacity {
-                            // Victim selection skips in-flight slots:
-                            // evicting a slot whose cell is unset would
-                            // discard the solve in progress and detach
-                            // later same-key requests from it (re-solving
-                            // instead of coalescing). When every slot is
-                            // in flight the shard over-admits by one —
-                            // in-flight slots always complete and become
-                            // evictable.
-                            let lru = map
-                                .iter()
-                                .filter(|(_, slot)| slot.cell.get().is_some())
-                                .min_by_key(|(_, slot)| slot.last_used)
-                                .map(|(k, _)| k.clone());
-                            if let Some(lru) = lru {
-                                map.remove(&lru);
-                                self.evictions.fetch_add(1, Ordering::Relaxed);
-                            }
+                            // When every slot is in flight the shard
+                            // over-admits by one; the solve that completes
+                            // trims it back (below).
+                            self.evict_lru(&mut map, None);
                         }
                         let cell = Arc::new(OnceLock::new());
                         map.insert(
@@ -373,6 +361,13 @@ where
                     if ran && result.is_err() {
                         self.failures.fetch_add(1, Ordering::Relaxed);
                         remove_own_entry();
+                    } else if ran {
+                        // Give back any room over-admitted while every
+                        // slot was in flight, sparing the fresh result.
+                        let mut map = lock_unpoisoned(shard);
+                        while map.len() > self.per_shard_capacity
+                            && self.evict_lru(&mut map, Some(&key))
+                        {}
                     }
                     return (result, lookup);
                 }
@@ -462,6 +457,25 @@ where
             failures: self.failures.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
         }
+    }
+
+    /// Evicts the least recently used completed entry of one shard, other
+    /// than `spare`; returns whether one was evicted. In-flight slots are
+    /// never victims: evicting a slot whose cell is unset would discard
+    /// the solve in progress and detach later same-key requests from it
+    /// (re-solving instead of coalescing).
+    fn evict_lru(&self, map: &mut HashMap<K, Slot<V, E>>, spare: Option<&K>) -> bool {
+        let lru = map
+            .iter()
+            .filter(|(k, slot)| slot.cell.get().is_some() && Some(*k) != spare)
+            .min_by_key(|(_, slot)| slot.last_used)
+            .map(|(k, _)| k.clone());
+        let Some(lru) = lru else {
+            return false;
+        };
+        map.remove(&lru);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn shard_of(&self, key: &K) -> usize {
@@ -627,6 +641,7 @@ mod tests {
             assert_eq!(lookup, CacheLookup::Coalesced);
         });
         assert_eq!(solves_of_1.load(Ordering::Relaxed), 1, "one solve of key 1");
+        assert_eq!(cache.len(), 1, "key 1 gave the over-admitted room back");
         // With key 1 completed, the next capacity pressure evicts normally.
         cache.get_or_compute(3, || Ok(30)).unwrap();
         assert!(cache.stats().evictions >= 1);

@@ -1,64 +1,73 @@
 //! The bound-gated sweep cutoff must be invisible in results: on every
-//! ITC'02 benchmark, `schedule_best_with` (cutoff on) returns the exact
-//! winner the ungated sweep would have picked, and the [`SweepStats`]
-//! tallies account for every grid point.
+//! ITC'02 benchmark, `best_of` returns the exact winner a sweep that runs
+//! every grid point would have picked, and the [`SweepStats`] tallies
+//! account for every grid point.
 
-use soctam_schedule::{schedule_best_with_stats, CompiledSoc, SchedulerConfig};
+use soctam_schedule::{
+    best_of, CompiledSoc, ParamSweep, Schedule, ScheduleBuilder, SchedulerConfig, SweepParams,
+    SweepStats,
+};
 use soctam_soc::benchmarks;
 
-/// Runs the paper's full `m x d` grid with and without the cutoff and
-/// returns both outcomes.
-#[allow(clippy::type_complexity)]
-fn both_sweeps(
-    name: &str,
-    width: u16,
-) -> (
-    (
-        soctam_schedule::Schedule,
-        u32,
-        u16,
-        soctam_schedule::SweepStats,
-    ),
-    (
-        soctam_schedule::Schedule,
-        u32,
-        u16,
-        soctam_schedule::SweepStats,
-    ),
-) {
+/// Every grid point run on its own, in grid order (slack, then m, then
+/// d), first strictly smaller makespan wins: no dedup, no cutoff.
+fn run_every_point(
+    ctx: &CompiledSoc,
+    base: &SchedulerConfig,
+    grid: &ParamSweep,
+) -> (Schedule, SweepParams) {
+    let mut best: Option<(Schedule, SweepParams)> = None;
+    for &slack in &grid.slacks {
+        for &m in &grid.percents {
+            for &d in &grid.bumps {
+                let mut cfg = base.clone().with_percent(m).with_bump(d);
+                cfg.idle_fill_slack = slack;
+                let s = ScheduleBuilder::new(ctx.soc(), cfg)
+                    .with_context(ctx)
+                    .run()
+                    .expect("schedulable");
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| s.makespan() < b.makespan())
+                {
+                    best = Some((s, (m, d, slack)));
+                }
+            }
+        }
+    }
+    best.expect("non-empty grid")
+}
+
+/// Runs `grid` at `width` through `best_of` and through the every-point
+/// reference, asserts both pick the same winner, and returns the sweep's
+/// outcome.
+fn checked_sweep(name: &str, width: u16, grid: &ParamSweep) -> (Schedule, SweepStats, u64) {
     let soc = benchmarks::by_name(name).expect("known benchmark");
     let base = SchedulerConfig::new(width);
     let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
-    let gated = schedule_best_with_stats(&ctx, &base, 1..=10, 0..=4, true).expect("gated sweep");
-    let plain = schedule_best_with_stats(&ctx, &base, 1..=10, 0..=4, false).expect("plain sweep");
-    (gated, plain)
+    let (schedule, params, stats) = best_of(&ctx, &base, grid).expect("sweep");
+    let (want, want_params) = run_every_point(&ctx, &base, grid);
+    assert_eq!(
+        (&schedule, params),
+        (&want, want_params),
+        "{name} W={width}: cutoff changed the sweep winner"
+    );
+    // Every point is accounted for: executed, deduplicated, or cut
+    // (nothing silently dropped), never more than the grid.
+    assert_eq!(stats.runs_total, grid.runs(), "{name} W={width}");
+    assert_eq!(
+        stats.runs_executed + stats.runs_skipped + stats.runs_cut,
+        stats.runs_total,
+        "{name} W={width}: executed + skipped + cut must cover the grid"
+    );
+    (schedule, stats, ctx.lower_bound(width))
 }
 
 #[test]
 fn cutoff_returns_the_same_winner_on_every_benchmark() {
     for name in benchmarks::NAMES {
         for &width in &benchmarks::table1_widths(name) {
-            let ((gs, gm, gd, gstats), (ps, pm, pd, pstats)) = both_sweeps(name, width);
-            assert_eq!(
-                (gs, gm, gd),
-                (ps, pm, pd),
-                "{name} W={width}: cutoff changed the sweep winner"
-            );
-
-            // The plain sweep runs the whole 10 x 5 grid.
-            assert_eq!(pstats.runs_total, 50, "{name} W={width}");
-            assert_eq!(pstats.runs_executed, 50, "{name} W={width}");
-            assert_eq!(pstats.runs_cut, 0, "{name} W={width}");
-
-            // The gated sweep accounts for every point: executed or cut
-            // (nothing silently dropped), never more than the grid.
-            assert_eq!(gstats.runs_total, 50, "{name} W={width}");
-            assert_eq!(
-                gstats.runs_executed + gstats.runs_cut,
-                50,
-                "{name} W={width}: executed + cut must cover the grid"
-            );
-            assert_eq!(gstats.runs_skipped, 0, "{name} W={width}");
+            checked_sweep(name, width, &ParamSweep::paper());
         }
     }
 }
@@ -68,21 +77,14 @@ fn cutoff_fires_where_the_bound_is_met() {
     // p34392 saturates at W=32: with the extended percent tail the sweep
     // reaches the lower bound (Table 1: 544,602 cycles, core c18's own
     // minimum), so the optimal incumbent must prune the rest of the grid.
-    let soc = benchmarks::p34392();
-    let base = SchedulerConfig::new(32);
-    let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
-    let percents = (1..=10).chain([12, 15, 18, 22, 26, 30, 35, 40, 45, 52, 60]);
-    let (schedule, m, d, stats) =
-        schedule_best_with_stats(&ctx, &base, percents.clone(), 0..=4, true).expect("gated sweep");
-    assert_eq!(schedule.makespan(), ctx.lower_bound(32));
+    let grid = ParamSweep {
+        slacks: vec![3],
+        ..ParamSweep::extended()
+    };
+    let (schedule, stats, bound) = checked_sweep("p34392", 32, &grid);
+    assert_eq!(schedule.makespan(), bound);
     assert!(
         stats.runs_cut > 0,
         "optimal incumbent should cut later grid points, stats: {stats:?}"
     );
-    assert_eq!(stats.runs_executed + stats.runs_cut, stats.runs_total);
-
-    // And pruning still does not change the winner.
-    let (ps, pm, pd, _) =
-        schedule_best_with_stats(&ctx, &base, percents, 0..=4, false).expect("plain sweep");
-    assert_eq!((ps, pm, pd), (schedule, m, d));
 }

@@ -3,7 +3,7 @@
 
 use soctam_wrapper::TamWidth;
 
-use crate::sweep::SweepPoint;
+use crate::model::SweepPoint;
 
 /// One evaluated point of the cost curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

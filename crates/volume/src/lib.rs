@@ -19,14 +19,31 @@
 //!
 //! # Example
 //!
-//! ```
-//! use soctam_soc::benchmarks;
-//! use soctam_volume::{sweep, CostCurve};
-//! use soctam_schedule::SchedulerConfig;
+//! `soctam_core`'s `TestFlow::sweep_widths` produces the [`SweepPoint`]s
+//! with the paper's best-of search per width; one scheduler run per width
+//! shows the shape too.
 //!
-//! # fn main() -> Result<(), soctam_schedule::ScheduleError> {
-//! let soc = benchmarks::d695();
-//! let points = sweep(&soc, 4..=32, &SchedulerConfig::new(1))?;
+//! ```
+//! use soctam_schedule::{CompiledSoc, ScheduleBuilder, ScheduleError, SchedulerConfig};
+//! use soctam_soc::benchmarks;
+//! use soctam_volume::{volume_of, CostCurve, SweepPoint};
+//!
+//! # fn main() -> Result<(), ScheduleError> {
+//! let ctx = CompiledSoc::compile(&benchmarks::d695(), 64);
+//! let points = (4..=32)
+//!     .map(|w| {
+//!         let schedule = ScheduleBuilder::new(ctx.soc(), SchedulerConfig::new(w))
+//!             .with_context(&ctx)
+//!             .run()?;
+//!         let time = schedule.makespan();
+//!         Ok(SweepPoint {
+//!             width: w,
+//!             time,
+//!             volume: volume_of(w, time),
+//!             lower_bound: ctx.lower_bound(w),
+//!         })
+//!     })
+//!     .collect::<Result<Vec<_>, ScheduleError>>()?;
 //! let curve = CostCurve::new(&points, 0.5);
 //! let eff = curve.effective_point();
 //! assert!(eff.cost >= 1.0);
@@ -39,8 +56,6 @@
 
 mod cost;
 mod model;
-mod sweep;
 
 pub use cost::{CostCurve, CostPoint};
-pub use model::{volume_of, TesterMemoryModel};
-pub use sweep::{sweep, sweep_best, SweepPoint};
+pub use model::{volume_of, SweepPoint, TesterMemoryModel};

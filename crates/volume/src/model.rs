@@ -2,6 +2,19 @@
 
 use soctam_wrapper::{Cycles, TamWidth};
 
+/// One point of a TAM-width sweep: the data behind Figures 9(a) and 9(b).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepPoint {
+    /// SOC TAM width `W`.
+    pub width: TamWidth,
+    /// SOC testing time `T(W)` achieved by the scheduler.
+    pub time: Cycles,
+    /// Tester data volume `V(W) = W · T(W)`.
+    pub volume: u64,
+    /// Testing-time lower bound at this width.
+    pub lower_bound: Cycles,
+}
+
 /// Total tester data volume implied by a schedule of length `time` on
 /// `width` TAM pins: every pin's channel holds one bit per cycle of the
 /// schedule, so `V = W · T`.

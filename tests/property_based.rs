@@ -1,10 +1,14 @@
 //! Cross-crate property tests: random SOCs through the whole pipeline.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
+use soctam::engine::{Engine, EngineOutput, EngineRequest};
+use soctam::flow::{FlowConfig, PowerPolicy, SweepParams};
 use soctam::schedule::bounds::lower_bound;
-use soctam::schedule::validate::{validate, validate_power};
-use soctam::schedule::{ScheduleBuilder, SchedulerConfig, Slice};
+use soctam::schedule::validate::{validate, validate_power, validate_with};
+use soctam::schedule::{best_of, CompiledSoc, Schedule, ScheduleBuilder, SchedulerConfig, Slice};
 use soctam::soc::itc02;
 use soctam::soc::synth::SynthConfig;
 use soctam::tam::WireAssignment;
@@ -155,6 +159,78 @@ proptest! {
             let expected = rects.time_at(slices[0].width)
                 + preemptions * rects.rect_at(slices[0].width).preemption_penalty();
             prop_assert_eq!(busy, expected, "core {}", idx);
+        }
+    }
+
+    /// The one best-of sweep, called directly or served by the engine,
+    /// returns exactly the schedule and parameters of running every grid
+    /// point on its own — in every scheduling mode, on constrained SOCs
+    /// with preemption budgets. Deduplication and the bound cutoff may
+    /// only save runs.
+    #[test]
+    fn best_of_matches_the_every_point_reference(
+        cores in 2usize..12,
+        seed in 0u64..500,
+        width in 1u16..72,
+    ) {
+        let soc = Arc::new(
+            SynthConfig::new(cores)
+                .with_constraints()
+                .with_preemption(2)
+                .generate(seed),
+        );
+        for (power, preempt) in [(false, true), (false, false), (true, true), (true, false)] {
+            let mut flow = FlowConfig::quick();
+            if power {
+                flow = flow.with_power(PowerPolicy::MaxCorePower);
+            }
+            if !preempt {
+                flow = flow.without_preemption();
+            }
+            let mut base = SchedulerConfig::new(width);
+            base.allow_preemption = preempt;
+            base.p_max = flow.power.resolve(&soc);
+
+            // The reference: a fresh run per grid point, in grid order,
+            // first strictly smaller makespan wins.
+            let mut reference: Option<(Schedule, SweepParams)> = None;
+            for &slack in &flow.sweep.slacks {
+                for &m in &flow.sweep.percents {
+                    for &d in &flow.sweep.bumps {
+                        let mut cfg = base.clone().with_percent(m).with_bump(d);
+                        cfg.idle_fill_slack = slack;
+                        let s = ScheduleBuilder::new(&soc, cfg).run().expect("schedulable");
+                        if reference
+                            .as_ref()
+                            .is_none_or(|(b, _)| s.makespan() < b.makespan())
+                        {
+                            reference = Some((s, (m, d, slack)));
+                        }
+                    }
+                }
+            }
+            let (want, want_params) = reference.expect("non-empty grid");
+
+            let ctx = CompiledSoc::compile(&soc, flow.w_max);
+            let (got, params, stats) = best_of(&ctx, &base, &flow.sweep).expect("schedulable");
+            prop_assert_eq!(&got, &want, "power={} preempt={}", power, preempt);
+            prop_assert_eq!(params, want_params);
+            prop_assert_eq!(
+                stats.runs_executed + stats.runs_skipped + stats.runs_cut,
+                stats.runs_total
+            );
+            prop_assert!(validate_with(&ctx, &got).is_ok());
+            if let Some(p_max) = base.p_max {
+                prop_assert!(validate_power(&soc, &got, p_max).is_ok());
+            }
+            prop_assert!(got.makespan() >= ctx.lower_bound(width));
+
+            let request = EngineRequest::schedule(Arc::clone(&soc), flow, width);
+            let Ok(EngineOutput::Schedule(run)) = Engine::new().serve_one(&request) else {
+                panic!("served schedule request failed");
+            };
+            prop_assert_eq!(&run.schedule, &want, "power={} preempt={}", power, preempt);
+            prop_assert_eq!(run.params, want_params);
         }
     }
 }
