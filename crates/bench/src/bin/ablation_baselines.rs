@@ -7,16 +7,18 @@
 //! Options:  `--soc <name>` (default: d695 and p93791, the constraint-free
 //! benchmarks).
 
-use soctam_bench::{headline_config, opt_value};
+use soctam_bench::headline_config;
 use soctam_core::baseline::{fixed_width_best, session_schedule, shelf_pack};
 use soctam_core::flow::TestFlow;
+use soctam_core::protocol::{check_known_args, opt_value};
 use soctam_core::soc::benchmarks;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let socs: Vec<String> = match opt_value(&args, "--soc") {
+    check_known_args(&args, &["--soc"], &[])?;
+    let socs = match opt_value(&args, "--soc")? {
         Some(s) => vec![s],
-        None => vec!["d695".to_owned(), "p93791".to_owned()],
+        None => vec!["d695", "p93791"],
     };
 
     println!("Flexible-width rectangle packing vs baselines (testing time, cycles)");
@@ -25,8 +27,8 @@ fn main() {
         "SOC", "W", "LB", "flexible", "fixed(k<=3)", "fixed(k<=2)", "shelf", "sessions"
     );
 
-    for name in &socs {
-        let soc = benchmarks::by_name(name).expect("known benchmark");
+    for name in socs {
+        let soc = benchmarks::by_name(name).ok_or_else(|| format!("unknown SOC `{name}`"))?;
         // One compilation feeds the flexible scheduler, the lower-bound
         // column, and every baseline architecture at every width.
         let flow = TestFlow::new(&soc, headline_config());
@@ -47,4 +49,5 @@ fn main() {
     println!();
     println!("fixed(k) = best static partition of W into at most k buses, LPT core assignment");
     println!("sessions = classic test-session discipline, optimized session count + wire dealing");
+    Ok(())
 }

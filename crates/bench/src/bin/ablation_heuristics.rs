@@ -4,9 +4,11 @@
 //! disabling them one at a time.
 //!
 //! Run with: `cargo run --release -p soctam-bench --bin ablation_heuristics`
+//! Options:  none.
 
 use std::sync::Arc;
 
+use soctam_core::protocol::check_known_args;
 use soctam_core::schedule::{best_of, CompiledSoc, HeuristicToggles, ParamSweep, SchedulerConfig};
 use soctam_core::soc::benchmarks;
 
@@ -26,7 +28,9 @@ fn best_with(ctx: &CompiledSoc, w: u16, toggles: HeuristicToggles) -> u64 {
         .makespan()
 }
 
-fn main() {
+fn main() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_known_args(&args, &[], &[])?;
     println!("Heuristic ablation (testing time in cycles; best over m/d sweep)");
     println!(
         "{:<8} {:>3} {:>10} {:>12} {:>12} {:>14} {:>10}",
@@ -73,4 +77,5 @@ fn main() {
     }
     println!();
     println!("columns >= 'all on' show how much each disabled heuristic was contributing");
+    Ok(())
 }

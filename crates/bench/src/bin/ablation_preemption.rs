@@ -10,15 +10,17 @@
 //! Run with: `cargo run --release -p soctam-bench --bin ablation_preemption`
 //! Options:  `--soc <name>`, `--width W`.
 
-use soctam_bench::{headline_config, opt_value};
+use soctam_bench::headline_config;
+use soctam_core::protocol::{check_known_args, opt_num, opt_value};
 use soctam_core::report::{preemption_sweep_with, render_preemption_sweep};
 use soctam_core::schedule::ContextRegistry;
 use soctam_core::soc::benchmarks;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let only = opt_value(&args, "--soc");
-    let width: Option<u16> = opt_value(&args, "--width").and_then(|v| v.parse().ok());
+    check_known_args(&args, &["--soc", "--width"], &[])?;
+    let only = opt_value(&args, "--soc")?;
+    let width: Option<u16> = opt_num(&args, "--width")?;
     let budgets = [0u32, 1, 2, 3, 4];
     let cfg = headline_config();
     let registry = ContextRegistry::default();
@@ -26,7 +28,7 @@ fn main() {
     println!("Preemption-budget study (larger cores granted max_preempts = budget)");
     println!();
     for name in benchmarks::NAMES {
-        if only.as_deref().is_some_and(|o| o != name) {
+        if only.is_some_and(|o| o != name) {
             continue;
         }
         let soc = benchmarks::by_name(name).expect("known benchmark");
@@ -38,4 +40,5 @@ fn main() {
     }
     println!("budget 0 = non-preemptive; time gains beyond budget 2 are usually");
     println!("exhausted — each further split costs another scan-in + scan-out");
+    Ok(())
 }

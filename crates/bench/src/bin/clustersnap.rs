@@ -36,8 +36,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soctam_bench::opt_value;
 use soctam_core::fault::FaultPlan;
+use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value};
 use soctam_server::balance::{Balancer, BalancerConfig};
 use soctam_server::client::{self, LatencySummary};
 use soctam_server::{Server, ServerConfig};
@@ -259,18 +259,15 @@ fn run_chaos_pass(rounds: usize) -> ChaosOutcome {
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let clients: usize = opt_value(&args, "--clients")
-        .map_or(16, |v| v.parse().expect("--clients takes a count"))
+    check_known_args(&args, &["--clients", "--iters", "--out"], &["--quick"])?;
+    let quick = flag(&args, "--quick");
+    let clients: usize = opt_num(&args, "--clients")?.unwrap_or(16).max(1);
+    let iters: usize = opt_num(&args, "--iters")?
+        .unwrap_or(if quick { 4 } else { 12 })
         .max(1);
-    let iters: usize = opt_value(&args, "--iters")
-        .map_or(if quick { 4 } else { 12 }, |v| {
-            v.parse().expect("--iters takes a count")
-        })
-        .max(1);
-    let out_path = opt_value(&args, "--out").unwrap_or_else(|| "BENCH_cluster.json".to_owned());
+    let out_path = opt_value(&args, "--out")?.unwrap_or("BENCH_cluster.json");
 
     println!(
         "clustersnap: {KEY_COUNT} keys, {clients} clients x {iters} warm iterations, \
@@ -338,7 +335,7 @@ fn main() {
     );
     json.push_str("}\n");
 
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("error: writing `{out_path}`: {e}");
         std::process::exit(1);
     }
@@ -385,4 +382,5 @@ fn main() {
         eprintln!("error: the chaos pass booked zero failovers — the kill was not exercised");
         std::process::exit(1);
     }
+    Ok(())
 }

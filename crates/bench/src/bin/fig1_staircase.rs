@@ -5,18 +5,19 @@
 //! Run with: `cargo run --release -p soctam-bench --bin fig1_staircase`
 //! Options:  `--soc <name> --core <core-name>` for any other core.
 
-use soctam_bench::opt_value;
+use soctam_core::protocol::{check_known_args, opt_value};
 use soctam_core::report::{render_plot, staircase};
 use soctam_core::soc::benchmarks;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let soc_name = opt_value(&args, "--soc").unwrap_or_else(|| "p93791".to_owned());
-    let soc = benchmarks::by_name(&soc_name).expect("known benchmark");
-    let core_name = opt_value(&args, "--core").unwrap_or_else(|| "c06".to_owned());
+    check_known_args(&args, &["--soc", "--core"], &[])?;
+    let soc_name = opt_value(&args, "--soc")?.unwrap_or("p93791");
+    let soc = benchmarks::by_name(soc_name).ok_or_else(|| format!("unknown SOC `{soc_name}`"))?;
+    let core_name = opt_value(&args, "--core")?.unwrap_or("c06");
     let idx = soc
-        .core_by_name(&core_name)
-        .unwrap_or_else(|| panic!("no core `{core_name}` in {soc_name}"));
+        .core_by_name(core_name)
+        .ok_or_else(|| format!("no core `{core_name}` in {soc_name}"))?;
 
     let s = staircase(soc.core(idx).test(), 64);
 
@@ -51,4 +52,5 @@ fn main() {
         "T(46) = {t46}, T(47) = {t47}, T(48..64) = {t64} (flat: {})",
         t47 == t64
     );
+    Ok(())
 }

@@ -14,31 +14,33 @@
 //! the serial-TAM minimum and the paper's non-monotonic structure (local
 //! V minima at the Pareto points of the T curve) is swamped.
 
-use soctam_bench::{opt_value, sweep_config};
+use soctam_bench::sweep_config;
 use soctam_core::flow::TestFlow;
+use soctam_core::protocol::{check_known_args, opt_num, opt_value};
 use soctam_core::report::render_plot;
 use soctam_core::soc::benchmarks;
 use soctam_core::volume::CostCurve;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let soc_name = opt_value(&args, "--soc").unwrap_or_else(|| "p22810".to_owned());
-    let part = opt_value(&args, "--part");
-    let min_width: u16 = opt_value(&args, "--min-width")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let max_width: u16 = opt_value(&args, "--max-width")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(80);
+    check_known_args(
+        &args,
+        &["--part", "--soc", "--min-width", "--max-width"],
+        &[],
+    )?;
+    let soc_name = opt_value(&args, "--soc")?.unwrap_or("p22810");
+    let part = opt_value(&args, "--part")?;
+    let min_width: u16 = opt_num(&args, "--min-width")?.unwrap_or(16);
+    let max_width: u16 = opt_num(&args, "--max-width")?.unwrap_or(80);
 
-    let soc = benchmarks::by_name(&soc_name).expect("known benchmark");
+    let soc = benchmarks::by_name(soc_name).ok_or_else(|| format!("unknown SOC `{soc_name}`"))?;
     let flow = TestFlow::new(&soc, sweep_config());
     eprintln!("sweeping {soc_name} over W = {min_width}..={max_width} ...");
     let points = flow
         .sweep_widths(min_width..=max_width)
         .expect("sweep succeeds");
 
-    let want = |p: &str| part.as_deref().is_none_or(|x| x == p);
+    let want = |p: &str| part.is_none_or(|x| x == p);
 
     if want("a") {
         let series: Vec<(f64, f64)> = points
@@ -111,4 +113,5 @@ fn main() {
         );
         println!();
     }
+    Ok(())
 }

@@ -29,10 +29,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use soctam_bench::{headline_config, json_escape, opt_value};
+use soctam_bench::{headline_config, json_escape};
 use soctam_core::engine::{Engine, EngineOutput, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, SweepParams, SweepStats, TestFlow};
-use soctam_core::protocol::request_flow;
+use soctam_core::protocol::{check_known_args, flag, opt_value, request_flow};
 use soctam_core::schedule::obs;
 use soctam_core::schedule::{instrument, ContextRegistry};
 use soctam_core::soc::benchmarks;
@@ -143,11 +143,12 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let only = opt_value(&args, "--soc");
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = opt_value(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".to_owned());
+    check_known_args(&args, &["--soc", "--out"], &["--quick"])?;
+    let only = opt_value(&args, "--soc")?;
+    let quick = flag(&args, "--quick");
+    let out_path = opt_value(&args, "--out")?.unwrap_or("BENCH_sweep.json");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let registry = ContextRegistry::default();
@@ -155,7 +156,7 @@ fn main() {
 
     let mut soc_blocks = Vec::new();
     for name in benchmarks::NAMES {
-        if only.as_deref().is_some_and(|o| o != name) {
+        if only.is_some_and(|o| o != name) {
             continue;
         }
         let soc = Arc::new(benchmarks::by_name(name).expect("known benchmark"));
@@ -209,7 +210,7 @@ fn main() {
     // latency a daemon pays before any cache is warm.
     let mut cold_blocks = Vec::new();
     for name in benchmarks::NAMES {
-        if only.as_deref().is_some_and(|o| o != name) {
+        if only.is_some_and(|o| o != name) {
             continue;
         }
         let width = *benchmarks::table1_widths(name).last().expect("four widths");
@@ -336,7 +337,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("error: writing `{out_path}`: {e}");
         std::process::exit(1);
     }
@@ -372,4 +373,5 @@ fn main() {
         eprintln!("error: no benchmark cut any sweep grid points — the bound gate went dead");
         std::process::exit(1);
     }
+    Ok(())
 }

@@ -38,8 +38,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soctam_bench::{json_escape, opt_value};
+use soctam_bench::json_escape;
 use soctam_core::fault::FaultPlan;
+use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value};
 use soctam_server::client::{RetryPolicy, RetryingClient};
 use soctam_server::{client, Server, ServerConfig};
 
@@ -99,18 +100,15 @@ fn metric_value(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no metric `{name}` in:\n{metrics}"))
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let clients: usize = opt_value(&args, "--clients")
-        .map_or(4, |v| v.parse().expect("--clients takes a count"))
+    check_known_args(&args, &["--clients", "--iters", "--out"], &["--quick"])?;
+    let quick = flag(&args, "--quick");
+    let clients: usize = opt_num(&args, "--clients")?.unwrap_or(4).max(1);
+    let iters: usize = opt_num(&args, "--iters")?
+        .unwrap_or(if quick { 5 } else { 20 })
         .max(1);
-    let iters: usize = opt_value(&args, "--iters")
-        .map_or(if quick { 5 } else { 20 }, |v| {
-            v.parse().expect("--iters takes a count")
-        })
-        .max(1);
-    let out_path = opt_value(&args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_owned());
+    let out_path = opt_value(&args, "--out")?.unwrap_or("BENCH_serve.json");
 
     // Log every request of the run to a scratch JSONL file, then replay it
     // back at the daemon — the log/replay loop is part of the snapshot.
@@ -386,7 +384,7 @@ fn main() {
     );
     json.push_str("}\n");
 
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("error: writing `{out_path}`: {e}");
         std::process::exit(1);
     }
@@ -416,4 +414,5 @@ fn main() {
         );
         std::process::exit(1);
     }
+    Ok(())
 }

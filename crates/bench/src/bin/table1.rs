@@ -9,8 +9,9 @@
 
 use std::time::Instant;
 
-use soctam_bench::{headline_config, json_escape, opt_value};
+use soctam_bench::{headline_config, json_escape};
 use soctam_core::flow::{FlowConfig, ParamSweep};
+use soctam_core::protocol::{check_known_args, flag, opt_value};
 use soctam_core::report::{render_table1, table1_rows, Table1Row};
 use soctam_core::soc::benchmarks;
 
@@ -37,11 +38,12 @@ fn json_table1(sweep: &str, rows: &[Table1Row]) -> String {
     out
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let only = opt_value(&args, "--soc");
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
+    check_known_args(&args, &["--soc"], &["--quick", "--json"])?;
+    let only = opt_value(&args, "--soc")?;
+    let quick = flag(&args, "--quick");
+    let json = flag(&args, "--json");
     let cfg = if quick {
         FlowConfig {
             sweep: ParamSweep::quick(),
@@ -59,7 +61,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for name in benchmarks::NAMES {
-        if only.as_deref().is_some_and(|o| o != name) {
+        if only.is_some_and(|o| o != name) {
             continue;
         }
         let soc = benchmarks::by_name(name).expect("known benchmark");
@@ -78,4 +80,5 @@ fn main() {
     } else {
         println!("{}", render_table1(&rows));
     }
+    Ok(())
 }

@@ -12,19 +12,17 @@
 
 use std::time::Instant;
 
-use soctam_bench::{opt_value, sweep_config};
+use soctam_bench::sweep_config;
+use soctam_core::protocol::{check_known_args, opt_num, opt_value};
 use soctam_core::report::{paper_alphas, render_table2, table2};
 use soctam_core::soc::benchmarks;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let only = opt_value(&args, "--soc");
-    let min_width: u16 = opt_value(&args, "--min-width")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let max_width: u16 = opt_value(&args, "--max-width")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    check_known_args(&args, &["--soc", "--min-width", "--max-width"], &[])?;
+    let only = opt_value(&args, "--soc")?;
+    let min_width: u16 = opt_num(&args, "--min-width")?.unwrap_or(16);
+    let max_width: u16 = opt_num(&args, "--max-width")?.unwrap_or(64);
     let cfg = sweep_config();
 
     println!("Table 2: TAM widths for tester data volume reduction");
@@ -32,7 +30,7 @@ fn main() {
     println!();
 
     for name in benchmarks::NAMES {
-        if only.as_deref().is_some_and(|o| o != name) {
+        if only.is_some_and(|o| o != name) {
             continue;
         }
         let soc = benchmarks::by_name(name).expect("known benchmark");
@@ -46,4 +44,5 @@ fn main() {
             Err(e) => eprintln!("{name}: failed: {e}"),
         }
     }
+    Ok(())
 }

@@ -1,4 +1,10 @@
 //! Shared helpers for the `soctam-bench` table/figure regenerators.
+//!
+//! Every bin reads its argv with `soctam_core::protocol`'s option reader,
+//! the one the `soctam` CLI and the request grammar use: `main` first
+//! rejects any word its module doc's `Options:` line does not list
+//! (`check_known_args`), then reads those options with `opt_value`,
+//! `opt_num`, and `flag`. A bad command line exits 1 before any work.
 
 use soctam_core::flow::{FlowConfig, ParamSweep};
 
@@ -25,28 +31,6 @@ pub fn sweep_config() -> FlowConfig {
     }
 }
 
-/// Parses a `--flag value` style option from argv.
-///
-/// Exits the process (code 2) when the option is present but valueless or
-/// directly followed by another flag: the bench bins have no error
-/// channel, and silently swallowing the next flag as a value (e.g.
-/// `perfsnap --out --quick` writing a file named `--quick` from a
-/// full-mode run) would run the wrong experiment.
-pub fn opt_value(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        Some(v) => {
-            eprintln!("error: option `{name}` expects a value, but found the flag `{v}`");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("error: option `{name}` expects a value");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Escapes a string for embedding in a JSON document (the bench bins emit
 /// JSON by hand; the workspace is vendored-only, so no serde). One
 /// implementation for the whole workspace: the shared protocol module's.
@@ -59,13 +43,6 @@ mod tests {
     #[test]
     fn configs_construct() {
         assert!(headline_config().sweep.runs() > sweep_config().sweep.runs());
-    }
-
-    #[test]
-    fn opt_value_parses() {
-        let args: Vec<String> = ["--part", "a"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(opt_value(&args, "--part").as_deref(), Some("a"));
-        assert_eq!(opt_value(&args, "--missing"), None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! soctam schedule <soc> --width W [--power] [--no-preempt] [--gantt] [--svg FILE]
-//! soctam sweep <soc> [--from A] [--to B] [--alpha X]
+//! soctam sweep <soc> [--from A] [--to B] [--power] [--no-preempt] [--alpha X]
+//! soctam bounds <soc> [--widths a,b,c] [--power] [--no-preempt]
 //! soctam batch <requests.txt> [--threads N] [--out FILE]
 //! soctam serve [--addr A] [--threads N] [--cache-cap C] [--ttl SECS]
 //!              [--idle-timeout SECS] [--max-requests N] [--max-line BYTES]
@@ -14,13 +15,22 @@
 //!              [--get PATH | --file FILE | <request words> | (stdin)]
 //! soctam staircase <soc> <core>
 //! soctam wrapper <soc> <core> --width W
-//! soctam bounds <soc>
 //! soctam parse <file.soc>
 //! soctam list
 //! ```
 //!
 //! `<soc>` is a benchmark name (`d695`, `p22810`, `p34392`, `p93791`) or a
 //! path to an ITC'02-style `.soc` file.
+//!
+//! `schedule`, `sweep`, and `bounds` are protocol requests: their argv
+//! parses through [`protocol::parse_words`] and is served by
+//! [`Engine::serve_one`], exactly as `batch` and the daemon parse and
+//! serve the same words. `sweep --from` defaults to 16 and `--to` to 64;
+//! `bounds` defaults to the SOC's Table 1 widths. Only the view flags are
+//! the CLI's own: `--gantt` and `--svg FILE` on `schedule`, `--alpha X`
+//! (default 0.5, within `[0, 1]`) on `sweep`. `--trace` is a daemon option:
+//! send the request through `soctam client` to see its phase trace. Every
+//! command rejects a word it does not know.
 //!
 //! `batch` reads a request list (one request per line, `#` comments
 //! allowed) and serves it concurrently through the [`Engine`] and its
@@ -61,16 +71,17 @@
 //! transport failures with exponential backoff and deterministic jitter.
 
 use std::io::{BufRead, Write as _};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use soctam_core::engine::{Engine, EngineRequest, EngineResult};
+use soctam_core::engine::{Engine, EngineOp, EngineOutput, EngineRequest, EngineResult};
 use soctam_core::fault::FaultPlan;
-use soctam_core::flow::{FlowConfig, ParamSweep, PowerPolicy, TestFlow};
-use soctam_core::protocol::{self, check_known_args, flag, opt_value, req_value};
+use soctam_core::protocol::{
+    self, check_known_args, flag, opt_num, opt_value, req_value, MemoResolver,
+};
 use soctam_core::report;
-use soctam_core::schedule::CompiledSoc;
 use soctam_core::soc::{benchmarks, itc02, Soc};
 use soctam_core::volume::CostCurve;
 use soctam_server::balance::{Balancer, BalancerConfig};
@@ -91,7 +102,8 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   soctam schedule <soc> --width W [--power] [--no-preempt] [--gantt] [--svg FILE]
-  soctam sweep <soc> [--from A] [--to B] [--alpha X]
+  soctam sweep <soc> [--from A (16)] [--to B (64)] [--power] [--no-preempt] [--alpha X]
+  soctam bounds <soc> [--widths a,b,c] [--power] [--no-preempt]
   soctam batch <requests.txt> [--threads N] [--out FILE]
   soctam serve [--addr A] [--threads N] [--cache-cap C] [--ttl SECS]
                [--idle-timeout SECS] [--max-requests N] [--max-line BYTES]
@@ -105,24 +117,22 @@ const USAGE: &str = "usage:
                [--get PATH | --file FILE | <request words> | (requests on stdin)]
   soctam staircase <soc> <core-name>
   soctam wrapper <soc> <core-name> --width W
-  soctam bounds <soc>
   soctam parse <file.soc>
-  soctam list";
+  soctam list
+(--trace is a daemon option: send the request through `soctam client`)";
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("schedule") => cmd_schedule(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
+        Some("schedule" | "sweep" | "bounds") => cmd_solve(args),
         Some("batch") => cmd_batch(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("balance") => cmd_balance(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("staircase") => cmd_staircase(&args[1..]),
         Some("wrapper") => cmd_wrapper(&args[1..]),
-        Some("bounds") => cmd_bounds(&args[1..]),
         Some("parse") => cmd_parse(&args[1..]),
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some(other) => Err(format!("unknown command `{other}`")),
         None => Err("missing command".to_owned()),
     }
@@ -148,144 +158,118 @@ fn load_soc(name: &str) -> Result<Soc, String> {
     parsed.map_err(|e| format!("parsing `{name}`: {e}"))
 }
 
-// `flag`, `opt_value`, `req_value`, and `check_known_args` come from
-// `soctam_core::protocol` — the CLI's own argv uses the same option
-// discipline as the shared request grammar.
+/// The CLI-only view flags of the solve commands, as `(request kind,
+/// option, takes a value)`. They are split off before the rest of the
+/// argv parses as a protocol request, so a view flag given to another
+/// kind is an unknown argument.
+const VIEW_FLAGS: [(&str, &str, bool); 3] = [
+    ("schedule", "--gantt", false),
+    ("schedule", "--svg", true),
+    ("sweep", "--alpha", true),
+];
 
-fn cmd_schedule(args: &[String]) -> Result<(), String> {
-    let soc_name = args.first().ok_or("missing SOC name")?;
-    let soc = load_soc(soc_name)?;
-    let width: u16 = req_value(args, "--width")?
-        .parse()
-        .map_err(|_| "invalid --width")?;
-
-    let mut cfg = FlowConfig {
-        sweep: ParamSweep::quick(),
-        ..FlowConfig::new()
-    };
-    if flag(args, "--power") {
-        cfg = cfg.with_power(PowerPolicy::MaxCorePower);
-    }
-    if flag(args, "--no-preempt") {
-        cfg = cfg.without_preemption();
-    }
-    let run = TestFlow::new(&soc, cfg)
-        .run(width)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "{}: W={width}, testing time {} cycles (lower bound {}), volume {} bits, \
-         utilization {:.1}%, params (m={}, d={}, slack={})",
-        soc.name(),
-        run.schedule.makespan(),
-        run.lower_bound,
-        run.volume,
-        run.schedule.utilization() * 100.0,
-        run.params.0,
-        run.params.1,
-        run.params.2,
-    );
-    println!(
-        "sweep: {} of {} grid points run ({} deduplicated)",
-        run.sweep.runs_executed, run.sweep.runs_total, run.sweep.runs_skipped,
-    );
-    if flag(args, "--gantt") {
-        println!();
-        println!(
-            "{}",
-            run.schedule.gantt(&|i| soc.core(i).name().to_string(), 90)
-        );
-    }
-    if let Some(path) = opt_value(args, "--svg")? {
-        let svg = run.schedule.to_svg(
-            &|i| soc.core(i).name().to_string(),
-            soctam_core::schedule::SvgOptions::default(),
-        );
-        std::fs::write(path, svg).map_err(|e| format!("writing `{path}`: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let soc_name = args.first().ok_or("missing SOC name")?;
-    let soc = load_soc(soc_name)?;
-    let from: u16 = opt_value(args, "--from")?
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| "invalid --from")?;
-    let to: u16 = opt_value(args, "--to")?
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| "invalid --to")?;
-    let alpha: f64 = opt_value(args, "--alpha")?
-        .unwrap_or("0.5")
-        .parse()
-        .map_err(|_| "invalid --alpha")?;
-    if from == 0 || from > to {
-        return Err("need 0 < --from <= --to".to_owned());
-    }
-
-    let cfg = FlowConfig {
-        sweep: ParamSweep::quick(),
-        ..FlowConfig::new()
-    };
-    let pts = TestFlow::new(&soc, cfg)
-        .sweep_widths(from..=to)
-        .map_err(|e| e.to_string())?;
-    let curve = CostCurve::new(&pts, alpha);
-    println!(
-        "{:>4} {:>12} {:>14} {:>10}",
-        "W", "T (cycles)", "V (bits)", "C"
-    );
-    for (p, c) in pts.iter().zip(curve.points()) {
-        println!(
-            "{:>4} {:>12} {:>14} {:>10.4}",
-            p.width, p.time, p.volume, c.cost
-        );
-    }
-    let eff = curve.effective_point();
-    println!(
-        "effective width for alpha={alpha}: W_eff={} (C_min={:.4}, T={}, V={})",
-        eff.width, eff.cost, eff.time, eff.volume
-    );
-    Ok(())
-}
-
-/// The CLI's [`protocol::SocResolver`]: benchmark names *and* `.soc`
-/// file paths (the daemon's resolver, by contrast, refuses paths), with
-/// loads memoized through `socs` so a thousand requests over one file
-/// read and parse it once and share one `Arc<Soc>`.
-fn file_resolver(
-    socs: &mut std::collections::HashMap<String, Arc<Soc>>,
-) -> impl protocol::SocResolver + '_ {
-    |name: &str| {
-        if let Some(soc) = socs.get(name) {
-            return Ok(Arc::clone(soc));
+/// `soctam schedule|sweep|bounds`: the argv, minus its view flags, is one
+/// protocol request, served as `batch` and the daemon serve it.
+fn cmd_solve(args: &[String]) -> Result<(), String> {
+    let kind = args[0].as_str();
+    let (mut view, mut words) = (Vec::new(), Vec::new());
+    let mut it = args.iter().peekable();
+    while let Some(word) = it.next() {
+        match VIEW_FLAGS
+            .iter()
+            .find(|(k, name, _)| *k == kind && word == name)
+        {
+            Some(&(_, _, takes_value)) => {
+                view.push(word.clone());
+                // A flag-shaped word stays where it is, so `opt_value`
+                // below reports the missing value.
+                if takes_value {
+                    view.extend(it.next_if(|v| !v.starts_with("--")).cloned());
+                }
+            }
+            None => words.push(word.clone()),
         }
-        let soc = Arc::new(load_soc(name)?);
-        socs.insert(name.to_owned(), Arc::clone(&soc));
-        Ok(soc)
     }
-}
-
-/// Parses one non-comment line of a batch request file through the shared
-/// wire-format parser ([`protocol::parse_request`]). Production traffic
-/// flows through [`parse_batch_file`]; this single-line entry point pins
-/// the grammar in the test suite.
-#[cfg(test)]
-fn parse_batch_line(
-    line: &str,
-    socs: &mut std::collections::HashMap<String, Arc<Soc>>,
-) -> Result<EngineRequest, String> {
-    protocol::parse_request(line, &mut file_resolver(socs))
+    let alpha: f64 = opt_num(&view, "--alpha")?.unwrap_or(0.5);
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(format!("option `--alpha`: {alpha} is outside [0, 1]"));
+    }
+    let svg = opt_value(&view, "--svg")?;
+    if flag(&words, "--trace") || flag(&words, "trace=1") {
+        return Err("`--trace` is a daemon option: send the request through \
+                    `soctam client` to see its phase trace"
+            .to_owned());
+    }
+    let req = protocol::parse_words(&words, &mut MemoResolver::new(load_soc))?;
+    let output = Engine::new().serve_one(&req).map_err(|e| e.to_string())?;
+    let soc = &req.soc;
+    match (&req.op, output) {
+        (EngineOp::Schedule { width }, EngineOutput::Schedule(run)) => {
+            println!(
+                "{}: W={width}, testing time {} cycles (lower bound {}), volume {} bits, \
+                 utilization {:.1}%, params (m={}, d={}, slack={})",
+                soc.name(),
+                run.schedule.makespan(),
+                run.lower_bound,
+                run.volume,
+                run.schedule.utilization() * 100.0,
+                run.params.0,
+                run.params.1,
+                run.params.2,
+            );
+            println!(
+                "sweep: {} of {} grid points run ({} deduplicated, {} cut)",
+                run.sweep.runs_executed,
+                run.sweep.runs_total,
+                run.sweep.runs_skipped,
+                run.sweep.runs_cut,
+            );
+            let name = |i: usize| soc.core(i).name().to_string();
+            if flag(&view, "--gantt") {
+                println!();
+                println!("{}", run.schedule.gantt(&name, 90));
+            }
+            if let Some(path) = svg {
+                let svg = run
+                    .schedule
+                    .to_svg(&name, soctam_core::schedule::SvgOptions::default());
+                std::fs::write(path, svg).map_err(|e| format!("writing `{path}`: {e}"))?;
+                println!("wrote {path}");
+            }
+        }
+        (_, EngineOutput::Sweep(points)) => {
+            let curve = CostCurve::new(&points, alpha);
+            println!(
+                "{:>4} {:>12} {:>14} {:>10}",
+                "W", "T (cycles)", "V (bits)", "C"
+            );
+            for (p, c) in points.iter().zip(curve.points()) {
+                println!(
+                    "{:>4} {:>12} {:>14} {:>10.4}",
+                    p.width, p.time, p.volume, c.cost
+                );
+            }
+            let eff = curve.effective_point();
+            println!(
+                "effective width for alpha={alpha}: W_eff={} (C_min={:.4}, T={}, V={})",
+                eff.width, eff.cost, eff.time, eff.volume
+            );
+        }
+        (EngineOp::Bounds { widths }, EngineOutput::Bounds(bounds)) => {
+            println!("{}: testing-time lower bounds", soc.name());
+            for (w, lb) in widths.iter().zip(bounds) {
+                println!("  W={w:>3}: {lb}");
+            }
+        }
+        _ => unreachable!("the engine answers each op with its own output"),
+    }
+    Ok(())
 }
 
 /// Parses a whole request file: one request per line, blank lines and
 /// `#` comments skipped. Errors carry the 1-based line number.
 fn parse_batch_file(text: &str) -> Result<Vec<EngineRequest>, String> {
-    let mut socs = std::collections::HashMap::new();
-    let mut resolver = file_resolver(&mut socs);
-    protocol::parse_request_file(text, &mut resolver)
+    protocol::parse_request_file(text, &mut MemoResolver::new(load_soc))
 }
 
 /// One batch-report result element: the shared response object, indented
@@ -297,9 +281,7 @@ fn json_request(req: &EngineRequest, result: &EngineResult) -> String {
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing request file")?;
     check_known_args(&args[1..], &["--threads", "--out"], &[])?;
-    let threads = opt_value(args, "--threads")?
-        .map(|t| t.parse::<usize>().map_err(|_| "invalid --threads"))
-        .transpose()?;
+    let threads = opt_num(args, "--threads")?;
     let out = opt_value(args, "--out")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
     let requests = parse_batch_file(&text)?;
@@ -350,10 +332,9 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 /// explicitly disables the deadline (`Ok(Some(None))`) and absence keeps
 /// the caller's default (`Ok(None)`).
 fn opt_seconds(args: &[String], name: &str) -> Result<Option<Option<Duration>>, String> {
-    match opt_value(args, name)? {
+    match opt_num::<f64>(args, name)? {
         None => Ok(None),
         Some(secs) => {
-            let secs: f64 = secs.parse().map_err(|_| format!("invalid {name}"))?;
             if !secs.is_finite() || secs < 0.0 {
                 return Err(format!("{name} must be a non-negative number of seconds"));
             }
@@ -388,14 +369,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         &[],
     )?;
     let addr = opt_value(args, "--addr")?.unwrap_or("127.0.0.1:3777");
-    let threads: usize = opt_value(args, "--threads")?
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "invalid --threads")?;
-    let cache_capacity: usize = opt_value(args, "--cache-cap")?
-        .unwrap_or("1024")
-        .parse()
-        .map_err(|_| "invalid --cache-cap")?;
+    let threads = opt_num(args, "--threads")?.unwrap_or(4);
+    let cache_capacity = opt_num(args, "--cache-cap")?.unwrap_or(1024);
     let ttl = match opt_seconds(args, "--ttl")? {
         Some(None) => return Err("--ttl must be a positive number of seconds".to_owned()),
         Some(some) => some,
@@ -410,30 +385,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(idle) = opt_seconds(args, "--idle-timeout")? {
         cfg.idle_timeout = idle; // 0 disables the peer deadline
     }
-    if let Some(cap) = opt_value(args, "--max-requests")? {
-        let cap: u64 = cap.parse().map_err(|_| "invalid --max-requests")?;
+    if let Some(cap) = opt_num::<u64>(args, "--max-requests")? {
         cfg.max_requests = (cap > 0).then_some(cap); // 0 means unlimited
     }
-    if let Some(bytes) = opt_value(args, "--max-line")? {
-        let bytes: usize = bytes.parse().map_err(|_| "invalid --max-line")?;
-        if bytes == 0 {
-            return Err("--max-line must be a positive byte count".to_owned());
-        }
-        cfg.max_line_bytes = bytes;
+    if let Some(bytes) = opt_num::<NonZeroUsize>(args, "--max-line")? {
+        cfg.max_line_bytes = bytes.get();
     }
     cfg.log_path = opt_value(args, "--log")?.map(std::path::PathBuf::from);
-    if let Some(pending) = opt_value(args, "--max-pending")? {
-        let pending: usize = pending.parse().map_err(|_| "invalid --max-pending")?;
-        if pending == 0 {
-            return Err("--max-pending must be a positive connection count".to_owned());
-        }
-        cfg.max_pending = pending;
+    if let Some(pending) = opt_num::<NonZeroUsize>(args, "--max-pending")? {
+        cfg.max_pending = pending.get();
     }
     if let Some(plan) = opt_value(args, "--fault-inject")? {
         cfg.fault_plan = Some(Arc::new(FaultPlan::parse(plan)?));
     }
-    if let Some(ms) = opt_value(args, "--slow-log")? {
-        let ms: f64 = ms.parse().map_err(|_| "invalid --slow-log")?;
+    if let Some(ms) = opt_num::<f64>(args, "--slow-log")? {
         if !ms.is_finite() || ms < 0.0 {
             return Err("--slow-log must be a non-negative millisecond threshold".to_owned());
         }
@@ -519,8 +484,8 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
     }
 
     let mut cfg = BalancerConfig::default();
-    if let Some(threads) = opt_value(args, "--threads")? {
-        cfg.threads = threads.parse().map_err(|_| "invalid --threads")?;
+    if let Some(threads) = opt_num(args, "--threads")? {
+        cfg.threads = threads;
     }
     if let Some(interval) = opt_seconds(args, "--probe-interval")? {
         cfg.probe_interval =
@@ -530,35 +495,23 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
         cfg.probe_timeout =
             timeout.ok_or("--probe-timeout must be a positive number of seconds".to_owned())?;
     }
-    if let Some(retries) = opt_value(args, "--retries")? {
-        cfg.retries = retries.parse().map_err(|_| "invalid --retries")?;
+    if let Some(retries) = opt_num(args, "--retries")? {
+        cfg.retries = retries;
     }
     if let Some(backoff) = opt_seconds(args, "--backoff")? {
         cfg.backoff = backoff.unwrap_or(Duration::ZERO); // 0 retries immediately
     }
-    if let Some(conns) = opt_value(args, "--backend-conns")? {
-        let conns: usize = conns.parse().map_err(|_| "invalid --backend-conns")?;
-        if conns == 0 {
-            return Err("--backend-conns must be a positive connection count".to_owned());
-        }
-        cfg.backend_conns = conns;
+    if let Some(conns) = opt_num::<NonZeroUsize>(args, "--backend-conns")? {
+        cfg.backend_conns = conns.get();
     }
-    if let Some(bytes) = opt_value(args, "--max-line")? {
-        let bytes: usize = bytes.parse().map_err(|_| "invalid --max-line")?;
-        if bytes == 0 {
-            return Err("--max-line must be a positive byte count".to_owned());
-        }
-        cfg.max_line_bytes = bytes;
+    if let Some(bytes) = opt_num::<NonZeroUsize>(args, "--max-line")? {
+        cfg.max_line_bytes = bytes.get();
     }
     if let Some(idle) = opt_seconds(args, "--idle-timeout")? {
         cfg.idle_timeout = idle; // 0 disables the peer deadline
     }
-    if let Some(pending) = opt_value(args, "--max-pending")? {
-        let pending: usize = pending.parse().map_err(|_| "invalid --max-pending")?;
-        if pending == 0 {
-            return Err("--max-pending must be a positive connection count".to_owned());
-        }
-        cfg.max_pending = pending;
+    if let Some(pending) = opt_num::<NonZeroUsize>(args, "--max-pending")? {
+        cfg.max_pending = pending.get();
     }
 
     let probe_interval = cfg.probe_interval;
@@ -593,10 +546,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let addr = req_value(args, "--addr")?.to_owned();
     let path = opt_value(args, "--get")?.map(str::to_owned);
     let file = opt_value(args, "--file")?.map(str::to_owned);
-    let retries: u32 = opt_value(args, "--retries")?
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "invalid --retries")?;
+    let retries = opt_num(args, "--retries")?.unwrap_or(0);
     let backoff = match opt_seconds(args, "--backoff")? {
         None => Duration::from_millis(100),
         Some(None) => Duration::ZERO, // 0 retries immediately
@@ -695,6 +645,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
 fn cmd_staircase(args: &[String]) -> Result<(), String> {
     let soc_name = args.first().ok_or("missing SOC name")?;
     let core_name = args.get(1).ok_or("missing core name")?;
+    check_known_args(&args[2..], &[], &[])?;
     let soc = load_soc(soc_name)?;
     let idx = soc
         .core_by_name(core_name)
@@ -715,9 +666,8 @@ fn cmd_staircase(args: &[String]) -> Result<(), String> {
 fn cmd_wrapper(args: &[String]) -> Result<(), String> {
     let soc_name = args.first().ok_or("missing SOC name")?;
     let core_name = args.get(1).ok_or("missing core name")?;
-    let width: u16 = req_value(args, "--width")?
-        .parse()
-        .map_err(|_| "invalid --width")?;
+    check_known_args(&args[2..], &["--width"], &[])?;
+    let width: u16 = opt_num(args, "--width")?.ok_or("missing --width")?;
     let soc = load_soc(soc_name)?;
     let idx = soc
         .core_by_name(core_name)
@@ -733,20 +683,9 @@ fn cmd_wrapper(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bounds(args: &[String]) -> Result<(), String> {
-    let soc_name = args.first().ok_or("missing SOC name")?;
-    let soc = load_soc(soc_name)?;
-    let widths: Vec<u16> = benchmarks::table1_widths(soc.name()).to_vec();
-    let lbs = CompiledSoc::compile(&soc, 64).lower_bounds(&widths);
-    println!("{}: testing-time lower bounds", soc.name());
-    for (w, lb) in widths.iter().zip(lbs) {
-        println!("  W={w:>3}: {lb}");
-    }
-    Ok(())
-}
-
 fn cmd_parse(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing file path")?;
+    check_known_args(&args[1..], &[], &[])?;
     let soc = load_soc(path)?;
     soc.validate().map_err(|e| e.to_string())?;
     println!(
@@ -760,7 +699,8 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    check_known_args(args, &[], &[])?;
     for name in benchmarks::NAMES {
         let soc = benchmarks::by_name(name).expect("known benchmark");
         println!("{name}: {} cores", soc.len());
@@ -771,7 +711,7 @@ fn cmd_list() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctam_core::engine::{EngineOp, EngineOutput};
+    use soctam_core::flow::TestFlow;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -857,7 +797,7 @@ mod tests {
     }
 
     fn parse_line(line: &str) -> Result<EngineRequest, String> {
-        parse_batch_line(line, &mut std::collections::HashMap::new())
+        protocol::parse_request(line, &mut MemoResolver::new(load_soc))
     }
 
     #[test]
@@ -914,9 +854,9 @@ mod tests {
 
     #[test]
     fn batch_file_memoizes_soc_loads() {
-        let mut socs = std::collections::HashMap::new();
-        let a = parse_batch_line("schedule d695 --width 16", &mut socs).unwrap();
-        let b = parse_batch_line("bounds d695", &mut socs).unwrap();
+        let mut socs = MemoResolver::new(load_soc);
+        let a = protocol::parse_request("schedule d695 --width 16", &mut socs).unwrap();
+        let b = protocol::parse_request("bounds d695", &mut socs).unwrap();
         assert!(Arc::ptr_eq(&a.soc, &b.soc), "one load, one shared Arc");
         assert_eq!(socs.len(), 1);
     }

@@ -1,11 +1,17 @@
-//! The request/response protocol shared by `soctam batch` and the wire.
+//! The request/response protocol shared by the CLI, `soctam batch`, and
+//! the wire.
 //!
 //! One grammar, one parser, one response renderer: a *request* is a single
-//! line of text, whether it comes from a `soctam batch` request file or
-//! over a `soctam-server` TCP connection, and a *response* is a single
+//! line of text, whether it comes from a `soctam batch` request file, over
+//! a `soctam-server` TCP connection, or as the argv of `soctam schedule`,
+//! `sweep`, or `bounds` ([`parse_words`]), and a *response* is a single
 //! JSON object, whether it is embedded in the batch report or written back
-//! as one line on the wire. Factoring both here means the batch file
-//! format and the network protocol can never drift apart.
+//! as one line on the wire. Factoring both here means the command line,
+//! the batch file format, and the network protocol can never drift apart.
+//!
+//! The option reader — [`check_known_args`], [`flag`], [`opt_value`],
+//! [`req_value`], and [`opt_num`] — is the one every `soctam` command and
+//! every bench bin reads its argv with.
 //!
 //! # Request grammar
 //!
@@ -43,6 +49,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use soctam_soc::{benchmarks, Soc};
@@ -80,7 +87,8 @@ impl<F: FnMut(&str) -> Result<Arc<Soc>, String>> SocResolver for F {
 }
 
 /// A memoizing [`SocResolver`] over a plain loader function: each distinct
-/// name is loaded once and shared by every later request.
+/// name is loaded once and shared by every later request. The CLI resolves
+/// benchmark names and `.soc` file paths through one.
 pub struct MemoResolver<F> {
     load: F,
     cache: HashMap<String, Arc<Soc>>,
@@ -117,17 +125,45 @@ impl<F: FnMut(&str) -> Result<Soc, String>> SocResolver for MemoResolver<F> {
     }
 }
 
-/// The resolver a network-facing daemon uses: benchmark names only, never
-/// the filesystem.
-pub fn benchmark_resolver() -> MemoResolver<impl FnMut(&str) -> Result<Soc, String>> {
-    MemoResolver::new(|name: &str| {
-        benchmarks::by_name(name).ok_or_else(|| {
+/// The resolver a network-facing daemon uses: every benchmark model,
+/// resolved once into an immutable map. It serves benchmark names only,
+/// never the filesystem: remote peers must not be able to make a daemon
+/// read paths. A lookup takes no lock, so nothing for a panic to poison.
+#[derive(Debug, Clone)]
+pub struct BenchmarkCatalog {
+    socs: HashMap<&'static str, Arc<Soc>>,
+}
+
+impl BenchmarkCatalog {
+    /// Looks up a benchmark model by name.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the token and listing the servable benchmarks.
+    pub fn get(&self, name: &str) -> Result<Arc<Soc>, String> {
+        self.socs.get(name).cloned().ok_or_else(|| {
             format!(
-                "unknown SOC `{name}` (this resolver serves benchmark models only: {})",
+                "unknown SOC `{name}` (the server resolves benchmark names only: {})",
                 benchmarks::NAMES.join(", ")
             )
         })
-    })
+    }
+}
+
+impl SocResolver for BenchmarkCatalog {
+    fn resolve(&mut self, name: &str) -> Result<Arc<Soc>, String> {
+        self.get(name)
+    }
+}
+
+/// The [`BenchmarkCatalog`]: the daemon's and the balancer's resolver.
+pub fn benchmark_resolver() -> BenchmarkCatalog {
+    BenchmarkCatalog {
+        socs: benchmarks::NAMES
+            .iter()
+            .filter_map(|name| benchmarks::by_name(name).map(|soc| (*name, Arc::new(soc))))
+            .collect(),
+    }
 }
 
 /// Whether the bare flag `name` appears in `args`.
@@ -174,9 +210,20 @@ pub fn req_value<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> 
 
 /// Parses the numeric value of option `name` (already extracted as `v`),
 /// naming both the field and the rejected token on failure.
-fn num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+fn num<T: FromStr>(name: &str, v: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("option `{name}`: invalid value `{v}`"))
+}
+
+/// [`opt_value`] parsed as a `T`: the one numeric option reader of the
+/// request grammar, the CLI, and the bench bins.
+///
+/// # Errors
+///
+/// As [`opt_value`], plus a message naming the option and the rejected
+/// value when it does not parse as a `T`.
+pub fn opt_num<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    opt_value(args, name)?.map(|v| num(name, v)).transpose()
 }
 
 /// Rejects any token the request kind does not understand: a misspelled
@@ -226,10 +273,24 @@ pub fn request_flow(power: bool, no_preempt: bool) -> FlowConfig {
 ///
 /// # Errors
 ///
-/// A message naming the offending field: the unknown request kind, the
-/// unresolvable SOC, the unknown flag, or the malformed option value.
+/// As [`parse_words`].
 pub fn parse_request(line: &str, resolver: &mut impl SocResolver) -> Result<EngineRequest, String> {
     let words: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+    parse_words(&words, resolver)
+}
+
+/// Parses one request already split into words — the request kind first —
+/// resolving the SOC token through `resolver`. The CLI passes its argv
+/// here unsplit, so a `.soc` path containing a space still resolves.
+///
+/// # Errors
+///
+/// A message naming the offending field: the unknown request kind, the
+/// unresolvable SOC, the unknown flag, or the malformed option value.
+pub fn parse_words(
+    words: &[String],
+    resolver: &mut impl SocResolver,
+) -> Result<EngineRequest, String> {
     let (kind, rest) = words.split_first().ok_or("empty request")?;
     // Validate the request kind before touching the resolver: a garbage
     // line like `frobnicate d695` must not load d695 into the resolver's
@@ -257,11 +318,11 @@ pub fn parse_request(line: &str, resolver: &mut impl SocResolver) -> Result<Engi
     let trace = flag(args, "--trace") || flag(args, "trace=1");
     let op = match kind.as_str() {
         "schedule" => EngineOp::Schedule {
-            width: num("--width", req_value(args, "--width")?)?,
+            width: opt_num(args, "--width")?.ok_or("missing --width")?,
         },
         "sweep" => {
-            let from: u16 = num("--from", opt_value(args, "--from")?.unwrap_or("16"))?;
-            let to: u16 = num("--to", opt_value(args, "--to")?.unwrap_or("64"))?;
+            let from: u16 = opt_num(args, "--from")?.unwrap_or(16);
+            let to: u16 = opt_num(args, "--to")?.unwrap_or(64);
             if from == 0 || from > to {
                 return Err("need 0 < --from <= --to".to_owned());
             }
@@ -600,7 +661,6 @@ mod tests {
         let a = r.resolve("d695").unwrap();
         let b = r.resolve("d695").unwrap();
         assert!(Arc::ptr_eq(&a, &b), "one load, one shared Arc");
-        assert_eq!(r.len(), 1);
         let err = r.resolve("../../etc/passwd").unwrap_err();
         assert!(err.contains("../../etc/passwd"), "names the token: {err}");
         assert!(err.contains("d695"), "lists what is servable: {err}");
@@ -652,27 +712,35 @@ mod tests {
         assert!(parse_request("sweep d695 --from 1 --to 1024", &mut r).is_ok());
     }
 
+    /// A resolver that counts its calls, so a test can assert it was
+    /// never consulted.
+    fn counting(calls: &mut usize) -> impl SocResolver + '_ {
+        |name: &str| {
+            *calls += 1;
+            benchmark_resolver().get(name)
+        }
+    }
+
     #[test]
     fn unknown_kind_is_rejected_before_the_soc_resolves() {
-        let mut r = benchmark_resolver();
-        let err = parse_request("frobnicate d695", &mut r).unwrap_err();
+        let mut calls = 0;
+        let err = parse_request("frobnicate d695", &mut counting(&mut calls)).unwrap_err();
         assert!(err.contains("frobnicate"), "{err}");
-        assert!(
-            r.is_empty(),
-            "a garbage line must not load SOCs into the resolver memo"
-        );
+        assert_eq!(calls, 0, "a garbage line must not resolve SOCs");
     }
 
     #[test]
     fn flag_shaped_soc_token_reports_a_missing_soc_name() {
-        let mut r = benchmark_resolver();
+        let mut calls = 0;
+        let mut r = counting(&mut calls);
         let err = parse_request("schedule --width 16", &mut r).unwrap_err();
         assert!(err.contains("missing SOC name"), "{err}");
         assert!(err.contains("--width"), "names the found flag: {err}");
-        assert!(r.is_empty(), "no resolver call for a flag-shaped token");
         // A kind alone still reports the missing name.
         let err = parse_request("bounds", &mut r).unwrap_err();
         assert!(err.contains("missing SOC name"), "{err}");
+        drop(r);
+        assert_eq!(calls, 0, "no resolver call for a flag-shaped token");
     }
 
     #[test]
@@ -698,6 +766,27 @@ mod tests {
             err.contains("--widths") && err.contains("more than once"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn opt_num_parses_and_names_rejected_values() {
+        let args: Vec<String> = ["--width", "16", "--max-line", "0", "--from", "x"]
+            .map(str::to_owned)
+            .to_vec();
+        assert_eq!(opt_num::<u16>(&args, "--width"), Ok(Some(16)));
+        assert_eq!(opt_num::<u16>(&args, "--absent"), Ok(None));
+        assert_eq!(
+            opt_num::<std::num::NonZeroUsize>(&args, "--max-line"),
+            Err("option `--max-line`: invalid value `0`".to_owned())
+        );
+        assert_eq!(
+            opt_num::<u16>(&args, "--from"),
+            Err("option `--from`: invalid value `x`".to_owned())
+        );
+        let valueless = ["--width".to_owned()];
+        assert!(opt_num::<u16>(&valueless, "--width")
+            .unwrap_err()
+            .contains("expects a value"));
     }
 
     #[test]

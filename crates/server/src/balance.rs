@@ -77,7 +77,6 @@ use soctam_core::schedule::obs;
 
 use crate::client::{self, RetryPolicy, RetryingClient};
 use crate::front::{Conn, Front, FrontStats, Handler, Limits};
-use crate::BenchmarkCatalog;
 
 /// Configuration of a balancer front.
 #[derive(Debug, Clone)]
@@ -111,20 +110,13 @@ pub struct BalancerConfig {
     /// toward one shard. Must stay *below* the backends' worker-thread
     /// count (see the module docs); clamped to at least 1.
     pub backend_conns: usize,
-    /// Read/write deadline on pooled backend connections: a backend that
-    /// stops answering surfaces as a failover, not a front worker blocked
-    /// forever.
-    pub io_timeout: Option<Duration>,
-    /// Virtual nodes per backend on the hash ring; more replicas smooth
-    /// the key distribution. Clamped to at least 1.
-    pub replicas: usize,
 }
 
 impl Default for BalancerConfig {
     /// Eight workers, a 64-connection pending queue, 64 KiB lines,
     /// 30-second peer deadlines; 1-second probes with 1-second deadlines;
     /// one retry at 25 ms base backoff, two pooled connections per
-    /// backend with a 30-second I/O deadline, 64 virtual nodes each.
+    /// backend.
     fn default() -> Self {
         Self {
             threads: 8,
@@ -136,8 +128,6 @@ impl Default for BalancerConfig {
             retries: 1,
             backoff: Duration::from_millis(25),
             backend_conns: 2,
-            io_timeout: Some(Duration::from_secs(30)),
-            replicas: 64,
         }
     }
 }
@@ -157,6 +147,11 @@ struct PoolInner {
     /// outstanding` never exceeds `backend_conns`.
     outstanding: usize,
 }
+
+/// Read/write deadline on pooled backend connections: a backend that
+/// stops answering surfaces as a failover, not a front worker blocked
+/// forever.
+const BACKEND_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One backend daemon: its routing state and its connection pool.
 struct Backend {
@@ -210,7 +205,7 @@ impl Backend {
                     seed: 0x50c7_ba1a ^ seq,
                 };
                 return match RetryingClient::new(self.addr, policy) {
-                    Ok(conn) => Some(conn.with_io_timeout(shared.cfg.io_timeout)),
+                    Ok(conn) => Some(conn.with_io_timeout(Some(BACKEND_IO_TIMEOUT))),
                     Err(_) => {
                         self.discard();
                         None
@@ -243,6 +238,10 @@ impl Backend {
         self.available.notify_one();
     }
 }
+
+/// Virtual nodes per backend on the hash ring; more replicas smooth the
+/// key distribution.
+const REPLICAS: usize = 64;
 
 /// The consistent-hash ring: sorted virtual-node points, each owned by a
 /// backend index.
@@ -310,7 +309,7 @@ struct Proxy {
     cfg: BalancerConfig,
     backends: Vec<Backend>,
     ring: Ring,
-    catalog: BenchmarkCatalog,
+    catalog: protocol::BenchmarkCatalog,
     counters: ProxyCounters,
     /// The front's connection counters and gauges.
     front: Arc<FrontStats>,
@@ -391,7 +390,6 @@ impl Balancer {
         cfg.max_line_bytes = cfg.max_line_bytes.max(64);
         cfg.backend_conns = cfg.backend_conns.max(1);
         cfg.probe_interval = cfg.probe_interval.max(Duration::from_millis(10));
-        cfg.replicas = cfg.replicas.max(1);
 
         let backends: Vec<Backend> = backends.iter().copied().map(Backend::new).collect();
         let labels: Vec<String> = backends.iter().map(|b| b.label.clone()).collect();
@@ -408,10 +406,10 @@ impl Balancer {
             drain: Duration::ZERO,
         };
         let shared = Arc::new(Proxy {
-            ring: Ring::new(&labels, cfg.replicas),
+            ring: Ring::new(&labels, REPLICAS),
             cfg,
             backends,
-            catalog: BenchmarkCatalog::new(),
+            catalog: protocol::benchmark_resolver(),
             counters: ProxyCounters::default(),
             front: Arc::default(),
             started: Instant::now(),
@@ -563,7 +561,7 @@ fn forward(shared: &Proxy, backend: &Backend, line: &str) -> Forward {
 /// believed-up backends first, then — total-outage desperation — the
 /// marked-down ones, in case the prober's view is stale.
 fn proxy_request(shared: &Proxy, line: &str) -> String {
-    let parsed = protocol::parse_request(line, &mut |name: &str| shared.catalog.resolve(name));
+    let parsed = protocol::parse_request(line, &mut |name: &str| shared.catalog.get(name));
     let request = match parsed {
         Err(e) => {
             shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);

@@ -76,8 +76,8 @@
 //!
 //! On shutdown the daemon drains gracefully: idle connections are severed
 //! immediately (there is nothing to flush), while connections with a
-//! request in flight get up to [`ServerConfig::drain`] to finish solving
-//! and flush their response before being severed.
+//! request in flight get up to five seconds to finish solving and flush
+//! their response before being severed.
 //!
 //! # Admission control
 //!
@@ -204,7 +204,6 @@ use soctam_core::fault::{FaultAction, FaultPlan, FaultSite};
 use soctam_core::protocol;
 use soctam_core::schedule::obs;
 use soctam_core::schedule::{instrument, lock_unpoisoned, ContextRegistry};
-use soctam_core::soc::Soc;
 
 use front::{Conn, Front, FrontStats, Handler, Limits};
 
@@ -221,8 +220,6 @@ pub struct ServerConfig {
     /// Total solution-cache capacity in results; 0 disables result
     /// caching (every request re-solves).
     pub cache_capacity: usize,
-    /// Total context-registry capacity in compiled contexts.
-    pub registry_capacity: usize,
     /// Optional time-to-live applied to both cached solutions and
     /// compiled contexts; `None` means entries never expire.
     pub ttl: Option<Duration>,
@@ -241,11 +238,6 @@ pub struct ServerConfig {
     /// with a parse-error JSON object and the connection is closed.
     /// Clamped to at least 64.
     pub max_line_bytes: usize,
-    /// Shutdown grace for connections with a request in flight: the drain
-    /// window in which their solve may finish and the response flush
-    /// before the socket is severed. Idle connections are severed
-    /// immediately regardless.
-    pub drain: Duration,
     /// Append a JSONL record per served request line to this file (see
     /// the [module docs](self) for the schema). `None` disables logging.
     pub log_path: Option<PathBuf>,
@@ -267,20 +259,17 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Four workers, a 1024-result cache over a default-sized registry, no
-    /// expiry; 30-second peer deadlines, unlimited requests per
-    /// connection, 64 KiB line cap, 5-second shutdown drain, no log; a
-    /// 64-connection pending queue, no fault injection.
+    /// Four workers, a 1024-result cache, no expiry; 30-second peer
+    /// deadlines, unlimited requests per connection, 64 KiB line cap, no
+    /// log; a 64-connection pending queue, no fault injection.
     fn default() -> Self {
         Self {
             threads: 4,
             cache_capacity: 1024,
-            registry_capacity: ContextRegistry::DEFAULT_CAPACITY,
             ttl: None,
             idle_timeout: Some(Duration::from_secs(30)),
             max_requests: None,
             max_line_bytes: 64 * 1024,
-            drain: Duration::from_secs(5),
             log_path: None,
             max_pending: 64,
             fault_plan: None,
@@ -325,37 +314,6 @@ struct Counters {
     responses_err: AtomicU64,
 }
 
-/// The daemon's SOC resolver: every benchmark model, resolved once at
-/// bind time into an immutable map. The request path does a read-only
-/// lookup — no lock, no contention, nothing for a panic to poison.
-pub(crate) struct BenchmarkCatalog {
-    socs: std::collections::HashMap<&'static str, Arc<Soc>>,
-}
-
-impl BenchmarkCatalog {
-    pub(crate) fn new() -> Self {
-        Self {
-            socs: soctam_core::soc::benchmarks::NAMES
-                .iter()
-                .filter_map(|name| {
-                    soctam_core::soc::benchmarks::by_name(name).map(|soc| (*name, Arc::new(soc)))
-                })
-                .collect(),
-        }
-    }
-
-    /// Resolves a benchmark name — never a filesystem path: remote peers
-    /// must not be able to make the daemon read paths.
-    pub(crate) fn resolve(&self, name: &str) -> Result<Arc<Soc>, String> {
-        self.socs.get(name).cloned().ok_or_else(|| {
-            format!(
-                "unknown SOC `{name}` (the server resolves benchmark names only: {})",
-                soctam_core::soc::benchmarks::NAMES.join(", ")
-            )
-        })
-    }
-}
-
 /// The daemon's request handler: the engine behind the shared connection
 /// front, plus everything the daemon records about each request.
 struct Shared {
@@ -364,7 +322,7 @@ struct Shared {
     counters: Counters,
     /// The front's connection counters and gauges.
     front: Arc<FrontStats>,
-    catalog: BenchmarkCatalog,
+    catalog: protocol::BenchmarkCatalog,
     started: Instant,
     /// The JSONL request log, when configured.
     log: Option<Mutex<std::fs::File>>,
@@ -559,6 +517,11 @@ pub struct WarmReport {
     pub skipped: usize,
 }
 
+/// Shutdown grace for connections with a request in flight: the drain
+/// window in which their solve may finish and the response flush before
+/// the socket is severed. Idle connections are severed immediately.
+const DRAIN: Duration = Duration::from_secs(5);
+
 /// A running serving daemon: the shared connection front over one cached
 /// [`Engine`]. Dropping (or calling [`Server::shutdown`]) stops accepting,
 /// drains in-flight responses (severing idle peers immediately), and
@@ -581,10 +544,7 @@ impl Server {
         cfg.max_line_bytes = cfg.max_line_bytes.max(64);
         cfg.max_pending = cfg.max_pending.max(1);
 
-        let mut registry = ContextRegistry::new(
-            ContextRegistry::DEFAULT_SHARDS,
-            cfg.registry_capacity.max(1),
-        );
+        let mut registry = ContextRegistry::default();
         if let Some(ttl) = cfg.ttl {
             registry = registry.with_ttl(ttl);
         }
@@ -611,14 +571,14 @@ impl Server {
             max_line_bytes: cfg.max_line_bytes,
             idle_timeout: cfg.idle_timeout,
             max_requests: cfg.max_requests,
-            drain: cfg.drain,
+            drain: DRAIN,
         };
         let shared = Arc::new(Shared {
             engine,
             cfg,
             counters: Counters::default(),
             front: Arc::default(),
-            catalog: BenchmarkCatalog::new(),
+            catalog: protocol::benchmark_resolver(),
             started: Instant::now(),
             log,
             slow_log,
@@ -675,7 +635,7 @@ impl Server {
         };
         for line in &lines {
             let parsed =
-                protocol::parse_request(line, &mut |name: &str| self.shared.catalog.resolve(name));
+                protocol::parse_request(line, &mut |name: &str| self.shared.catalog.get(name));
             match parsed {
                 Err(_) => report.skipped += 1,
                 Ok(req) => match self.shared.engine.serve_one(&req) {
@@ -797,7 +757,7 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
     obs::trace_begin();
     let parsed = {
         let _span = obs::span(obs::Phase::Resolve);
-        protocol::parse_request(request, &mut |name: &str| shared.catalog.resolve(name))
+        protocol::parse_request(request, &mut |name: &str| shared.catalog.get(name))
     };
     match parsed {
         Err(e) => {
