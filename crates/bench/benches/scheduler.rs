@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soctam_core::flow::{FlowConfig, ParamSweep, TestFlow};
-use soctam_core::schedule::{RectangleMenus, ScheduleBuilder, SchedulerConfig};
+use soctam_core::schedule::{
+    best_of, CompiledSoc, RectangleMenus, ScheduleBuilder, SchedulerConfig,
+};
 use soctam_core::soc::benchmarks;
 use soctam_core::soc::synth::SynthConfig;
 
@@ -111,12 +113,38 @@ fn bench_flow_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_best_of(c: &mut Criterion) {
+    // The served grid's best-of sweep alone, at W = 64: the context, its
+    // menus and its lower bound are built before timing starts, so only
+    // the packer runs are timed.
+    let mut group = c.benchmark_group("best_of");
+    group.sample_size(100);
+    let base = SchedulerConfig::new(64);
+    let grid = ParamSweep::quick();
+    for name in benchmarks::NAMES {
+        let soc = benchmarks::by_name(name).expect("known benchmark");
+        let ctx = CompiledSoc::compile(&soc, base.w_max);
+        let _ = ctx.menus_at(base.effective_w_max());
+        let _ = ctx.lower_bound(base.tam_width);
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| {
+                best_of(&ctx, &base, &grid)
+                    .expect("schedulable")
+                    .0
+                    .makespan()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_runs,
     bench_constrained_runs,
     bench_scalability,
     bench_menu_sharing,
-    bench_flow_sweep
+    bench_flow_sweep,
+    bench_best_of
 );
 criterion_main!(benches);

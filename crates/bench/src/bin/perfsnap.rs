@@ -6,7 +6,9 @@
 //! `BENCH_sweep.json`, seeding the repo's perf trajectory. A cold section
 //! then serves the same width as a fresh daemon would: a new `Engine`, a
 //! schedule request with the protocol's flow configuration. Every block
-//! records `schedule_runs`, the solver invocations it cost.
+//! records `schedule_runs`, the solver invocations it cost, and the sweep
+//! tally: runs executed, deduplicated, cut, and stopped early
+//! (`runs_aborted`).
 //!
 //! Each timing is split into *compile* (obtaining the `CompiledSoc`
 //! context from the shared `ContextRegistry`: a real compilation on the
@@ -18,7 +20,10 @@
 //! it records the registry's hit/miss counters and the process-wide
 //! context-compile count in the JSON, and **fails** (exit 1) if the run
 //! compiled more than one context per distinct `(SOC, budget)` key —
-//! i.e. if cross-request caching ever regresses to recompiling.
+//! i.e. if cross-request caching ever regresses to recompiling. It also
+//! fails if a cold solve builds menus other than once and, unless `--soc`
+//! narrows the run, if no cold solve cuts a grid point or none stops a run
+//! early.
 //!
 //! Run with: `cargo run --release -p soctam-bench --bin perfsnap`
 //! Options:  `--quick` times only the quick sweep (the CI perf smoke);
@@ -184,7 +189,7 @@ fn main() -> Result<(), String> {
         for t in &timings {
             println!(
                 "{name} W={width} {:>8}: {:.3}s ({:.3}s compile + {:.3}s solve), \
-                 T = {} (m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut)",
+                 T = {} (m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut, {} stopped)",
                 t.sweep,
                 t.total_seconds(),
                 t.compile_seconds,
@@ -197,6 +202,7 @@ fn main() -> Result<(), String> {
                 t.stats.runs_total,
                 t.stats.runs_skipped,
                 t.stats.runs_cut,
+                t.stats.runs_aborted,
             );
         }
         soc_blocks.push((name, width, timings));
@@ -217,8 +223,8 @@ fn main() -> Result<(), String> {
         let t = time_cold(name, width);
         println!(
             "{name} W={width}     cold: {:.3}s ({:.3}s compile + {:.3}s solve), \
-             T = {} (LB {}, m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut), \
-             {} menu builds",
+             T = {} (LB {}, m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut, \
+             {} stopped), {} menu builds",
             t.total_seconds,
             t.compile_seconds,
             t.solve_seconds,
@@ -231,6 +237,7 @@ fn main() -> Result<(), String> {
             t.stats.runs_total,
             t.stats.runs_skipped,
             t.stats.runs_cut,
+            t.stats.runs_aborted,
             t.menu_builds,
         );
         cold_blocks.push(t);
@@ -285,7 +292,7 @@ fn main() -> Result<(), String> {
                  \"makespan\": {}, \
                  \"m\": {}, \"d\": {}, \"slack\": {}, \"runs_total\": {}, \
                  \"runs_executed\": {}, \"runs_skipped\": {}, \"runs_cut\": {}, \
-                 \"schedule_runs\": {}}}{sep}",
+                 \"runs_aborted\": {}, \"schedule_runs\": {}}}{sep}",
                 t.sweep,
                 t.total_seconds(),
                 t.compile_seconds,
@@ -298,6 +305,7 @@ fn main() -> Result<(), String> {
                 t.stats.runs_executed,
                 t.stats.runs_skipped,
                 t.stats.runs_cut,
+                t.stats.runs_aborted,
                 t.schedule_runs,
             );
         }
@@ -315,7 +323,7 @@ fn main() -> Result<(), String> {
              \"makespan\": {}, \"lower_bound\": {}, \
              \"m\": {}, \"d\": {}, \"slack\": {}, \"runs_total\": {}, \
              \"runs_executed\": {}, \"runs_skipped\": {}, \"runs_cut\": {}, \
-             \"menu_builds\": {}, \"schedule_runs\": {}}}{sep}",
+             \"runs_aborted\": {}, \"menu_builds\": {}, \"schedule_runs\": {}}}{sep}",
             json_escape(t.name),
             t.width,
             t.total_seconds,
@@ -331,6 +339,7 @@ fn main() -> Result<(), String> {
             t.stats.runs_executed,
             t.stats.runs_skipped,
             t.stats.runs_cut,
+            t.stats.runs_aborted,
             t.menu_builds,
             t.schedule_runs,
         );
@@ -371,6 +380,14 @@ fn main() -> Result<(), String> {
     // `--soc`, which may select only non-saturating SOCs.)
     if only.is_none() && !cold_blocks.iter().any(|t| t.stats.runs_cut > 0) {
         eprintln!("error: no benchmark cut any sweep grid points — the bound gate went dead");
+        std::process::exit(1);
+    }
+    // (iii) Runs that cannot beat the incumbent must actually stop early:
+    // p93791 stops most of its runs at its widest Table 1 width, so a
+    // full benchmark run in which no cold solve stopped one means the
+    // stop test went dead.
+    if only.is_none() && !cold_blocks.iter().any(|t| t.stats.runs_aborted > 0) {
+        eprintln!("error: no cold solve stopped a run early — the incumbent limit went dead");
         std::process::exit(1);
     }
     Ok(())

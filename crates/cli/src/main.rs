@@ -218,11 +218,12 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                 run.params.2,
             );
             println!(
-                "sweep: {} of {} grid points run ({} deduplicated, {} cut)",
+                "sweep: {} of {} grid points run ({} deduplicated, {} cut, {} stopped early)",
                 run.sweep.runs_executed,
                 run.sweep.runs_total,
                 run.sweep.runs_skipped,
                 run.sweep.runs_cut,
+                run.sweep.runs_aborted,
             );
             let name = |i: usize| soc.core(i).name().to_string();
             if flag(&view, "--gantt") {

@@ -16,7 +16,15 @@
 //! 2. **Deduplication** — `(m, d)` pairs that resolve to identical per-core
 //!    preferred-width vectors schedule identically and run once;
 //! 3. **Bound cutoff** — once the incumbent meets the width's lower bound,
-//!    no later grid point can be strictly better, so none runs.
+//!    no later grid point can be strictly better, so none runs;
+//! 4. **Live cores** — the packer's scans walk only the incomplete cores,
+//!    in index order, so tie-breaks are unchanged;
+//! 5. **Stopped runs** — a run stops as soon as its clock plus what it
+//!    provably still needs (its longest remaining test, or its remaining
+//!    area over `W` wires) reaches the incumbent's makespan: it could
+//!    only tie or lose;
+//! 6. **Winner-only schedule** — runs pack raw slices into a reused
+//!    buffer, and only the winner's are assembled into a [`Schedule`].
 
 use std::sync::Arc;
 
@@ -117,7 +125,8 @@ pub struct FlowRun {
     pub wires: WireAssignment,
     /// Tester data volume `W · T`.
     pub volume: u64,
-    /// Sweep tally: points run, deduplicated, and cut.
+    /// Sweep tally: points run, deduplicated, and cut, and runs stopped
+    /// early.
     pub sweep: SweepStats,
 }
 
@@ -217,7 +226,7 @@ impl TestFlow {
     }
 
     /// [`TestFlow::best_schedule`] plus the sweep tally (points run,
-    /// deduplicated, and cut).
+    /// deduplicated, and cut, and runs stopped early).
     ///
     /// # Errors
     ///

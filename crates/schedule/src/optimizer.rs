@@ -169,70 +169,56 @@ fn run_with_menus(
         }
     };
     let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
-    run_with_menus_scratch(soc, cfg, menus, constraints, &mut scratch)
-}
-
-/// [`run_with_menus`] over caller-owned scratch, so a sweep reuses one set
-/// of packer buffers across its whole grid instead of reallocating them
-/// per run.
-fn run_with_menus_scratch<'m>(
-    soc: &Soc,
-    cfg: &SchedulerConfig,
-    menus: &'m RectangleMenus,
-    constraints: &ConstraintSet,
-    scratch: &mut PackScratch<'m>,
-) -> Result<Schedule, ScheduleError> {
-    scratch.reset(soc, cfg, menus);
-    let PackScratch {
-        states,
-        complete,
-        scheduled,
-        bist_load,
-    } = scratch;
-    Packer {
-        cfg,
-        constraints,
-        states,
-        w_avail: cfg.tam_width,
-        scheduled_power: 0,
-        now: 0,
-        slices: Vec::new(),
-        complete,
-        scheduled,
-        bist_load,
-        scheduled_count: 0,
-    }
-    .pack()
-    .map(|slices| Schedule::from_slices(soc.name(), cfg.tam_width, slices))
+    scratch.reset(soc, cfg, menus, &menus.preferred_widths(cfg));
+    let makespan = scratch
+        .pack(cfg, constraints, None)?
+        .expect("a run without a limit never stops");
+    let schedule = Schedule::from_slices(soc.name(), cfg.tam_width, scratch.slices);
+    debug_assert_eq!(schedule.makespan(), makespan);
+    Ok(schedule)
 }
 
 /// The packer's per-run buffers, allocated once per sweep and *cleared*
 /// (not reallocated) between runs.
 struct PackScratch<'m> {
     states: Vec<CoreState<'m>>,
+    /// The incomplete cores in index order. Every scan walks this list
+    /// instead of all cores, so ties still break toward the lower index;
+    /// `update` prunes the cores it completes.
+    live: Vec<CoreIdx>,
     complete: BitSet,
     scheduled: BitSet,
     bist_load: Vec<u32>,
+    /// The run's raw slices, in emission order.
+    slices: Vec<Slice>,
 }
 
 impl<'m> PackScratch<'m> {
     fn for_soc(cores: usize, bist_engines: usize) -> Self {
         Self {
             states: Vec::with_capacity(cores),
+            live: Vec::with_capacity(cores),
             complete: BitSet::new(cores),
             scheduled: BitSet::new(cores),
             bist_load: vec![0; bist_engines],
+            slices: Vec::new(),
         }
     }
 
-    /// Procedure `Initialize` (Figure 5): preferred widths over the shared
-    /// rectangle menus, plus a wipe of the incremental occupancy state.
-    fn reset(&mut self, soc: &Soc, cfg: &SchedulerConfig, menus: &'m RectangleMenus) {
-        let prefs = menus.preferred_widths(cfg);
+    /// Procedure `Initialize` (Figure 5) over the shared rectangle menus
+    /// and the run's preferred widths (`menus.preferred_widths(cfg)`),
+    /// plus a wipe of the incremental occupancy state.
+    fn reset(
+        &mut self,
+        soc: &Soc,
+        cfg: &SchedulerConfig,
+        menus: &'m RectangleMenus,
+        prefs: &[TamWidth],
+    ) {
         self.states.clear();
         self.states
             .extend(soc.cores().iter().zip(menus.menus()).zip(prefs).map(
-                |((core, rects), width_pref)| {
+                |((core, rects), &width_pref)| {
                     let budget = if cfg.allow_preemption {
                         core.max_preemptions()
                     } else {
@@ -246,20 +232,70 @@ impl<'m> PackScratch<'m> {
                     state
                 },
             ));
+        self.live.clear();
+        self.live.extend(0..self.states.len());
         self.complete.clear();
         self.scheduled.clear();
         self.bist_load.fill(0);
+        self.slices.clear();
     }
+
+    /// Packs the reset states into `self.slices`. Returns the final clock
+    /// (the schedule's makespan), or `None` if the run stopped because it
+    /// provably could not finish before `limit`.
+    fn pack(
+        &mut self,
+        cfg: &SchedulerConfig,
+        constraints: &ConstraintSet,
+        limit: Option<Limit<'_>>,
+    ) -> Result<Option<Cycles>, ScheduleError> {
+        let PackScratch {
+            states,
+            live,
+            complete,
+            scheduled,
+            bist_load,
+            slices,
+        } = self;
+        Packer {
+            cfg,
+            constraints,
+            limit,
+            states,
+            live,
+            w_avail: cfg.tam_width,
+            scheduled_power: 0,
+            now: 0,
+            slices,
+            complete,
+            scheduled,
+            bist_load,
+            scheduled_count: 0,
+        }
+        .pack()
+    }
+}
+
+/// The incumbent makespan a sweep's later run must strictly beat, and the
+/// per-core floors that prove when it cannot.
+#[derive(Clone, Copy)]
+struct Limit<'f> {
+    makespan: Cycles,
+    /// Per core: the least time and the least wire·cycle area an unstarted
+    /// core can take — its menu's `min_time()` and `min_area()`.
+    floors: &'f [(Cycles, u128)],
 }
 
 struct Packer<'a, 'm> {
     cfg: &'a SchedulerConfig,
     constraints: &'a ConstraintSet,
+    limit: Option<Limit<'a>>,
     states: &'a mut Vec<CoreState<'m>>,
+    live: &'a mut Vec<CoreIdx>,
     w_avail: TamWidth,
     scheduled_power: u64,
     now: Cycles,
-    slices: Vec<Slice>,
+    slices: &'a mut Vec<Slice>,
     /// Incremental mirrors of the per-core `complete`/`scheduled` flags,
     /// maintained on assign/retire so `Conflict` never materializes them.
     /// Borrowed from the sweep-owned [`PackScratch`].
@@ -272,42 +308,69 @@ struct Packer<'a, 'm> {
 }
 
 impl Packer<'_, '_> {
-    fn pack(mut self) -> Result<Vec<Slice>, ScheduleError> {
-        let mut remaining = self.states.len();
-        while remaining > 0 {
+    fn pack(mut self) -> Result<Option<Cycles>, ScheduleError> {
+        while !self.live.is_empty() {
             self.debug_check_incremental_state();
             if self.w_avail > 0 && self.try_assign_one() {
                 continue;
             }
             if self.scheduled_count == 0 {
-                let stuck: Vec<CoreIdx> = self
-                    .states
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.complete)
-                    .map(|(i, _)| i)
-                    .collect();
                 return Err(ScheduleError::Stuck {
-                    remaining: stuck,
+                    remaining: self.live.to_vec(),
                     at_time: self.now,
                 });
             }
-            remaining -= self.update();
+            self.update();
+            if self.limit.is_some_and(|limit| self.cannot_beat(limit)) {
+                return Ok(None);
+            }
         }
-        Ok(self.slices)
+        Ok(Some(self.now))
     }
 
-    /// Debug-build invariant: the incremental bitsets and BIST occupancy
-    /// always equal the state recomputed from scratch. The
+    /// Whether the run provably cannot finish before `limit.makespan`.
+    /// Called between instants, when no core is scheduled: from `now`,
+    /// the run still needs its longest remaining test, and its remaining
+    /// area cannot pass through `W` wires any faster. A begun core's width
+    /// is fixed (it began at an earlier instant) and preemption only adds
+    /// time, so it needs at least `time_left` at `width_assigned`; an
+    /// unstarted core needs at least its floors. Once every core has
+    /// completed, this asks whether the final clock reached the limit.
+    fn cannot_beat(&self, limit: Limit<'_>) -> bool {
+        let mut longest: Cycles = 0;
+        let mut area: u128 = 0;
+        for &i in self.live.iter() {
+            let s = &self.states[i];
+            let (time, core_area) = if s.begun {
+                (
+                    s.time_left,
+                    u128::from(s.width_assigned) * u128::from(s.time_left),
+                )
+            } else {
+                limit.floors[i]
+            };
+            longest = longest.max(time);
+            area += core_area;
+        }
+        let area_time = area.div_ceil(u128::from(self.cfg.tam_width)) as Cycles;
+        self.now + longest.max(area_time) >= limit.makespan
+    }
+
+    /// Debug-build invariant: the live list, the incremental bitsets and
+    /// BIST occupancy always equal the state recomputed from scratch. The
     /// `incremental_state` proptest suite drives random SOCs through the
     /// packer to exercise this.
     fn debug_check_incremental_state(&self) {
         if cfg!(debug_assertions) {
             let mut bist_load = vec![0u32; self.constraints.num_bist_engines()];
             let mut scheduled_count = 0;
+            let mut live = Vec::new();
             for (i, s) in self.states.iter().enumerate() {
                 debug_assert_eq!(self.complete.contains(i), s.complete, "complete[{i}]");
                 debug_assert_eq!(self.scheduled.contains(i), s.scheduled, "scheduled[{i}]");
+                if !s.complete {
+                    live.push(i);
+                }
                 if s.scheduled {
                     scheduled_count += 1;
                     if let Some(e) = self.constraints.bist_engine(i) {
@@ -315,6 +378,7 @@ impl Packer<'_, '_> {
                     }
                 }
             }
+            debug_assert_eq!(*self.live, live, "live list");
             debug_assert_eq!(self.scheduled_count, scheduled_count);
             debug_assert_eq!(*self.bist_load, bist_load);
         }
@@ -373,11 +437,10 @@ impl Packer<'_, '_> {
     }
 
     fn find_priority1(&self) -> Option<CoreIdx> {
-        self.states
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.must_continue() && s.width_assigned <= self.w_avail)
-            .map(|(i, _)| i)
+        self.live.iter().copied().find(|&i| {
+            let s = &self.states[i];
+            s.must_continue() && s.width_assigned <= self.w_avail
+        })
     }
 
     /// The merged Priority 2/3 contention: the eligible core (begun at its
@@ -385,7 +448,8 @@ impl Packer<'_, '_> {
     /// remaining testing time.
     fn find_contender(&self) -> Option<CoreIdx> {
         let mut best: Option<(Cycles, CoreIdx)> = None;
-        for (i, s) in self.states.iter().enumerate() {
+        for &i in self.live.iter() {
+            let s = &self.states[i];
             let eligible = if s.can_resume() {
                 s.width_assigned <= self.w_avail
             } else if s.unstarted() {
@@ -407,7 +471,8 @@ impl Packer<'_, '_> {
         // Cores whose preferred width exceeds the idle width by at most
         // `idle_fill_slack` wires; Priority 3 already handled the rest.
         let mut best: Option<(TamWidth, CoreIdx)> = None;
-        for (i, s) in self.states.iter().enumerate() {
+        for &i in self.live.iter() {
+            let s = &self.states[i];
             if s.unstarted()
                 && s.width_pref > self.w_avail
                 && s.width_pref <= self.w_avail + self.cfg.idle_fill_slack
@@ -426,7 +491,8 @@ impl Packer<'_, '_> {
     fn try_width_increase(&mut self) -> bool {
         let w_cap = self.cfg.effective_w_max();
         let mut best: Option<(Cycles, CoreIdx, TamWidth)> = None;
-        for (i, s) in self.states.iter().enumerate() {
+        for &i in self.live.iter() {
+            let s = &self.states[i];
             if !s.scheduled || s.first_begin != Some(self.now) || s.run_begin != self.now {
                 continue;
             }
@@ -485,46 +551,50 @@ impl Packer<'_, '_> {
     }
 
     /// Procedure `Update` (Figure 8): advance to the earliest completion
-    /// among scheduled tests, deschedule everything, and mark completions.
-    /// Returns the number of cores that completed.
-    fn update(&mut self) -> usize {
+    /// among scheduled tests, deschedule everything, mark completions, and
+    /// prune them from the live list.
+    fn update(&mut self) {
         let dt = self
-            .states
+            .live
             .iter()
+            .map(|&i| &self.states[i])
             .filter(|s| s.scheduled)
             .map(|s| s.time_left)
             .min()
             .expect("update requires a scheduled core");
         let new_time = self.now + dt;
-        let mut completed = 0;
-        for (i, s) in self.states.iter_mut().enumerate() {
-            if !s.scheduled {
-                continue;
+        let mut kept = 0;
+        for k in 0..self.live.len() {
+            let i = self.live[k];
+            let s = &mut self.states[i];
+            if s.scheduled {
+                self.slices.push(Slice {
+                    core: i,
+                    width: s.width_assigned,
+                    start: s.run_begin,
+                    end: new_time,
+                });
+                s.scheduled = false;
+                self.scheduled.remove(i);
+                self.scheduled_count -= 1;
+                if let Some(e) = self.constraints.bist_engine(i) {
+                    self.bist_load[e] -= 1;
+                }
+                s.time_left -= dt;
+                s.end = new_time;
+                self.scheduled_power -= self.constraints.power(i);
+                if s.time_left == 0 {
+                    s.complete = true;
+                    self.complete.insert(i);
+                    continue;
+                }
             }
-            self.slices.push(Slice {
-                core: i,
-                width: s.width_assigned,
-                start: s.run_begin,
-                end: new_time,
-            });
-            s.scheduled = false;
-            self.scheduled.remove(i);
-            self.scheduled_count -= 1;
-            if let Some(e) = self.constraints.bist_engine(i) {
-                self.bist_load[e] -= 1;
-            }
-            s.time_left -= dt;
-            s.end = new_time;
-            self.scheduled_power -= self.constraints.power(i);
-            if s.time_left == 0 {
-                s.complete = true;
-                self.complete.insert(i);
-                completed += 1;
-            }
+            self.live[kept] = i;
+            kept += 1;
         }
+        self.live.truncate(kept);
         self.now = new_time;
         self.w_avail = self.cfg.tam_width;
-        completed
     }
 }
 
@@ -583,7 +653,8 @@ impl ParamSweep {
 pub type SweepParams = (u32, TamWidth, TamWidth);
 
 /// Tally of one parameter sweep: how many grid points there were, how many
-/// actually ran, and how many were skipped without running.
+/// actually ran, how many were skipped without running, and how many runs
+/// stopped early. `runs_executed + runs_skipped + runs_cut == runs_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Grid points in the configured sweep.
@@ -596,6 +667,10 @@ pub struct SweepStats {
     /// Grid points cut because the incumbent makespan already met the
     /// width's testing-time lower bound (no remaining point can win).
     pub runs_cut: usize,
+    /// Executed runs stopped before packing every core, because they
+    /// provably could not beat the incumbent (a subset of
+    /// `runs_executed`).
+    pub runs_aborted: usize,
 }
 
 /// The best schedule at `base.tam_width` over every `(slack, m, d)` point
@@ -604,13 +679,23 @@ pub struct SweepStats {
 ///
 /// Points are visited in grid order (slack, then `m`, then `d`) and the
 /// first strictly smaller makespan wins. Every run shares the context's
-/// menus and constraint tables and one set of packer buffers. Two kinds
-/// of point never run, and neither can change the winner:
+/// menus and constraint tables, one vector of preferred widths per
+/// `(m, d)`, and one set of packer buffers. Two kinds of point never run,
+/// and neither can change the winner:
 ///
 /// * a point whose slack and per-core preferred widths repeat an earlier
 ///   point's schedules identically (`runs_skipped`);
 /// * once the incumbent meets the context's lower bound at this width, no
 ///   later point can be strictly better (`runs_cut`).
+///
+/// A run that does execute stops between instants once its clock plus
+/// what it provably still needs — its longest remaining test, or its
+/// remaining area over `W` wires — reaches the incumbent's makespan
+/// (`runs_aborted`): it could only tie or lose. Runs pack raw slices into
+/// a reused buffer, and only the winner's become a [`Schedule`].
+///
+/// The whole call, validation and menu lookup included, is one `sweep`
+/// span; a menu build it triggers nests inside as `menu_build`.
 ///
 /// # Errors
 ///
@@ -625,6 +710,7 @@ pub fn best_of(
     base: &SchedulerConfig,
     grid: &ParamSweep,
 ) -> Result<(Schedule, SweepParams, SweepStats), ScheduleError> {
+    let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
     let soc = ctx.soc();
     // Grid-invariant validation, done once; the error values match what
     // every run would have reported.
@@ -652,7 +738,11 @@ pub fn best_of(
     let menus = ctx.menus_at(cap);
     let bound = ctx.lower_bound(base.tam_width);
     let constraints = ctx.constraints();
-    let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
+    let floors: Vec<(Cycles, u128)> = menus
+        .menus()
+        .iter()
+        .map(|rects| (rects.min_time(), rects.min_area()))
+        .collect();
     let point = |m, d, slack| {
         let mut cfg = base.clone().with_percent(m).with_bump(d);
         cfg.idle_fill_slack = slack;
@@ -668,7 +758,10 @@ pub fn best_of(
     }
     let mut seen = HashSet::new();
     let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
-    let mut best: Option<(Schedule, SweepParams)> = None;
+    // The incumbent's makespan and parameters; its raw slices swap places
+    // with the packer's buffer whenever a run beats it.
+    let mut best: Option<(Cycles, SweepParams)> = None;
+    let mut best_slices = Vec::new();
     let mut first_err = None;
     let mut stats = SweepStats::default();
     for &slack in &grid.slacks {
@@ -678,39 +771,47 @@ pub fn best_of(
                 stats.runs_skipped += 1;
                 continue;
             }
-            if best.as_ref().is_some_and(|(b, _)| b.makespan() <= bound) {
+            if best.is_some_and(|(makespan, _)| makespan <= bound) {
                 stats.runs_cut += 1;
                 continue;
             }
             stats.runs_executed += 1;
             crate::instrument::note_schedule_run();
             let cfg = point(*m, *d, slack);
-            match run_with_menus_scratch(soc, &cfg, &menus, constraints, &mut scratch) {
-                Ok(s) => {
-                    if best
-                        .as_ref()
-                        .is_none_or(|(b, _)| s.makespan() < b.makespan())
-                    {
-                        best = Some((s, (*m, *d, slack)));
-                    }
+            scratch.reset(soc, &cfg, &menus, prefs);
+            let limit = best.map(|(makespan, _)| Limit {
+                makespan,
+                floors: &floors,
+            });
+            match scratch.pack(&cfg, constraints, limit) {
+                // A run that finishes under a limit finished below it.
+                Ok(Some(makespan)) => {
+                    best = Some((makespan, (*m, *d, slack)));
+                    std::mem::swap(&mut scratch.slices, &mut best_slices);
                 }
+                Ok(None) => stats.runs_aborted += 1,
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
     }
-    best.map(|(s, params)| (s, params, stats)).ok_or_else(|| {
-        first_err.unwrap_or(ScheduleError::InvalidConfig {
+    let Some((makespan, params)) = best else {
+        return Err(first_err.unwrap_or(ScheduleError::InvalidConfig {
             reason: "empty parameter sweep".to_owned(),
-        })
-    })
+        }));
+    };
+    let schedule = Schedule::from_slices(soc.name(), base.tam_width, best_slices);
+    debug_assert_eq!(schedule.makespan(), makespan);
+    Ok((schedule, params, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::validate;
+    use proptest::prelude::*;
+    use soctam_soc::synth::SynthConfig;
     use soctam_soc::{benchmarks, Core, Soc};
     use soctam_wrapper::{CoreTest, RectangleSet};
 
@@ -1001,6 +1102,438 @@ mod tests {
         events.dedup();
         for &t in &events {
             assert!(s.width_in_use_at(t) <= 24, "overflow at {t}");
+        }
+    }
+
+    /// A constrained synthetic SOC and one configuration on it, with
+    /// preemption and a `MaxCorePower` ceiling switched by `modes` and the
+    /// grid point `(m, d, slack)`: the input space of the exactness
+    /// proptests below. The first `twins` cores get an unconstrained copy
+    /// appended, so equal testing times put the packer's lower-index
+    /// tie-breaks to the test.
+    fn synth_point(
+        (cores, twins, seed): (usize, usize, u64),
+        width: TamWidth,
+        (preempt, power): (bool, bool),
+        (m, d, slack): SweepParams,
+    ) -> (Soc, SchedulerConfig) {
+        let mut soc = SynthConfig::new(cores)
+            .with_constraints()
+            .with_preemption(2)
+            .generate(seed);
+        for i in 0..twins.min(cores) {
+            let core = soc.core(i);
+            let twin = Core::new(format!("{}_twin", core.name()), core.test().clone())
+                .with_max_preemptions(core.max_preemptions());
+            soc.add_core(twin);
+        }
+        let mut cfg = SchedulerConfig::new(width).with_percent(m).with_bump(d);
+        cfg.idle_fill_slack = slack;
+        cfg.allow_preemption = preempt;
+        if power {
+            cfg = cfg.with_power_limit(soc.max_core_power());
+        }
+        (soc, cfg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The live-list packer schedules exactly as the every-core
+        /// reference does, slice for slice, and fails the same way.
+        #[test]
+        fn packer_matches_the_reference_packer(
+            soc_shape in (2usize..14, 0usize..4, 0u64..1000),
+            width in 1u16..72,
+            modes in (proptest::bool::ANY, proptest::bool::ANY),
+            grid_point in (1u32..60, 0u16..5, 0u16..13),
+        ) {
+            let (soc, cfg) = synth_point(soc_shape, width, modes, grid_point);
+            let menus = RectangleMenus::for_config(&soc, &cfg);
+            let want = reference::run(&soc, &cfg, &menus, &ConstraintSet::compile(&soc));
+            prop_assert_eq!(ScheduleBuilder::new(&soc, cfg).run(), want);
+        }
+
+        /// Under a limit `L`, a run either finishes below `L` with exactly
+        /// the reference's makespan and slices, or stops; it stops only if
+        /// the reference's makespan is at least `L`, and then always.
+        #[test]
+        fn a_limited_run_finishes_exactly_or_stops_only_when_it_cannot_win(
+            soc_shape in (2usize..14, 0usize..4, 0u64..1000),
+            width in 1u16..72,
+            modes in (proptest::bool::ANY, proptest::bool::ANY),
+            grid_point in (1u32..60, 0u16..5, 0u16..13),
+            permille in 500u64..1500,
+        ) {
+            let (soc, cfg) = synth_point(soc_shape, width, modes, grid_point);
+            let menus = RectangleMenus::for_config(&soc, &cfg);
+            let constraints = ConstraintSet::compile(&soc);
+            let want = reference::run(&soc, &cfg, &menus, &constraints)
+                .expect("schedulable");
+            let floors: Vec<(Cycles, u128)> = menus
+                .menus()
+                .iter()
+                .map(|rects| (rects.min_time(), rects.min_area()))
+                .collect();
+            let prefs = menus.preferred_widths(&cfg);
+            let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
+            let random = (want.makespan() * permille / 1000).max(1);
+            for makespan in [random, want.makespan(), want.makespan() + 1] {
+                scratch.reset(&soc, &cfg, &menus, &prefs);
+                let limit = Limit { makespan, floors: &floors };
+                match scratch.pack(&cfg, &constraints, Some(limit)).expect("schedulable") {
+                    Some(end) => {
+                        prop_assert!(end < makespan, "finished at {} under {}", end, makespan);
+                        prop_assert_eq!(end, want.makespan());
+                        let slices = scratch.slices.clone();
+                        let got = Schedule::from_slices(soc.name(), cfg.tam_width, slices);
+                        prop_assert_eq!(&got, &want);
+                    }
+                    None => prop_assert!(
+                        want.makespan() >= makespan,
+                        "stopped under limit {} though the reference finishes at {}",
+                        makespan,
+                        want.makespan()
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The packer before the live list, stopped runs and the reused slice
+    /// buffer, kept verbatim as the exactness reference: every scan walks
+    /// every core, and every run builds its own `Schedule`.
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn run(
+            soc: &Soc,
+            cfg: &SchedulerConfig,
+            menus: &RectangleMenus,
+            constraints: &ConstraintSet,
+        ) -> Result<Schedule, ScheduleError> {
+            let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
+            scratch.reset(soc, cfg, menus);
+            let PackScratch {
+                states,
+                complete,
+                scheduled,
+                bist_load,
+            } = &mut scratch;
+            Packer {
+                cfg,
+                constraints,
+                states,
+                w_avail: cfg.tam_width,
+                scheduled_power: 0,
+                now: 0,
+                slices: Vec::new(),
+                complete,
+                scheduled,
+                bist_load,
+                scheduled_count: 0,
+            }
+            .pack()
+            .map(|slices| Schedule::from_slices(soc.name(), cfg.tam_width, slices))
+        }
+
+        /// The packer's per-run buffers, allocated once per sweep and *cleared*
+        /// (not reallocated) between runs.
+        struct PackScratch<'m> {
+            states: Vec<CoreState<'m>>,
+            complete: BitSet,
+            scheduled: BitSet,
+            bist_load: Vec<u32>,
+        }
+
+        impl<'m> PackScratch<'m> {
+            fn for_soc(cores: usize, bist_engines: usize) -> Self {
+                Self {
+                    states: Vec::with_capacity(cores),
+                    complete: BitSet::new(cores),
+                    scheduled: BitSet::new(cores),
+                    bist_load: vec![0; bist_engines],
+                }
+            }
+
+            /// Procedure `Initialize` (Figure 5): preferred widths over the shared
+            /// rectangle menus, plus a wipe of the incremental occupancy state.
+            fn reset(&mut self, soc: &Soc, cfg: &SchedulerConfig, menus: &'m RectangleMenus) {
+                let prefs = menus.preferred_widths(cfg);
+                self.states.clear();
+                self.states
+                    .extend(soc.cores().iter().zip(menus.menus()).zip(prefs).map(
+                        |((core, rects), width_pref)| {
+                            let budget = if cfg.allow_preemption {
+                                core.max_preemptions()
+                            } else {
+                                0
+                            };
+                            let mut state = CoreState::new(rects, width_pref, budget);
+                            // Unstarted cores advertise their preferred-width
+                            // testing time so the max-time-remaining priorities can
+                            // rank them.
+                            state.time_left = state.time_at(width_pref);
+                            state
+                        },
+                    ));
+                self.complete.clear();
+                self.scheduled.clear();
+                self.bist_load.fill(0);
+            }
+        }
+
+        struct Packer<'a, 'm> {
+            cfg: &'a SchedulerConfig,
+            constraints: &'a ConstraintSet,
+            states: &'a mut Vec<CoreState<'m>>,
+            w_avail: TamWidth,
+            scheduled_power: u64,
+            now: Cycles,
+            slices: Vec<Slice>,
+            /// Incremental mirrors of the per-core `complete`/`scheduled` flags,
+            /// maintained on assign/retire so `Conflict` never materializes them.
+            /// Borrowed from the sweep-owned [`PackScratch`].
+            complete: &'a mut BitSet,
+            scheduled: &'a mut BitSet,
+            /// Scheduled-test count per BIST engine.
+            bist_load: &'a mut Vec<u32>,
+            /// Number of currently scheduled cores.
+            scheduled_count: usize,
+        }
+
+        impl Packer<'_, '_> {
+            fn pack(mut self) -> Result<Vec<Slice>, ScheduleError> {
+                let mut remaining = self.states.len();
+                while remaining > 0 {
+                    if self.w_avail > 0 && self.try_assign_one() {
+                        continue;
+                    }
+                    if self.scheduled_count == 0 {
+                        let stuck: Vec<CoreIdx> = self
+                            .states
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, s)| !s.complete)
+                            .map(|(i, _)| i)
+                            .collect();
+                        return Err(ScheduleError::Stuck {
+                            remaining: stuck,
+                            at_time: self.now,
+                        });
+                    }
+                    remaining -= self.update();
+                }
+                Ok(self.slices)
+            }
+
+            /// One pass of Figure 4 lines 4–16: returns `true` if some assignment
+            /// (or width increase) happened.
+            fn try_assign_one(&mut self) -> bool {
+                // Priority 1 (line 5): resume budget-exhausted cores unconditionally.
+                if let Some(i) = self.find_priority1() {
+                    // A budget-exhausted core is resumed seamlessly in the same
+                    // instant it was descheduled, so no preemption is charged.
+                    self.assign(i, self.states[i].width_assigned, false);
+                    return true;
+                }
+                // Priorities 2 and 3 (lines 7–12): all incomplete tests contend for
+                // the available width, ranked by remaining testing time. A begun
+                // core resumes at its fixed width; an unstarted core begins at its
+                // preferred width. A begun core that loses this contention waits —
+                // that wait is exactly a preemption, possible only while the core
+                // still has budget (Priority 1 pins budget-exhausted cores first,
+                // so non-preemptable tests always resume seamlessly).
+                if let Some(i) = self.find_contender() {
+                    let s = &self.states[i];
+                    if s.begun {
+                        let preempt = s.end < self.now;
+                        self.assign(i, s.width_assigned, preempt);
+                    } else {
+                        self.assign(i, s.width_pref, false);
+                    }
+                    return true;
+                }
+                // Idle fill (lines 13–14): squeeze a near-fit core into the slack.
+                if self.cfg.toggles.idle_fill {
+                    if let Some(i) = self.find_idle_fill() {
+                        self.assign(i, self.w_avail, false);
+                        return true;
+                    }
+                }
+                // Width increase (lines 15–16): widen a rectangle that begins now.
+                if self.cfg.toggles.width_increase && self.try_width_increase() {
+                    return true;
+                }
+                false
+            }
+
+            fn conflict(&self, core: CoreIdx) -> bool {
+                self.constraints.conflicts(
+                    core,
+                    self.complete,
+                    self.scheduled,
+                    self.bist_load,
+                    self.scheduled_power,
+                    self.cfg.p_max,
+                )
+            }
+
+            fn find_priority1(&self) -> Option<CoreIdx> {
+                self.states
+                    .iter()
+                    .enumerate()
+                    .find(|(_, s)| s.must_continue() && s.width_assigned <= self.w_avail)
+                    .map(|(i, _)| i)
+            }
+
+            /// The merged Priority 2/3 contention: the eligible core (begun at its
+            /// assigned width, or fresh at its preferred width) with the largest
+            /// remaining testing time.
+            fn find_contender(&self) -> Option<CoreIdx> {
+                let mut best: Option<(Cycles, CoreIdx)> = None;
+                for (i, s) in self.states.iter().enumerate() {
+                    let eligible = if s.can_resume() {
+                        s.width_assigned <= self.w_avail
+                    } else if s.unstarted() {
+                        s.width_pref <= self.w_avail
+                    } else {
+                        false
+                    };
+                    if eligible && !self.conflict(i) {
+                        let key = (s.time_left, i);
+                        if best.is_none_or(|(t, j)| key.0 > t || (key.0 == t && i < j)) {
+                            best = Some((s.time_left, i));
+                        }
+                    }
+                }
+                best.map(|(_, i)| i)
+            }
+
+            fn find_idle_fill(&self) -> Option<CoreIdx> {
+                // Cores whose preferred width exceeds the idle width by at most
+                // `idle_fill_slack` wires; Priority 3 already handled the rest.
+                let mut best: Option<(TamWidth, CoreIdx)> = None;
+                for (i, s) in self.states.iter().enumerate() {
+                    if s.unstarted()
+                        && s.width_pref > self.w_avail
+                        && s.width_pref <= self.w_avail + self.cfg.idle_fill_slack
+                        && !self.conflict(i)
+                        && best
+                            .is_none_or(|(w, j)| s.width_pref < w || (s.width_pref == w && i < j))
+                    {
+                        best = Some((s.width_pref, i));
+                    }
+                }
+                best.map(|(_, i)| i)
+            }
+
+            /// Figure 4 lines 15–16: find the rectangle beginning at the current
+            /// instant that benefits most from the leftover wires; widen it to the
+            /// highest Pareto-optimal width not exceeding `assigned + w_avail`.
+            fn try_width_increase(&mut self) -> bool {
+                let w_cap = self.cfg.effective_w_max();
+                let mut best: Option<(Cycles, CoreIdx, TamWidth)> = None;
+                for (i, s) in self.states.iter().enumerate() {
+                    if !s.scheduled || s.first_begin != Some(self.now) || s.run_begin != self.now {
+                        continue;
+                    }
+                    let reach = s.width_assigned.saturating_add(self.w_avail).min(w_cap);
+                    let Some(new_w) = s.rects.highest_pareto_width_at_most(reach) else {
+                        continue;
+                    };
+                    if new_w <= s.width_assigned {
+                        continue;
+                    }
+                    let gain = s.time_at(s.width_assigned) - s.time_at(new_w);
+                    if gain == 0 {
+                        continue;
+                    }
+                    if best.is_none_or(|(g, j, _)| gain > g || (gain == g && i < j)) {
+                        best = Some((gain, i, new_w));
+                    }
+                }
+                let Some((_, i, new_w)) = best else {
+                    return false;
+                };
+                let s = &mut self.states[i];
+                self.w_avail -= new_w - s.width_assigned;
+                s.width_assigned = new_w;
+                s.time_left = s.rects.time_at(new_w);
+                s.end = self.now + s.time_left;
+                true
+            }
+
+            /// Procedure `Assign` (Figure 6).
+            fn assign(&mut self, i: CoreIdx, width: TamWidth, preempt: bool) {
+                let s = &mut self.states[i];
+                debug_assert!(width >= 1 && width <= self.w_avail);
+                debug_assert!(!s.scheduled && !s.complete);
+
+                s.width_assigned = width;
+                self.w_avail -= width;
+                s.scheduled = true;
+                self.scheduled.insert(i);
+                self.scheduled_count += 1;
+                if let Some(e) = self.constraints.bist_engine(i) {
+                    self.bist_load[e] += 1;
+                }
+                if preempt {
+                    s.preempts += 1;
+                    s.time_left += s.rects.rect_at(width).preemption_penalty();
+                }
+                if !s.begun {
+                    s.begun = true;
+                    s.first_begin = Some(self.now);
+                    s.time_left = s.rects.time_at(width);
+                }
+                s.run_begin = self.now;
+                s.end = self.now + s.time_left;
+                self.scheduled_power += self.constraints.power(i);
+            }
+
+            /// Procedure `Update` (Figure 8): advance to the earliest completion
+            /// among scheduled tests, deschedule everything, and mark completions.
+            /// Returns the number of cores that completed.
+            fn update(&mut self) -> usize {
+                let dt = self
+                    .states
+                    .iter()
+                    .filter(|s| s.scheduled)
+                    .map(|s| s.time_left)
+                    .min()
+                    .expect("update requires a scheduled core");
+                let new_time = self.now + dt;
+                let mut completed = 0;
+                for (i, s) in self.states.iter_mut().enumerate() {
+                    if !s.scheduled {
+                        continue;
+                    }
+                    self.slices.push(Slice {
+                        core: i,
+                        width: s.width_assigned,
+                        start: s.run_begin,
+                        end: new_time,
+                    });
+                    s.scheduled = false;
+                    self.scheduled.remove(i);
+                    self.scheduled_count -= 1;
+                    if let Some(e) = self.constraints.bist_engine(i) {
+                        self.bist_load[e] -= 1;
+                    }
+                    s.time_left -= dt;
+                    s.end = new_time;
+                    self.scheduled_power -= self.constraints.power(i);
+                    if s.time_left == 0 {
+                        s.complete = true;
+                        self.complete.insert(i);
+                        completed += 1;
+                    }
+                }
+                self.now = new_time;
+                self.w_avail = self.cfg.tam_width;
+                completed
+            }
         }
     }
 }
