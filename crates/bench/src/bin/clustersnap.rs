@@ -40,6 +40,7 @@ use soctam_core::fault::FaultPlan;
 use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value};
 use soctam_server::balance::{Balancer, BalancerConfig};
 use soctam_server::client::{self, LatencySummary};
+use soctam_server::exposition::Scrape;
 use soctam_server::{Server, ServerConfig};
 
 /// Distinct cheap request keys: each is its own solution-cache entry and
@@ -58,16 +59,14 @@ fn keys() -> Vec<String> {
         .collect()
 }
 
-/// Reads one sample out of a Prometheus exposition (`name` includes the
-/// label set for labelled samples).
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("no metric `{name}` in:\n{metrics}"))
+/// The front's `soctam_balance_failover_total`, read from a strict parse
+/// of its exposition.
+fn failovers(front: &Balancer) -> u64 {
+    let metrics = front.metrics();
+    Scrape::parse(&metrics)
+        .unwrap_or_else(|e| panic!("{e} in:\n{metrics}"))
+        .value("soctam_balance_failover_total")
+        .unwrap_or_else(|| panic!("no soctam_balance_failover_total in:\n{metrics}")) as u64
 }
 
 /// One backend daemon for the cluster: enough workers that the front's
@@ -173,9 +172,8 @@ fn run_scale_point(n: usize, clients: usize, iters: usize) -> ScalePoint {
         shard_misses.push(stats.misses);
         shard_hits.push(stats.hits);
     }
-    let front_metrics = front.metrics();
     assert_eq!(
-        metric_value(&front_metrics, "soctam_balance_failover_total"),
+        failovers(&front),
         0,
         "healthy scaling pass must not fail over"
     );
@@ -247,7 +245,7 @@ fn run_chaos_pass(rounds: usize) -> ChaosOutcome {
     backend_a.shutdown();
 
     let (replayed, failed) = replayer.join().expect("replay thread panicked");
-    let failovers = metric_value(&front.metrics(), "soctam_balance_failover_total");
+    let failovers = failovers(&front);
 
     front.shutdown();
     backend_b.shutdown();

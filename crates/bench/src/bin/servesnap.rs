@@ -40,8 +40,9 @@ use std::time::{Duration, Instant};
 
 use soctam_bench::json_escape;
 use soctam_core::fault::FaultPlan;
-use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value};
+use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value, Json};
 use soctam_server::client::{RetryPolicy, RetryingClient};
+use soctam_server::exposition::Scrape;
 use soctam_server::{client, Server, ServerConfig};
 
 /// The mixed request set: all three kinds, both scheduling modes, a
@@ -65,39 +66,6 @@ fn strip_trace(response: &str) -> String {
         Some(i) => format!("{}}}", &response[..i]),
         None => response.to_owned(),
     }
-}
-
-/// Extracts the flat `"phases"` object of a `--trace` response as
-/// `(phase, exclusive_micros)` pairs.
-fn parse_phases(response: &str) -> Vec<(String, u64)> {
-    let Some(start) = response.find("\"phases\": {") else {
-        return Vec::new();
-    };
-    let rest = &response[start + "\"phases\": {".len()..];
-    let Some(end) = rest.find('}') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|pair| {
-            let (key, value) = pair.split_once(':')?;
-            Some((
-                key.trim().trim_matches('"').to_owned(),
-                value.trim().parse().ok()?,
-            ))
-        })
-        .collect()
-}
-
-/// Reads one counter out of the daemon's Prometheus exposition.
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("no metric `{name}` in:\n{metrics}"))
 }
 
 fn main() -> Result<(), String> {
@@ -148,13 +116,17 @@ fn main() -> Result<(), String> {
                 client::response_ok(&response),
                 "cold request failed: {request} -> {response}"
             );
-            let phases = parse_phases(&response);
+            let parsed = Json::parse(&response).map_err(|e| format!("{e}: {response}"))?;
+            let phases = parsed["trace"]["phases"].as_object().unwrap_or_default();
             assert!(
                 !phases.is_empty(),
                 "traced cold response carries no phase split: {response}"
             );
             for (phase, micros) in phases {
-                *cold_phase_micros.entry(phase).or_insert(0) += micros;
+                let micros = micros
+                    .as_u64()
+                    .ok_or_else(|| format!("phase `{phase}` is not a count: {response}"))?;
+                *cold_phase_micros.entry(phase.to_string()).or_insert(0) += micros;
             }
             cold_responses.push(strip_trace(&response));
         }
@@ -302,7 +274,10 @@ fn main() -> Result<(), String> {
     let overload_metrics = overload.metrics();
     overload.shutdown();
 
-    let sheds = metric_value(&overload_metrics, "soctam_shed_total");
+    let sheds = Scrape::parse(&overload_metrics)
+        .map_err(|e| e.to_string())?
+        .value("soctam_shed_total")
+        .ok_or("the overload daemon exports no soctam_shed_total")? as u64;
     let overload_retried: u64 = per_client.iter().map(|(_, r, _)| r).sum();
     let overload_failed: u64 = per_client.iter().map(|(_, _, f)| f).sum();
     let overload_latencies: Vec<f64> = per_client.into_iter().flat_map(|(l, _, _)| l).collect();

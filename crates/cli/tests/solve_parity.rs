@@ -9,7 +9,7 @@ use std::path::Path;
 use std::process::Command;
 
 use soctam_core::engine::Engine;
-use soctam_core::protocol::{self, benchmark_resolver};
+use soctam_core::protocol::{self, benchmark_resolver, Json};
 use soctam_core::soc::{benchmarks, itc02};
 
 /// Solve lines, each covering a mode flag or a default of its kind.
@@ -49,29 +49,11 @@ fn served(line: &str) -> String {
     response
 }
 
-/// Every number the response gives for the member `key`, in order.
-fn numbers(json: &str, key: &str) -> Vec<u64> {
-    let marker = format!("\"{key}\": ");
-    json.match_indices(&marker)
-        .map(|(at, _)| {
-            let rest = &json[at + marker.len()..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().expect("a number")
-        })
-        .collect()
-}
-
-/// The numbers of the array member `key`.
-fn array(json: &str, key: &str) -> Vec<u64> {
-    let marker = format!("\"{key}\": [");
-    let start = json.find(&marker).expect("array member") + marker.len();
-    let end = start + json[start..].find(']').expect("closing bracket");
-    json[start..end]
-        .split(", ")
-        .map(|n| n.parse().expect("a number"))
-        .collect()
+/// The integer `value` holds.
+fn int(value: &Json) -> u64 {
+    value
+        .as_u64()
+        .unwrap_or_else(|| panic!("not an integer: {value:?}"))
 }
 
 /// The leading whitespace-separated integers of every line of `text`
@@ -90,10 +72,11 @@ fn rows(text: &str, columns: usize) -> Vec<Vec<u64>> {
 }
 
 fn check(line: &str, cli: &str) {
-    let json = served(line);
+    let response = served(line);
+    let json = Json::parse(&response).unwrap_or_else(|e| panic!("{e}: {response}"));
     match line.split_whitespace().next() {
         Some("schedule") => {
-            let one = |key| numbers(&json, key)[0];
+            let one = |key| int(&json[key]);
             let timing = format!(
                 "testing time {} cycles (lower bound {}), volume {} bits",
                 one("makespan"),
@@ -110,19 +93,20 @@ fn check(line: &str, cli: &str) {
             assert!(cli.contains(&params), "{line}: want `{params}` in\n{cli}");
         }
         Some("sweep") => {
-            let want: Vec<Vec<u64>> = numbers(&json, "width")
-                .into_iter()
-                .zip(numbers(&json, "time"))
-                .zip(numbers(&json, "volume"))
-                .map(|((w, t), v)| vec![w, t, v])
+            let want: Vec<Vec<u64>> = json["points"]
+                .as_array()
+                .expect("a points array")
+                .iter()
+                .map(|p| vec![int(&p["width"]), int(&p["time"]), int(&p["volume"])])
                 .collect();
             assert_eq!(rows(cli, 3), want, "{line}:\n{cli}");
         }
         Some("bounds") => {
-            let want: Vec<String> = array(&json, "widths")
+            let array = |key| json[key].as_array().expect("an array member");
+            let want: Vec<String> = array("widths")
                 .iter()
-                .zip(array(&json, "bounds"))
-                .map(|(w, lb)| format!("  W={w:>3}: {lb}"))
+                .zip(array("bounds"))
+                .map(|(w, lb)| format!("  W={:>3}: {}", int(w), int(lb)))
                 .collect();
             let got: Vec<&str> = cli.lines().filter(|l| l.starts_with("  W=")).collect();
             assert_eq!(got, want, "{line}:\n{cli}");

@@ -4,7 +4,8 @@
 //! one experiment: it accepts a batch of [`EngineRequest`]s — mixed SOCs,
 //! TAM widths, scheduling modes, and operation kinds (best-of schedule,
 //! width sweep, lower bounds) — and executes them on scoped worker
-//! threads. Every request draws its [`CompiledSoc`] from a shared
+//! threads. Every request draws its
+//! [`CompiledSoc`](soctam_schedule::CompiledSoc) from a shared
 //! [`ContextRegistry`], so a batch (and any later batch over the same
 //! engine) compiles each distinct `(SOC, w_max, power budget)` key exactly
 //! once, no matter how many requests or threads touch it.
@@ -52,7 +53,7 @@ use std::time::Duration;
 
 use soctam_schedule::obs;
 use soctam_schedule::{
-    panic_message, CacheLookup, ContextRegistry, Cycles, ScheduleError, SolutionCache,
+    panic_message, CacheLookup, ContextKey, ContextRegistry, Cycles, ScheduleError, SolutionCache,
     SolutionCacheStats, TamWidth,
 };
 use soctam_soc::Soc;
@@ -189,51 +190,40 @@ impl From<CacheLookup> for CacheDisposition {
 }
 
 /// The identity of one cacheable request outcome: everything that can
-/// change the result. That is the [`ContextRegistry`] key — SOC content,
-/// width cap, resolved power budget — plus the operation (kind and
-/// widths), the scheduling mode, and the parameter grid searched. The
-/// engine's thread count is *excluded*: the equivalence suites pin that it
-/// never changes an output bit.
+/// change the result. That is the [`ContextRegistry`]'s [`ContextKey`] —
+/// SOC content, width cap, resolved power budget — plus the operation
+/// (kind and widths), the scheduling mode, and the parameter grid
+/// searched. The engine's thread count is *excluded*: the equivalence
+/// suites pin that it never changes an output bit. A miss probes the
+/// registry with the carried context key, so a cold request hashes its
+/// SOC model once.
 #[derive(Debug, Clone)]
 struct SolutionKey {
-    w_max: TamWidth,
-    budget: Option<u64>,
+    context: ContextKey,
     preemption: bool,
-    soc_hash: u64,
     op: EngineOp,
     sweep: ParamSweep,
-    soc: Arc<Soc>,
 }
 
 impl SolutionKey {
     fn new(request: &EngineRequest, budget: Option<u64>) -> Self {
-        // Same cached content hash as the registry's ContextKey: shard
-        // selection and probing hash a u64 instead of re-walking the model.
-        let mut h = DefaultHasher::new();
-        request.soc.hash(&mut h);
         Self {
-            w_max: request.flow.w_max.max(1),
-            budget,
+            context: ContextKey::new(&request.soc, request.flow.w_max, budget),
             preemption: request.flow.allow_preemption,
-            soc_hash: h.finish(),
             op: request.op.clone(),
             sweep: request.flow.sweep.clone(),
-            soc: Arc::clone(&request.soc),
         }
     }
 }
 
 impl PartialEq for SolutionKey {
     fn eq(&self, other: &Self) -> bool {
-        // Cheap fields first; full SOC content comparison only on a hash
-        // match, so a 64-bit collision can never alias two different SOCs.
-        self.w_max == other.w_max
-            && self.budget == other.budget
-            && self.preemption == other.preemption
-            && self.soc_hash == other.soc_hash
+        // The context key last: it compares full SOC content, and only on
+        // a hash match.
+        self.preemption == other.preemption
             && self.op == other.op
             && self.sweep == other.sweep
-            && self.soc == other.soc
+            && self.context == other.context
     }
 }
 
@@ -242,22 +232,25 @@ impl Eq for SolutionKey {}
 impl Hash for SolutionKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Equal keys have equal SOC content and therefore equal cached
-        // hashes, so skipping the model upholds the Hash/Eq contract.
-        self.w_max.hash(state);
-        self.budget.hash(state);
+        // hashes, so skipping the model upholds the Hash/Eq contract. The
+        // order is fixed: it is the routing digest's, and moving a field
+        // would move every request's shard.
+        self.context.w_max().hash(state);
+        self.context.power_budget().hash(state);
         self.preemption.hash(state);
-        self.soc_hash.hash(state);
+        self.context.soc_hash().hash(state);
         self.op.hash(state);
         self.sweep.hash(state);
     }
 }
 
 /// A stable 64-bit digest of `request`'s solution-cache identity: the
-/// exact fields [`SolutionKey`] hashes (SOC content, width cap, resolved
-/// power budget, preemption mode, operation, parameter grid), fed through
-/// the same `DefaultHasher`. Two requests digest equally exactly when the
-/// solution cache would hash them onto the same entry, which is what a
-/// cluster front needs to pin each cache key to one backend shard — see
+/// exact fields the engine's solution-cache key hashes (SOC content, width
+/// cap, resolved power budget, preemption mode, operation, parameter
+/// grid), fed through the same `DefaultHasher`. Two requests digest
+/// equally exactly when the solution cache would hash them onto the same
+/// entry, which is what a cluster front needs to pin each cache key to
+/// one backend shard — see
 /// [`protocol::route_key`](crate::protocol::route_key). `DefaultHasher`
 /// uses fixed SipHash keys, so the digest is stable across processes and
 /// runs of the same build.
@@ -451,13 +444,19 @@ impl Engine {
                 // solve's compile/menu/sweep spans inside it (the closure
                 // runs on this thread).
                 let _lookup_span = obs::span(obs::Phase::CacheLookup);
-                let (result, lookup) = cache
-                    .get_or_compute_traced(SolutionKey::new(request, budget), || {
-                        self.solve(request, budget)
-                    });
+                let key = SolutionKey::new(request, budget);
+                let context = key.context.clone();
+                let (result, lookup) =
+                    cache.get_or_compute_traced(key, || self.solve(request, context));
                 (result, lookup.into())
             }
-            None => (self.solve(request, budget), CacheDisposition::Uncached),
+            None => (
+                self.solve(
+                    request,
+                    ContextKey::new(&request.soc, request.flow.w_max, budget),
+                ),
+                CacheDisposition::Uncached,
+            ),
         }
     }
 
@@ -470,10 +469,10 @@ impl Engine {
     /// panicking solve publishes an error into the rendezvous cell like
     /// any other failure: coalesced waiters receive it and the entry is
     /// torn down, never cached.
-    fn solve(&self, request: &EngineRequest, budget: Option<u64>) -> EngineResult {
+    fn solve(&self, request: &EngineRequest, context: ContextKey) -> EngineResult {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.fire_solve_faults()?;
-            self.solve_unguarded(request, budget)
+            self.solve_unguarded(request, context)
         }));
         match outcome {
             Ok(result) => result,
@@ -510,10 +509,8 @@ impl Engine {
 
     /// The solve body proper: context from the registry, then the
     /// requested operation over it.
-    fn solve_unguarded(&self, request: &EngineRequest, budget: Option<u64>) -> EngineResult {
-        let ctx = self
-            .registry
-            .get_or_compile(&request.soc, request.flow.w_max, budget);
+    fn solve_unguarded(&self, request: &EngineRequest, context: ContextKey) -> EngineResult {
+        let ctx = self.registry.get_or_compile_key(context);
         let mut cfg = request.flow.clone();
         cfg.w_max = ctx.w_max(); // the registry clamps w_max to >= 1
         let flow = TestFlow::with_context(ctx, cfg);
@@ -856,6 +853,35 @@ mod tests {
             &faulted.serve_one(&req).unwrap(),
             &clean.serve_one(&req).unwrap(),
         );
+    }
+
+    #[test]
+    fn the_digest_hashes_the_key_fields_in_their_fixed_order() {
+        // The cluster front routes on this digest: its inputs and their
+        // order must not move, or every request changes shard.
+        let d695 = Arc::new(benchmarks::d695());
+        let p22810 = Arc::new(benchmarks::p22810());
+        for req in [
+            EngineRequest::schedule(Arc::clone(&d695), quick(), 16),
+            EngineRequest::schedule(Arc::clone(&d695), quick().without_preemption(), 0),
+            EngineRequest::sweep(Arc::clone(&p22810), quick(), vec![16, 17, 18]),
+            EngineRequest::bounds(
+                p22810,
+                quick().with_power(PowerPolicy::MaxCorePower),
+                vec![8, 64],
+            ),
+        ] {
+            let mut soc = DefaultHasher::new();
+            req.soc.hash(&mut soc);
+            let mut h = DefaultHasher::new();
+            req.flow.w_max.max(1).hash(&mut h);
+            req.flow.power.resolve(&req.soc).hash(&mut h);
+            req.flow.allow_preemption.hash(&mut h);
+            soc.finish().hash(&mut h);
+            req.op.hash(&mut h);
+            req.flow.sweep.hash(&mut h);
+            assert_eq!(solution_cache_digest(&req), h.finish(), "{:?}", req.op);
+        }
     }
 
     #[test]

@@ -47,7 +47,14 @@
 //! {"op": "bounds", "soc": "p34392", "widths": [16, 24], "ok": true, "bounds": [...]}
 //! {"op": "sweep", "soc": "d695", "from": 16, "to": 24, "ok": false, "error": "..."}
 //! ```
+//!
+//! Every string member, the SOC name included, is escaped with
+//! [`json_escape`]. [`Json::parse`] is the one reader of this output (and
+//! of the daemon's request and slow logs): a strict RFC 8259 parser that
+//! the client's response classifiers, [`replay_lines`], and the test and
+//! bench suites all read fields through.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -408,127 +415,338 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Reverses [`json_escape`]: decodes the escape sequences that renderer
-/// (and the daemon's request log) can produce. Unknown escapes are kept
-/// verbatim rather than rejected — the input is our own output, so this is
-/// defense in depth, not a general JSON parser.
-pub fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(decoded) => out.push(decoded),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
+/// The deepest nesting [`Json::parse`] accepts. soctam's own output nests
+/// a dozen levels at most (a traced response's span tree); the cap keeps a
+/// hostile peer or a corrupt log line from exhausting the stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// One JSON value, as [`Json::parse`] reads it: the workspace's one JSON
+/// reader, for every line soctam emits — responses, `--trace` members,
+/// request-log and slow-log records, bench documents. Strings and keys
+/// borrow from the parsed text unless they hold an escape, so reading a
+/// response allocates little beyond its arrays and objects.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json<'a> {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number written without a fraction or an exponent, read back
+    /// exactly: every `u64` and `i64` fits.
+    Int(i128),
+    /// Any other number.
+    Float(f64),
+    /// A string, escapes decoded.
+    Str(Cow<'a, str>),
+    /// An array.
+    Array(Vec<Json<'a>>),
+    /// An object's members in document order. Keys are unique: the parser
+    /// rejects a duplicate.
+    Object(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-/// Extracts the (unescaped) value of a `"field": "..."` string member from
-/// one flat JSON object line — enough to read back the JSONL request log
-/// the daemon writes, without a JSON parser in the vendored-only workspace.
-pub fn json_string_field(line: &str, field: &str) -> Option<String> {
-    let marker = format!("\"{field}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    // Find the closing quote, skipping escaped ones.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '\\' if !escaped => escaped = true,
-            '"' if !escaped => return Some(json_unescape(&rest[..i])),
-            _ => escaped = false,
-        }
-    }
-    None
+/// Why a text is not exactly one strict JSON value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset at which the text stopped being valid.
+    pub offset: usize,
+    /// What was wrong there.
+    pub reason: &'static str,
 }
 
-/// Extracts the value of a *top-level* `"field": true|false` boolean
-/// member from one JSON object line — the classification primitive for
-/// response handling (`"ok"`, `"busy"`, `"transient"`). Unlike a raw
-/// substring match, this cannot be fooled by request text echoed inside a
-/// string value (a parse error quoting `"busy": true` back at the
-/// client), nor by a member of a nested object: string contents are
-/// skipped escape-aware and only depth-1 members are consulted. Returns
-/// `None` when the field is absent (or not a boolean).
-#[must_use]
-pub fn json_bool_field(line: &str, field: &str) -> Option<bool> {
-    let bytes = line.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            b'"' => {
-                // Scan the whole string, tracking escapes, so nothing
-                // inside it — braces, quotes, `"busy": true` — counts.
-                let start = i + 1;
-                let mut j = start;
-                let mut escaped = false;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'\\' if !escaped => escaped = true,
-                        b'"' if !escaped => break,
-                        _ => escaped = false,
-                    }
-                    j += 1;
-                }
-                let content = &line[start..j.min(bytes.len())];
-                // Past the closing quote (or end of line). A *key* is
-                // followed by `:`; a string *value* is not.
-                i = j + 1;
-                let mut k = i;
-                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if depth == 1 && content == field && bytes.get(k) == Some(&b':') {
-                    let mut v = k + 1;
-                    while v < bytes.len() && bytes[v].is_ascii_whitespace() {
-                        v += 1;
-                    }
-                    let rest = &line[v.min(bytes.len())..];
-                    if rest.starts_with("true") {
-                        return Some(true);
-                    }
-                    if rest.starts_with("false") {
-                        return Some(false);
-                    }
-                    return None; // present, but not a boolean
-                }
-            }
-            _ => i += 1,
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid JSON at byte {}: {}", self.offset, self.reason)
+    }
+}
+
+impl<'a> Json<'a> {
+    /// Parses `text` as exactly one JSON value (RFC 8259), surrounding
+    /// whitespace allowed. Strict: nothing may follow the value, strings
+    /// may hold no raw control characters and only the standard escapes
+    /// (surrogates only in valid pairs), numbers have no leading zeros,
+    /// object keys are unique, and nesting stops at [`MAX_JSON_DEPTH`].
+    ///
+    /// # Errors
+    ///
+    /// The first offending byte offset and what was wrong there.
+    pub fn parse(text: &'a str) -> Result<Self, JsonError> {
+        let mut parser = JsonParser { text, pos: 0 };
+        let value = parser.value(0)?;
+        parser.skip_whitespace();
+        if parser.pos < text.len() {
+            return Err(parser.error("text after the value"));
+        }
+        Ok(value)
+    }
+
+    /// The member `key` of an object; `None` for an absent key or a
+    /// non-object.
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
+        match self {
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
     }
-    None
+
+    /// The integer, if this is one in `u64` range.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json<'a>]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The members, if this is an object.
+    pub fn as_object(&self) -> Option<&[(Cow<'a, str>, Json<'a>)]> {
+        match self {
+            Json::Object(members) => Some(members),
+            _ => None,
+        }
+    }
+}
+
+/// `json["key"]` is [`Json::get`], with [`Json::Null`] standing in for an
+/// absent member, so nested reads chain: `response["trace"]["phases"]`.
+impl<'a> std::ops::Index<&str> for Json<'a> {
+    type Output = Json<'a>;
+
+    fn index(&self, key: &str) -> &Json<'a> {
+        static NULL: Json<'static> = Json::Null;
+        self.get(key).unwrap_or(&NULL)
+    }
+}
+
+/// The recursive-descent reader behind [`Json::parse`].
+struct JsonParser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> JsonParser<'a> {
+    fn error(&self, reason: &'static str) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            reason,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace, then consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_whitespace();
+        let found = self.peek() == Some(byte);
+        self.pos += usize::from(found);
+        found
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
+        self.skip_whitespace();
+        let literal = |word: &str| self.text[self.pos..].starts_with(word);
+        let (json, len) = match self.peek() {
+            Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => {
+                return Err(self.error("nesting too deep"))
+            }
+            Some(b'{') => return self.object(depth + 1),
+            Some(b'[') => return self.array(depth + 1),
+            Some(b'"') => return self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => return self.number(),
+            _ if literal("true") => (Json::Bool(true), 4),
+            _ if literal("false") => (Json::Bool(false), 5),
+            _ if literal("null") => (Json::Null, 4),
+            _ => return Err(self.error("expected a value")),
+        };
+        self.pos += len;
+        Ok(json)
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
+        self.pos += 1; // `{`
+        let mut members = Vec::with_capacity(8);
+        if self.eat(b'}') {
+            return Ok(Json::Object(members));
+        }
+        loop {
+            self.skip_whitespace();
+            if self.peek() != Some(b'"') {
+                return Err(self.error("expected a string key"));
+            }
+            let key = self.string()?;
+            if !self.eat(b':') {
+                return Err(self.error("expected `:` after a key"));
+            }
+            members.push((key, self.value(depth)?));
+            if self.eat(b'}') {
+                if has_duplicate_key(&members) {
+                    return Err(self.error("duplicate key in the object that ends here"));
+                }
+                return Ok(Json::Object(members));
+            }
+            if !self.eat(b',') {
+                return Err(self.error("expected `,` or `}` in an object"));
+            }
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
+        self.pos += 1; // `[`
+        let mut items = Vec::with_capacity(8);
+        if self.eat(b']') {
+            return Ok(Json::Array(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            if self.eat(b']') {
+                return Ok(Json::Array(items));
+            }
+            if !self.eat(b',') {
+                return Err(self.error("expected `,` or `]` in an array"));
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.pos += 1; // opening quote
+        let mut out = Cow::Borrowed("");
+        loop {
+            // Take the run up to the next quote, backslash, or control
+            // byte. Each is ASCII, so the run ends on a char boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out += &self.text[self.pos..self.pos + run];
+            self.pos += run;
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => out.to_mut().push(self.escape()?),
+                Some(_) => return Err(self.error("raw control character in a string")),
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+    }
+
+    /// Decodes the escape sequence whose backslash is at `pos`.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let decoded = match self.text.as_bytes().get(self.pos + 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 2;
+                let unit = self.hex4()?;
+                // A high surrogate must pair with the low one that follows.
+                let paired =
+                    (0xD800..0xDC00).contains(&unit) && self.text[self.pos..].starts_with("\\u");
+                self.pos += if paired { 2 } else { 0 };
+                let low = if paired { Some(self.hex4()?) } else { None };
+                let mut chars = char::decode_utf16(std::iter::once(unit).chain(low));
+                return match (chars.next(), chars.next()) {
+                    (Some(Ok(c)), None) => Ok(c),
+                    _ => Err(self.error("unpaired surrogate")),
+                };
+            }
+            _ => return Err(self.error("invalid escape")),
+        };
+        self.pos += 2;
+        Ok(decoded)
+    }
+
+    fn hex4(&mut self) -> Result<u16, JsonError> {
+        let digits = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.error("expected four hex digits"))?;
+        self.pos += 4;
+        Ok(u16::from_str_radix(digits, 16).expect("four hex digits"))
+    }
+
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error("expected a digit"));
+        }
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
+        let start = self.pos;
+        self.pos += usize::from(self.peek() == Some(b'-'));
+        let int_at = self.pos;
+        self.digits()?;
+        if self.pos - int_at > 1 && self.text.as_bytes()[int_at] == b'0' {
+            return Err(self.error("leading zero"));
+        }
+        let mut integral = true;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            integral = false;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            self.digits()?;
+            integral = false;
+        }
+        let lexeme = &self.text[start..self.pos];
+        Ok(match lexeme.parse() {
+            Ok(n) if integral => Json::Int(n),
+            _ => Json::Float(lexeme.parse().expect("a JSON number lexeme is a float")),
+        })
+    }
+}
+
+/// Whether two members share a key: a pairwise scan for the small objects
+/// soctam writes, a sort past that, so a hostile object with thousands of
+/// members cannot make the check quadratic.
+fn has_duplicate_key(members: &[(Cow<'_, str>, Json<'_>)]) -> bool {
+    if members.len() <= 16 {
+        let seen_before =
+            |(i, (key, _)): (usize, &(Cow<str>, Json))| members[..i].iter().any(|(k, _)| k == key);
+        return members.iter().enumerate().any(seen_before);
+    }
+    let mut keys: Vec<&str> = members.iter().map(|(key, _)| &**key).collect();
+    keys.sort_unstable();
+    keys.windows(2).any(|pair| pair[0] == pair[1])
 }
 
 /// The cluster-routing key of a parsed request: a stable digest of its
@@ -556,7 +774,8 @@ pub fn replay_lines(text: &str) -> Vec<String> {
             if line.is_empty() || line.starts_with('#') {
                 None
             } else if line.starts_with('{') {
-                json_string_field(line, "request")
+                let record = Json::parse(line).ok()?;
+                record.get("request")?.as_str().map(str::to_owned)
             } else {
                 Some(line.to_owned())
             }
@@ -593,7 +812,7 @@ pub fn render_result(req: &EngineRequest, result: &EngineResult) -> String {
     };
     out.push_str(&format!(
         "{{\"op\": \"{kind}\", \"soc\": \"{}\", {detail}, ",
-        req.soc.name().replace(['"', '\\'], "_")
+        json_escape(req.soc.name())
     ));
     match result {
         Err(e) => {
@@ -790,70 +1009,129 @@ mod tests {
     }
 
     #[test]
-    fn json_unescape_round_trips() {
+    fn json_escape_round_trips_through_the_parser() {
         for s in [
             "plain",
             "quotes \"inside\" and \\ backslash",
             "line\nbreak\ttab\rcr",
-            "control \u{1} char",
-            "unicode \u{0441}",
+            "control \u{1} char and \u{1f} and \u{7f}",
+            "unicode \u{0441} \u{1f600}",
         ] {
-            assert_eq!(json_unescape(&json_escape(s)), s, "{s:?}");
+            let doc = format!("\"{}\"", json_escape(s));
+            assert_eq!(Json::parse(&doc), Ok(Json::Str(s.into())), "{s:?}");
         }
-        // Unknown escapes and truncated input survive verbatim.
-        assert_eq!(json_unescape("a\\qb"), "a\\qb");
-        assert_eq!(json_unescape("trailing\\"), "trailing\\");
     }
 
     #[test]
-    fn json_string_field_reads_log_lines() {
-        let line = "{\"ts_micros\": 1, \"peer\": \"127.0.0.1:9\", \
-                    \"request\": \"schedule d695 --width 16\", \"outcome\": \"ok\"}";
-        assert_eq!(
-            json_string_field(line, "request").as_deref(),
-            Some("schedule d695 --width 16")
-        );
-        assert_eq!(json_string_field(line, "outcome").as_deref(), Some("ok"));
-        assert_eq!(json_string_field(line, "absent"), None);
-        // Escaped quotes inside the value are handled.
+    fn json_reads_request_log_records() {
+        let line = "{\"ts_micros\": 1722950000000000, \"peer\": \"127.0.0.1:9\", \
+                    \"request\": \"schedule d695 --width 16\", \"outcome\": \"ok\", \
+                    \"latency_micros\": 142, \"phases\": {\"resolve\": 17}}";
+        let record = Json::parse(line).unwrap();
+        assert_eq!(record["request"].as_str(), Some("schedule d695 --width 16"));
+        assert_eq!(record["outcome"].as_str(), Some("ok"));
+        assert_eq!(record["ts_micros"].as_u64(), Some(1_722_950_000_000_000));
+        assert_eq!(record["phases"]["resolve"].as_u64(), Some(17));
+        assert_eq!(record.get("absent"), None);
+        assert_eq!(record["absent"]["deeper"], Json::Null);
+        // Escaped quotes inside the value are decoded.
         let line = "{\"request\": \"bounds \\\"x\\\" --widths 8\"}";
         assert_eq!(
-            json_string_field(line, "request").as_deref(),
+            Json::parse(line).unwrap()["request"].as_str(),
             Some("bounds \"x\" --widths 8")
         );
     }
 
     #[test]
-    fn json_bool_field_reads_top_level_booleans_only() {
-        let ok = "{\"op\": \"schedule\", \"soc\": \"d695\", \"ok\": true, \"makespan\": 41}";
-        assert_eq!(json_bool_field(ok, "ok"), Some(true));
-        assert_eq!(json_bool_field(ok, "busy"), None);
-        let shed = "{\"ok\": false, \"busy\": true, \"transient\": true, \"error\": \"x\"}";
-        assert_eq!(json_bool_field(shed, "ok"), Some(false));
-        assert_eq!(json_bool_field(shed, "busy"), Some(true));
-        assert_eq!(json_bool_field(shed, "transient"), Some(true));
-        // Whitespace around the colon and value is tolerated.
-        assert_eq!(json_bool_field("{ \"ok\" :  true }", "ok"), Some(true));
-        // Present but not a boolean: absent, not a guess.
-        assert_eq!(json_bool_field("{\"ok\": 1}", "ok"), None);
-        assert_eq!(json_bool_field("{\"ok\": \"true\"}", "ok"), None);
+    fn json_reads_every_value_kind_exactly() {
+        let doc = " {\"a\": [null, true, false, 0, -7, 18446744073709551615, \
+                   1.5e3, -0.25, \"\\u00e9\\ud83d\\ude00\\/\"], \"b\": {}, \"c\": []}\n";
+        let value = Json::parse(doc).unwrap();
+        let a = value["a"].as_array().unwrap();
+        assert_eq!(a[0], Json::Null);
+        assert_eq!(a[1], Json::Bool(true));
+        assert_eq!(a[2], Json::Bool(false));
+        assert_eq!(a[3].as_u64(), Some(0));
+        assert_eq!(a[4], Json::Int(-7));
+        assert_eq!(a[4].as_u64(), None);
+        assert_eq!(
+            a[5].as_u64(),
+            Some(u64::MAX),
+            "u64 integers read back exactly"
+        );
+        assert_eq!(a[6], Json::Float(1500.0));
+        assert_eq!(a[6].as_u64(), None, "an exponent makes a float");
+        assert_eq!(a[7], Json::Float(-0.25));
+        assert_eq!(a[8].as_str(), Some("\u{e9}\u{1f600}/"));
+        assert_eq!(value["b"].as_object(), Some(&[][..]));
+        assert_eq!(value["c"].as_array(), Some(&[][..]));
     }
 
     #[test]
-    fn json_bool_field_is_not_fooled_by_echoed_request_text() {
-        // The exact bug class: a parse error echoing hostile request text
-        // into its `error` string. Substring matching sees `"busy": true`
-        // and `"ok": true`; field classification must not.
-        let echo = render_parse_error("unknown request kind `{\"busy\": true, \"ok\": true}`");
-        assert_eq!(json_bool_field(&echo, "ok"), Some(false));
-        assert_eq!(json_bool_field(&echo, "busy"), None);
-        assert_eq!(json_bool_field(&echo, "transient"), None);
-        // Nested objects don't leak members to the top level either.
-        let nested = "{\"ok\": false, \"detail\": {\"busy\": true}}";
-        assert_eq!(json_bool_field(nested, "busy"), None);
-        // A string *value* that equals the field name is not a key.
-        let value = "{\"error\": \"busy\", \"busy\": false}";
-        assert_eq!(json_bool_field(value, "busy"), Some(false));
+    fn json_rejects_everything_rfc_8259_does() {
+        for bad in [
+            "",
+            "   ",
+            "{\"ok\": true} trailing",
+            "{\"ok\": true}{}",
+            "{\"ok\": true",
+            "{\"ok\" true}",
+            "{\"ok\": true,}",
+            "[1, 2,]",
+            "{ok: true}",
+            "{'ok': true}",
+            "\"raw \u{1} control\"",
+            "\"raw\nnewline\"",
+            "\"tab\tinside\"",
+            "\"bad \\q escape\"",
+            "\"short \\u12 escape\"",
+            "\"lone high \\ud83d\"",
+            "\"lone low \\ude00\"",
+            "\"high then text \\ud83dx\"",
+            "\"unterminated",
+            "01",
+            "-01",
+            "1.",
+            ".5",
+            "+1",
+            "1e",
+            "-",
+            "NaN",
+            "Infinity",
+            "tru",
+            "nul",
+            "{\"a\": 1, \"a\": 2}",
+            "{\"ok\": true, \"busy\": false, \"ok\": false}",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // Duplicate keys are caught in large objects too.
+        let members: Vec<String> = (0..40).map(|i| format!("\"k{i}\": {i}")).collect();
+        let unique = format!("{{{}}}", members.join(", "));
+        assert!(Json::parse(&unique).is_ok());
+        let twice = format!("{{{}, \"k7\": 0}}", members.join(", "));
+        assert!(Json::parse(&twice).is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_capped() {
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(Json::parse(&at_cap).is_ok());
+        let deeper = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH + 1),
+            "]".repeat(MAX_JSON_DEPTH + 1)
+        );
+        let err = Json::parse(&deeper).unwrap_err();
+        assert_eq!(err.reason, "nesting too deep");
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+        // A hostile peer's unbounded nesting is an error, not a stack
+        // overflow.
+        assert!(Json::parse(&"{\"a\": ".repeat(100_000)).is_err());
     }
 
     #[test]
@@ -903,6 +1181,45 @@ mod tests {
                 "sweep d695 --from 15 --to 17"
             ]
         );
+    }
+
+    #[test]
+    fn replay_lines_skips_a_torn_last_record() {
+        // A daemon killed mid-write leaves its log's last record cut off:
+        // every whole record replays, the torn one does not.
+        let log = "{\"ts_micros\": 5, \"request\": \"bounds d695\", \"outcome\": \"ok\"}\n\
+                   {\"ts_micros\": 6, \"request\": \"schedule d695 --width 16\", \"outcome\": \"ok\"}\n\
+                   {\"ts_micros\": 7, \"request\": \"sweep d695 --from 15 --to 17\", \"outc";
+        assert_eq!(
+            replay_lines(log),
+            ["bounds d695", "schedule d695 --width 16"]
+        );
+        // A record whose `request` is not a top-level string is skipped
+        // too.
+        let odd = "{\"request\": 7}\n{\"detail\": {\"request\": \"bounds d695\"}}\n";
+        assert!(replay_lines(odd).is_empty());
+    }
+
+    #[test]
+    fn soc_names_render_as_escaped_json_strings() {
+        for name in [
+            "bad\u{1}name",
+            "quote\"d",
+            "back\\slash",
+            "line\nbreak",
+            "caf\u{e9}",
+        ] {
+            let soc = Arc::new(Soc::new(name));
+            let req = EngineRequest::bounds(soc, request_flow(false, false), vec![16]);
+            let line = render_result(
+                &req,
+                &Err(soctam_schedule::ScheduleError::InvalidConfig {
+                    reason: "zero width".to_owned(),
+                }),
+            );
+            let parsed = Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+            assert_eq!(parsed["soc"].as_str(), Some(name), "{line}");
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub use context::CompiledSoc;
 pub use error::ScheduleError;
 pub use menus::RectangleMenus;
 pub use optimizer::{best_of, ParamSweep, ScheduleBuilder, SweepParams, SweepStats};
-pub use registry::{ContextRegistry, RegistryStats};
+pub use registry::{ContextKey, ContextRegistry, RegistryStats};
 pub use schedule::{CoreScheduleStats, Schedule, Slice};
 pub use solution_cache::{CacheLookup, SolutionCache, SolutionCacheStats};
 pub use svg::SvgOptions;

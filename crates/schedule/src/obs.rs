@@ -19,11 +19,11 @@
 //! * **Latency histograms.** A fixed-boundary log₂ [`Histogram`] (powers
 //!   of two from 1 µs to ~2.1 s, plus overflow) over lock-striped atomic
 //!   counters. Recording is wait-free; [`Histogram::snapshot`] folds the
-//!   stripes into a [`HistogramSnapshot`] that merges bucket-wise
-//!   ([`HistogramSnapshot::merge`] — how the balancer's roll-up sums
-//!   backend histograms) and renders Prometheus `_bucket`/`_sum`/`_count`
-//!   exposition with `le` boundaries in seconds
-//!   ([`HistogramSnapshot::render_into`]).
+//!   stripes into a [`HistogramSnapshot`] that renders Prometheus
+//!   `_bucket`/`_sum`/`_count` exposition with `le` boundaries in seconds
+//!   ([`HistogramSnapshot::render_into`]). Buckets, sum, and count are
+//!   plain series, so the balancer's roll-up merges backend histograms
+//!   by summing their scraped series.
 //!
 //! The daemon uses both: per-request traces feed the `trace=1` response
 //! field, the request log's `phases` object, the `--slow-log` stream, and
@@ -409,8 +409,8 @@ thread_local! {
 /// Buckets are powers of two in microseconds (1 µs, 2 µs, … ~2.1 s, then
 /// overflow); `le` labels render in seconds. [`Histogram::record`] is
 /// wait-free (three relaxed atomic adds on the calling thread's stripe);
-/// [`Histogram::snapshot`] folds every stripe into one mergeable,
-/// renderable [`HistogramSnapshot`].
+/// [`Histogram::snapshot`] folds every stripe into one renderable
+/// [`HistogramSnapshot`].
 pub struct Histogram {
     stripes: [Stripe; STRIPES],
 }
@@ -472,10 +472,7 @@ impl Histogram {
 }
 
 /// A folded, plain-data histogram: per-bucket counts (non-cumulative),
-/// the sum of recorded microseconds, and the record count. Merging two
-/// snapshots ([`HistogramSnapshot::merge`]) yields exactly the snapshot
-/// of the concatenated samples, which is what lets the balancer roll up
-/// backend histograms bucket-wise.
+/// the sum of recorded microseconds, and the record count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Non-cumulative count per bucket, [`bucket_index`]-ordered.
@@ -495,15 +492,6 @@ impl HistogramSnapshot {
             sum_micros: 0,
             count: 0,
         }
-    }
-
-    /// Adds `other`'s samples into `self`, bucket-wise.
-    pub fn merge(&mut self, other: &Self) {
-        for (acc, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *acc += b;
-        }
-        self.sum_micros += other.sum_micros;
-        self.count += other.count;
     }
 
     /// Appends Prometheus exposition for one labeled series of the
@@ -647,24 +635,6 @@ mod tests {
         assert_eq!(bucket_le_label(10), "0.001024");
         assert_eq!(bucket_le_label(MAX_EXPONENT), "2.097152");
         assert_eq!(bucket_le_label(MAX_EXPONENT + 1), "+Inf");
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let a_samples = [3u64, 900, 17, 1 << 20, u64::MAX];
-        let b_samples = [0u64, 1, 2, 4_000_000, 77];
-        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for &s in &a_samples {
-            a.record_micros(s);
-            both.record_micros(s);
-        }
-        for &s in &b_samples {
-            b.record_micros(s);
-            both.record_micros(s);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
     }
 
     #[test]

@@ -44,13 +44,16 @@ use crate::solution_cache::SolutionCache;
 /// The identity of one compiled context: SOC content, width cap, and the
 /// constraint-relevant configuration (power budget).
 ///
-/// The SOC's content hash is computed once per lookup and cached here, so
-/// shard selection and map probing hash a `u64` instead of re-walking the
-/// whole model; equality short-circuits on the cheap fields and falls back
-/// to full content comparison only on a hash match (derived `PartialEq`
-/// compares fields in declaration order).
+/// The SOC's content hash is computed once, when the key is built, and
+/// kept here, so shard selection and map probing hash a `u64` instead of
+/// re-walking the whole model; equality short-circuits on the cheap
+/// fields and falls back to full content comparison only on a hash match
+/// (derived `PartialEq` compares fields in declaration order), so a 64-bit
+/// collision can never alias two different SOCs. A caller that keys more
+/// than the context (the engine's solution cache) carries one of these
+/// and probes the registry with it, hashing the SOC once per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ContextKey {
+pub struct ContextKey {
     w_max: TamWidth,
     power_budget: Option<u64>,
     soc_hash: u64,
@@ -58,9 +61,11 @@ struct ContextKey {
 }
 
 impl ContextKey {
-    fn new(soc: &Arc<Soc>, w_max: TamWidth, power_budget: Option<u64>) -> Self {
-        // DefaultHasher with default keys is deterministic within a
-        // process, which is all the cached hash needs to be.
+    /// The key of `(soc, w_max, power_budget)`, `w_max` clamped to at
+    /// least 1 as [`CompiledSoc::compile`] clamps it.
+    pub fn new(soc: &Arc<Soc>, w_max: TamWidth, power_budget: Option<u64>) -> Self {
+        // DefaultHasher with default keys is deterministic across
+        // processes of one build, so the hash can feed stable digests.
         let mut h = DefaultHasher::new();
         soc.hash(&mut h);
         Self {
@@ -69,6 +74,21 @@ impl ContextKey {
             soc_hash: h.finish(),
             soc: Arc::clone(soc),
         }
+    }
+
+    /// The (clamped) width cap.
+    pub fn w_max(&self) -> TamWidth {
+        self.w_max
+    }
+
+    /// The resolved power budget.
+    pub fn power_budget(&self) -> Option<u64> {
+        self.power_budget
+    }
+
+    /// The SOC model's content hash.
+    pub fn soc_hash(&self) -> u64 {
+        self.soc_hash
     }
 }
 
@@ -182,7 +202,13 @@ impl ContextRegistry {
         w_max: TamWidth,
         power_budget: Option<u64>,
     ) -> Arc<CompiledSoc> {
-        let key = ContextKey::new(soc, w_max, power_budget);
+        self.get_or_compile_key(ContextKey::new(soc, w_max, power_budget))
+    }
+
+    /// [`ContextRegistry::get_or_compile`] by a key the caller already
+    /// built, so a request's SOC is hashed once however many caches it
+    /// probes.
+    pub fn get_or_compile_key(&self, key: ContextKey) -> Arc<CompiledSoc> {
         let (soc, cap) = (Arc::clone(&key.soc), key.w_max);
         self.get_or_compile_with(key, || Arc::new(CompiledSoc::compile_arc(soc, cap)))
     }

@@ -179,7 +179,9 @@ impl SolutionCacheStats {
 }
 
 /// Sharded, LRU+TTL-bounded, thread-safe cache of solved results with
-/// in-flight request coalescing. See the [module docs](self).
+/// in-flight request coalescing: concurrent same-key requests wait on one
+/// solve, errors are not cached, and a panicking solve is torn down
+/// without poisoning a shard.
 pub struct SolutionCache<K, V, E> {
     shards: Vec<Mutex<HashMap<K, Slot<V, E>>>>,
     per_shard_capacity: usize,

@@ -44,7 +44,10 @@
 //! per series, of every live backend's exposition, so one scrape sees
 //! cluster-wide cache hits, sheds, solver counters, and latency
 //! histograms (bucket counts are integral, so summing series merges the
-//! backends' histograms bucket-wise, exactly).
+//! backends' histograms bucket-wise, exactly). Both halves render through
+//! the [`exposition`] writer, and each backend scrape
+//! is read with its strict reader: a backend whose scrape does not parse
+//! is left out of the roll-up, like one that is down.
 //!
 //! # Client connections
 //!
@@ -76,6 +79,7 @@ use soctam_core::schedule::lock_unpoisoned;
 use soctam_core::schedule::obs;
 
 use crate::client::{self, RetryPolicy, RetryingClient};
+use crate::exposition;
 use crate::front::{Conn, Front, FrontStats, Handler, Limits};
 
 /// Configuration of a balancer front.
@@ -535,9 +539,9 @@ fn forward(shared: &Proxy, backend: &Backend, line: &str) -> Forward {
     let Some(mut conn) = backend.checkout(shared) else {
         return Forward::Dead;
     };
-    match conn.request(line) {
-        Ok(response) => {
-            if client::response_busy(&response) {
+    match conn.request_classified(line) {
+        Ok((response, flags)) => {
+            if flags.busy {
                 // The daemon closes right after a busy answer: the pooled
                 // transport is gone with it.
                 backend.discard();
@@ -603,53 +607,27 @@ fn proxy_request(shared: &Proxy, line: &str) -> String {
     last_busy.unwrap_or_else(|| NO_BACKEND_RESPONSE.to_owned())
 }
 
-/// Renders the front's Prometheus exposition: `soctam_balance_*`
-/// families, then the roll-up summing every live backend's families.
+/// Renders the front's Prometheus exposition through the
+/// [`exposition::Writer`]: `soctam_balance_*` families, then the roll-up
+/// summing every live backend's families.
 fn front_metrics(shared: &Proxy) -> String {
-    use std::fmt::Write as _;
-    let c = &shared.counters;
-    let front = &shared.front;
-    let mut out = String::new();
-    let mut family = |name: &str, kind: &str, samples: &[(String, u64)]| {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in samples {
-            let _ = writeln!(out, "{name}{labels} {value}");
+    use exposition::Kind::{Counter, Gauge, Histogram};
+    let (c, front) = (&shared.counters, &shared.front);
+    let mut w = exposition::Writer::default();
+    w.scalar("soctam_balance_backends", shared.backends.len());
+    for (name, kind) in [
+        ("soctam_balance_backend_up", Gauge),
+        ("soctam_balance_routed_total", Counter),
+    ] {
+        w.family(name, kind);
+        for b in &shared.backends {
+            let value = match kind {
+                Gauge => u64::from(b.up.load(Ordering::SeqCst)),
+                _ => b.routed.load(Ordering::Relaxed),
+            };
+            w.sample(name, &[("backend", &b.label)], value);
         }
-    };
-    let scalar = |v: u64| vec![(String::new(), v)];
-    family(
-        "soctam_balance_backends",
-        "gauge",
-        &scalar(shared.backends.len() as u64),
-    );
-    family(
-        "soctam_balance_backend_up",
-        "gauge",
-        &shared
-            .backends
-            .iter()
-            .map(|b| {
-                (
-                    format!("{{backend=\"{}\"}}", b.label),
-                    u64::from(b.up.load(Ordering::SeqCst)),
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
-    family(
-        "soctam_balance_routed_total",
-        "counter",
-        &shared
-            .backends
-            .iter()
-            .map(|b| {
-                (
-                    format!("{{backend=\"{}\"}}", b.label),
-                    b.routed.load(Ordering::Relaxed),
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
+    }
     for (name, value) in [
         ("soctam_balance_failover_total", &c.failovers),
         ("soctam_balance_unrouted_total", &c.unrouted),
@@ -659,118 +637,48 @@ fn front_metrics(shared: &Proxy) -> String {
         ("soctam_balance_shed_total", &front.sheds),
         ("soctam_balance_timeouts_total", &front.timeouts),
         ("soctam_balance_probes_total", &c.probes),
+        ("soctam_balance_queue_depth", &front.queue_depth),
     ] {
-        family(name, "counter", &scalar(value.load(Ordering::Relaxed)));
+        w.scalar(name, value.load(Ordering::SeqCst));
     }
-    family(
-        "soctam_balance_queue_depth",
-        "gauge",
-        &scalar(front.queue_depth.load(Ordering::SeqCst)),
-    );
-    let _ = writeln!(out, "# TYPE soctam_balance_uptime_seconds gauge");
-    let _ = writeln!(
-        out,
-        "soctam_balance_uptime_seconds {:.3}",
-        shared.started.elapsed().as_secs_f64()
-    );
+    let uptime = shared.started.elapsed().as_secs_f64();
+    w.scalar("soctam_balance_uptime_seconds", format_args!("{uptime:.3}"));
     // `balance_`-prefixed, unlike the daemon's `soctam_build_info`: the
     // roll-up below sums the backends' build-info series into this same
     // exposition, and one scrape must not carry two families of one name.
-    let _ = writeln!(out, "# TYPE soctam_balance_build_info gauge");
-    let _ = writeln!(
-        out,
-        "soctam_balance_build_info{{version=\"{}\"}} 1",
-        env!("CARGO_PKG_VERSION")
-    );
-    let _ = writeln!(out, "# TYPE soctam_balance_proxy_latency_seconds histogram");
-    let proxy = shared.proxy_latency.snapshot();
-    if proxy.count > 0 {
-        proxy.render_into(&mut out, "soctam_balance_proxy_latency_seconds", "");
+    let version = [("version", env!("CARGO_PKG_VERSION"))];
+    w.family("soctam_balance_build_info", Gauge)
+        .sample("soctam_balance_build_info", &version, 1);
+    let proxy = "soctam_balance_proxy_latency_seconds";
+    w.family(proxy, Histogram);
+    let snapshot = shared.proxy_latency.snapshot();
+    if snapshot.count > 0 {
+        w.histogram(proxy, &[], &snapshot);
     }
-    out.push_str(&rollup_backend_metrics(shared));
-    out
+    w.families(&exposition::rollup(&backend_scrapes(shared)));
+    w.finish()
 }
 
-/// Scrapes every believed-up backend's `/metrics` and sums samples by
-/// `(family, label set)`, preserving first-seen order — one front scrape
-/// sees cluster-wide counters. Counters sum naturally; summed gauges
-/// read as cluster totals (queue depths add; uptimes become aggregate
-/// process-seconds).
-fn rollup_backend_metrics(shared: &Proxy) -> String {
-    use std::fmt::Write as _;
-    let mut kinds: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    let mut sums: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-    let mut series_order: std::collections::HashMap<String, Vec<String>> =
-        std::collections::HashMap::new();
-    for backend in &shared.backends {
-        if !backend.up.load(Ordering::SeqCst) {
-            continue;
-        }
-        let Ok((status, body)) =
-            client::http_get_timeout(backend.addr, "/metrics", shared.cfg.probe_timeout)
-        else {
-            continue;
-        };
-        if !status.contains("200") {
-            continue;
-        }
-        for line in body.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split_whitespace();
-                if let (Some(name), Some(kind)) = (parts.next(), parts.next()) {
-                    if !kinds.contains_key(name) {
-                        kinds.insert(name.to_owned(), kind.to_owned());
-                        order.push(name.to_owned());
-                    }
-                }
-                continue;
+/// Scrapes every believed-up backend's `/metrics`, the input of the
+/// roll-up. Counters sum naturally; summed gauges read as cluster totals
+/// (queue depths add; uptimes become aggregate process-seconds). A
+/// backend whose scrape fails, or does not parse strictly, is left out
+/// like a backend that is down.
+fn backend_scrapes(shared: &Proxy) -> Vec<exposition::Scrape> {
+    shared
+        .backends
+        .iter()
+        .filter(|backend| backend.up.load(Ordering::SeqCst))
+        .filter_map(|backend| {
+            let (status, body) =
+                client::http_get_timeout(backend.addr, "/metrics", shared.cfg.probe_timeout)
+                    .ok()?;
+            if !status.contains("200") {
+                return None;
             }
-            let Some((series, value)) = line.rsplit_once(' ') else {
-                continue;
-            };
-            let Ok(value) = value.trim().parse::<f64>() else {
-                continue;
-            };
-            let sample = series.split(['{', ' ']).next().unwrap_or(series);
-            // Histogram (and summary) sample names carry a suffix the
-            // family's TYPE line doesn't: group `X_bucket`/`X_sum`/
-            // `X_count` under family `X` whenever `X` is TYPE-annotated,
-            // so roll-up histograms keep their header and their series.
-            let family = ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suffix| {
-                    let base = sample.strip_suffix(suffix)?;
-                    kinds.contains_key(base).then(|| base.to_owned())
-                })
-                .unwrap_or_else(|| sample.to_owned());
-            if !sums.contains_key(series) {
-                series_order
-                    .entry(family)
-                    .or_default()
-                    .push(series.to_owned());
-            }
-            *sums.entry(series.to_owned()).or_insert(0.0) += value;
-        }
-    }
-    let mut out = String::new();
-    for family in &order {
-        let Some(series) = series_order.get(family) else {
-            continue;
-        };
-        let _ = writeln!(out, "# TYPE {family} {}", kinds[family]);
-        for name in series {
-            let value = sums[name];
-            if (value.fract()).abs() < f64::EPSILON {
-                let _ = writeln!(out, "{name} {}", value as i64);
-            } else {
-                // Six decimals: phase counters and histogram `_sum`s are
-                // microsecond-derived, and three would round them away.
-                let _ = writeln!(out, "{name} {value:.6}");
-            }
-        }
-    }
-    out
+            exposition::Scrape::parse(&body).ok()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //! run's timing is reproducible), reconnecting only when the socket is
 //! actually gone (transport error or shed). Responses are classified on
 //! their real top-level JSON fields ([`response_ok`],
-//! [`is_retryable_response`]), never by substring. `soctam client
-//! --retries N --backoff SECS` and [`replay_with_retry`] ride on it.
+//! [`is_retryable_response`]), read from one strict parse
+//! ([`Json::parse`]), never by substring. `soctam client --retries N
+//! --backoff SECS` and [`replay_with_retry`] ride on it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use soctam_core::protocol::json_bool_field;
+use soctam_core::protocol::Json;
 
 /// A connected protocol client: send request lines, read response lines,
 /// one connection for any number of requests.
@@ -99,34 +100,67 @@ pub fn roundtrip(addr: impl ToSocketAddrs, lines: &[&str]) -> std::io::Result<Ve
     lines.iter().map(|line| conn.request(line)).collect()
 }
 
+/// The top-level booleans a response line is classified by, read from one
+/// strict parse ([`Json::parse`]). Only a real top-level `true` counts: a
+/// parse-error response echoes the offending request text into its
+/// `error` string, and neither that text nor a member of a nested object
+/// is ever read. A line that does not parse is neither ok, busy, nor
+/// transient.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ResponseFlags {
+    /// `"ok": true` — the request succeeded.
+    pub(crate) ok: bool,
+    /// `"busy": true` — an admission-control shed.
+    pub(crate) busy: bool,
+    /// `"transient": true` — a failure worth retrying.
+    pub(crate) transient: bool,
+}
+
+impl ResponseFlags {
+    pub(crate) fn of(response: &str) -> Self {
+        let Ok(json) = Json::parse(response) else {
+            return Self::default();
+        };
+        let flag = |key| json.get(key) == Some(&Json::Bool(true));
+        Self {
+            ok: flag("ok"),
+            busy: flag("busy"),
+            transient: flag("transient"),
+        }
+    }
+
+    /// A shed or a transient failure: the request is fine, send it again.
+    pub(crate) fn retryable(self) -> bool {
+        self.busy || self.transient
+    }
+}
+
 /// Whether a one-line JSON response reports success: its *top-level*
-/// `"ok"` field is `true`. Classification is field-based
-/// ([`soctam_core::protocol::json_bool_field`]), never a substring match
-/// — a parse-error response echoes the offending request text into its
-/// `error` string, so a hostile request line containing `"ok": true`
-/// must not count as a success.
+/// `"ok"` member is `true` (see [`Json::parse`]). A hostile request line
+/// containing `"ok": true`, echoed back inside a parse error's `error`
+/// string, never counts as a success.
 #[must_use]
 pub fn response_ok(response: &str) -> bool {
-    json_bool_field(response, "ok") == Some(true)
+    ResponseFlags::of(response).ok
 }
 
 /// Whether a one-line JSON response is an admission-control shed: its
-/// top-level `"busy"` field is `true`. The daemon closes the connection
+/// top-level `"busy"` member is `true`. The daemon closes the connection
 /// right after writing such an answer, so a busy response also means the
 /// transport underneath is gone.
 #[must_use]
 pub fn response_busy(response: &str) -> bool {
-    json_bool_field(response, "busy") == Some(true)
+    ResponseFlags::of(response).busy
 }
 
 /// Whether a one-line JSON response asks to be retried: an admission-
 /// control shed (`"busy": true`) or a transient failure such as a
 /// recovered solver panic (`"transient": true`). Both are read as real
-/// top-level fields, so request text echoed inside an `error` string can
+/// top-level members, so request text echoed inside an `error` string can
 /// never spoof a retry.
 #[must_use]
 pub fn is_retryable_response(response: &str) -> bool {
-    response_busy(response) || json_bool_field(response, "transient") == Some(true)
+    ResponseFlags::of(response).retryable()
 }
 
 /// Exponential backoff with deterministic jitter.
@@ -258,11 +292,25 @@ impl RetryingClient {
     /// still-retryable *response* (the daemon kept shedding) is returned
     /// as `Ok` — callers see exactly what the daemon last said.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
+        self.request_classified(line).map(|(response, _)| response)
+    }
+
+    /// [`RetryingClient::request`], also returning the final response's
+    /// flags: each answer is parsed once, for the retry decision, and a
+    /// caller that classifies it too (the balancer's forward step) reuses
+    /// that parse.
+    pub(crate) fn request_classified(
+        &mut self,
+        line: &str,
+    ) -> std::io::Result<(String, ResponseFlags)> {
         let mut attempt = 0;
         loop {
-            let outcome = self.request_once(line);
+            let outcome = self.request_once(line).map(|response| {
+                let flags = ResponseFlags::of(&response);
+                (response, flags)
+            });
             let retryable = match &outcome {
-                Ok(response) => is_retryable_response(response),
+                Ok((_, flags)) => flags.retryable(),
                 Err(_) => true,
             };
             if !retryable || attempt >= self.policy.retries {
@@ -275,7 +323,7 @@ impl RetryingClient {
             // reconnect. A `"transient": true` error — a recovered solver
             // panic — arrives on a healthy keep-alive connection, which
             // stays pooled for the retry.
-            if matches!(&outcome, Ok(response) if response_busy(response)) {
+            if matches!(&outcome, Ok((_, flags)) if flags.busy) {
                 self.conn = None;
             }
             std::thread::sleep(self.policy.delay(&mut self.rng, attempt));
@@ -479,9 +527,9 @@ pub fn replay_with_retry(
     let (mut ok, mut failed) = (0, 0);
     for line in lines {
         let t0 = Instant::now();
-        let response = client.request(&line)?;
+        let (response, flags) = client.request_classified(&line)?;
         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-        if response_ok(&response) {
+        if flags.ok {
             ok += 1;
         } else {
             failed += 1;
@@ -576,6 +624,16 @@ mod tests {
         assert!(!response_ok(&echo), "{echo}");
         let echo_ok = soctam_core::protocol::render_parse_error("junk \"ok\": true junk");
         assert!(!response_ok(&echo_ok), "{echo_ok}");
+        let echo = soctam_core::protocol::render_parse_error(
+            "unknown request kind `{\"busy\": true, \"ok\": true}`",
+        );
+        assert_eq!(ResponseFlags::of(&echo), ResponseFlags::default(), "{echo}");
+        // Nested objects don't leak members to the top level either.
+        let nested = "{\"ok\": false, \"detail\": {\"busy\": true, \"transient\": true}}";
+        assert!(!response_busy(nested) && !is_retryable_response(nested));
+        // A string *value* that equals the member name is not a key.
+        assert!(!response_busy("{\"error\": \"busy\", \"busy\": false}"));
+        assert!(response_busy("{\"error\": \"busy\", \"busy\": true}"));
     }
 
     #[test]
@@ -591,6 +649,36 @@ mod tests {
         assert!(!response_busy(
             "{\"ok\": false, \"transient\": true, \"error\": \"solver panicked (recovered)\"}"
         ));
+        let ok = "{\"op\": \"schedule\", \"soc\": \"d695\", \"ok\": true, \"makespan\": 41}";
+        assert!(response_ok(ok) && !response_busy(ok) && !is_retryable_response(ok));
+        let shed = "{\"ok\": false, \"busy\": true, \"transient\": true, \"error\": \"x\"}";
+        assert_eq!(
+            ResponseFlags::of(shed),
+            ResponseFlags {
+                ok: false,
+                busy: true,
+                transient: true
+            }
+        );
+        // Whitespace around the colon and value is tolerated.
+        assert!(response_ok("{ \"ok\" :  true }"));
+        // Present but not a boolean: not a success, not a guess.
+        assert!(!response_ok("{\"ok\": 1}"));
+        assert!(!response_ok("{\"ok\": \"true\"}"));
+        // A line that does not parse strictly is neither ok, busy, nor
+        // transient: a torn answer, trailing text, a duplicate key.
+        for broken in [
+            "{\"ok\": true, \"busy\": true, \"transient\": true",
+            "{\"ok\": true} {\"ok\": true}",
+            "{\"ok\": false, \"ok\": true}",
+            "{\"busy\": true, \"error\": \"raw \u{1}\"}",
+        ] {
+            assert_eq!(
+                ResponseFlags::of(broken),
+                ResponseFlags::default(),
+                "{broken}"
+            );
+        }
     }
 
     #[test]

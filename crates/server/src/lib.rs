@@ -158,7 +158,8 @@
 //!   control* above);
 //! * `GET /metrics` — `200 OK`, Prometheus text exposition (`# TYPE`-
 //!   annotated counters and gauges) of request, cache, registry, and
-//!   solver counters;
+//!   solver counters, rendered through the [`exposition`] writer (whose
+//!   strict reader parses it back);
 //! * anything else — `404 Not Found`.
 //!
 //! # Caching
@@ -209,6 +210,7 @@ use front::{Conn, Front, FrontStats, Handler, Limits};
 
 pub mod balance;
 pub mod client;
+pub mod exposition;
 mod front;
 
 /// Configuration of a serving daemon.
@@ -820,249 +822,120 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
     }
 }
 
-/// Renders the Prometheus text exposition of the daemon's counters. Every
-/// metric family carries its `# TYPE` line (counter or gauge) so real
-/// scrapers ingest the exposition, not just `grep`.
+/// Renders the Prometheus text exposition of the daemon's counters
+/// through the [`exposition::Writer`]. Every metric family carries its
+/// `# TYPE` line (counter or gauge) so real scrapers ingest the
+/// exposition, not just `grep`.
 fn metrics_text(shared: &Shared) -> String {
-    let c = &shared.counters;
-    let front = &shared.front;
-    let registry = shared.engine.registry();
-    let reg_stats = registry.stats();
-    let sol_stats = shared.engine.solution_stats().unwrap_or_default();
-    let mut out = String::new();
-    let _ = writeln!(out, "# TYPE soctam_uptime_seconds gauge");
-    let _ = writeln!(
-        out,
-        "soctam_uptime_seconds {}",
-        shared.started.elapsed().as_secs_f64()
-    );
-    // One entry per metric *family*: (family name, type, samples), where a
-    // sample is (label suffix, value). Most families have the single
-    // unlabelled sample.
-    type Samples = Vec<(&'static str, u64)>;
-    let families: Vec<(&str, &str, Samples)> = vec![
-        (
-            "soctam_connections_total",
-            "counter",
-            vec![("", front.connections.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_http_requests_total",
-            "counter",
-            vec![("", front.http_requests.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_requests_total",
-            "counter",
-            vec![
-                (
-                    "{kind=\"schedule\"}",
-                    c.schedule_requests.load(Ordering::Relaxed),
-                ),
-                ("{kind=\"sweep\"}", c.sweep_requests.load(Ordering::Relaxed)),
-                (
-                    "{kind=\"bounds\"}",
-                    c.bounds_requests.load(Ordering::Relaxed),
-                ),
-            ],
-        ),
-        (
-            "soctam_request_parse_errors_total",
-            "counter",
-            vec![("", c.parse_errors.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_responses_ok_total",
-            "counter",
-            vec![("", c.responses_ok.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_responses_err_total",
-            "counter",
-            vec![("", c.responses_err.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_connection_timeouts_total",
-            "counter",
-            vec![("", front.timeouts.load(Ordering::Relaxed))],
-        ),
+    let (c, front) = (&shared.counters, &shared.front);
+    let (registry, engine) = (shared.engine.registry(), &shared.engine);
+    let reg = registry.stats();
+    let sol = engine.solution_stats().unwrap_or_default();
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let gauge = |value: &AtomicU64| value.load(Ordering::SeqCst);
+    let mut w = exposition::Writer::default();
+    let uptime = shared.started.elapsed().as_secs_f64();
+    w.scalar("soctam_uptime_seconds", uptime);
+    w.scalar("soctam_connections_total", load(&front.connections));
+    w.scalar("soctam_http_requests_total", load(&front.http_requests));
+    w.family("soctam_requests_total", exposition::Kind::Counter);
+    for (kind, counter) in [
+        ("schedule", &c.schedule_requests),
+        ("sweep", &c.sweep_requests),
+        ("bounds", &c.bounds_requests),
+    ] {
+        w.sample("soctam_requests_total", &[("kind", kind)], load(counter));
+    }
+    // The family table: one unlabelled sample per family, counters named
+    // `_total`, gauges not. The `process_` counters cover every engine in
+    // the process (the instrument counters are process-wide).
+    for (name, value) in [
+        ("soctam_request_parse_errors_total", load(&c.parse_errors)),
+        ("soctam_responses_ok_total", load(&c.responses_ok)),
+        ("soctam_responses_err_total", load(&c.responses_err)),
+        ("soctam_connection_timeouts_total", load(&front.timeouts)),
         (
             "soctam_request_line_oversized_total",
-            "counter",
-            vec![("", front.oversized_lines.load(Ordering::Relaxed))],
+            load(&front.oversized_lines),
         ),
         (
             "soctam_request_cap_closes_total",
-            "counter",
-            vec![("", front.request_cap_closes.load(Ordering::Relaxed))],
+            load(&front.request_cap_closes),
         ),
-        (
-            "soctam_shed_total",
-            "counter",
-            vec![("", front.sheds.load(Ordering::Relaxed))],
-        ),
-        (
-            "soctam_queue_depth",
-            "gauge",
-            vec![("", front.queue_depth.load(Ordering::SeqCst))],
-        ),
-        (
-            "soctam_queue_capacity",
-            "gauge",
-            vec![("", shared.cfg.max_pending as u64)],
-        ),
-        (
-            "soctam_worker_threads",
-            "gauge",
-            vec![("", front.worker_threads.load(Ordering::SeqCst))],
-        ),
-        (
-            "soctam_worker_panics_total",
-            "counter",
-            vec![("", front.worker_panics.load(Ordering::Relaxed))],
-        ),
+        ("soctam_shed_total", load(&front.sheds)),
+        ("soctam_queue_depth", gauge(&front.queue_depth)),
+        ("soctam_queue_capacity", shared.cfg.max_pending as u64),
+        ("soctam_worker_threads", gauge(&front.worker_threads)),
+        ("soctam_worker_panics_total", load(&front.worker_panics)),
         (
             "soctam_solver_panics_recovered_total",
-            "counter",
-            vec![("", shared.engine.recovered_panics())],
+            engine.recovered_panics(),
         ),
-        (
-            "soctam_solution_cache_panics_total",
-            "counter",
-            vec![("", sol_stats.panics)],
-        ),
-        (
-            "soctam_context_registry_panics_total",
-            "counter",
-            vec![("", reg_stats.panics)],
-        ),
-        (
-            "soctam_solution_cache_hits_total",
-            "counter",
-            vec![("", sol_stats.hits)],
-        ),
-        (
-            "soctam_solution_cache_misses_total",
-            "counter",
-            vec![("", sol_stats.misses)],
-        ),
-        (
-            "soctam_solution_cache_coalesced_total",
-            "counter",
-            vec![("", sol_stats.coalesced)],
-        ),
-        (
-            "soctam_solution_cache_evictions_total",
-            "counter",
-            vec![("", sol_stats.evictions)],
-        ),
-        (
-            "soctam_solution_cache_expiries_total",
-            "counter",
-            vec![("", sol_stats.expiries)],
-        ),
-        (
-            "soctam_solution_cache_failures_total",
-            "counter",
-            vec![("", sol_stats.failures)],
-        ),
+        ("soctam_solution_cache_panics_total", sol.panics),
+        ("soctam_context_registry_panics_total", reg.panics),
+        ("soctam_solution_cache_hits_total", sol.hits),
+        ("soctam_solution_cache_misses_total", sol.misses),
+        ("soctam_solution_cache_coalesced_total", sol.coalesced),
+        ("soctam_solution_cache_evictions_total", sol.evictions),
+        ("soctam_solution_cache_expiries_total", sol.expiries),
+        ("soctam_solution_cache_failures_total", sol.failures),
         (
             "soctam_solution_cache_resident",
-            "gauge",
-            vec![("", shared.engine.solutions_len() as u64)],
+            engine.solutions_len() as u64,
         ),
-        (
-            "soctam_context_registry_hits_total",
-            "counter",
-            vec![("", reg_stats.hits)],
-        ),
-        (
-            "soctam_context_registry_misses_total",
-            "counter",
-            vec![("", reg_stats.misses)],
-        ),
-        (
-            "soctam_context_registry_evictions_total",
-            "counter",
-            vec![("", reg_stats.evictions)],
-        ),
-        (
-            "soctam_context_registry_expiries_total",
-            "counter",
-            vec![("", reg_stats.expiries)],
-        ),
-        (
-            "soctam_context_registry_resident",
-            "gauge",
-            vec![("", registry.len() as u64)],
-        ),
-        // Process-scoped (not per-server): the instrument counters cover
-        // every engine in the process, and the name says so.
+        ("soctam_context_registry_hits_total", reg.hits),
+        ("soctam_context_registry_misses_total", reg.misses),
+        ("soctam_context_registry_evictions_total", reg.evictions),
+        ("soctam_context_registry_expiries_total", reg.expiries),
+        ("soctam_context_registry_resident", registry.len() as u64),
         (
             "soctam_process_schedule_runs_total",
-            "counter",
-            vec![("", instrument::schedule_runs())],
+            instrument::schedule_runs(),
         ),
         (
             "soctam_process_context_compiles_total",
-            "counter",
-            vec![("", instrument::context_compiles())],
+            instrument::context_compiles(),
         ),
-    ];
-    for (name, kind, samples) in families {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in samples {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
+    ] {
+        w.scalar(name, value);
     }
-    let _ = writeln!(out, "# TYPE soctam_build_info gauge");
-    let _ = writeln!(
-        out,
-        "soctam_build_info{{version=\"{}\"}} 1",
-        env!("CARGO_PKG_VERSION")
-    );
+    let version = [("version", env!("CARGO_PKG_VERSION"))];
+    w.family("soctam_build_info", exposition::Kind::Gauge)
+        .sample("soctam_build_info", &version, 1);
     // Cumulative exclusive time per phase, in seconds. Every phase is
     // rendered (zeros included) so a balancer roll-up sums a stable
     // series set.
-    let _ = writeln!(out, "# TYPE soctam_phase_seconds_total counter");
-    for (i, phase) in obs::Phase::ALL.iter().enumerate() {
-        let micros = shared.phase_micros[i].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "soctam_phase_seconds_total{{phase=\"{}\"}} {:.6}",
-            phase.label(),
-            micros as f64 / 1e6
+    w.family("soctam_phase_seconds_total", exposition::Kind::Counter);
+    for (phase, micros) in obs::Phase::ALL.iter().zip(&shared.phase_micros) {
+        let seconds = format_args!("{:.6}", load(micros) as f64 / 1e6);
+        w.sample(
+            "soctam_phase_seconds_total",
+            &[("phase", phase.label())],
+            seconds,
         );
     }
     // Request-latency histograms per kind × cache disposition. Only
     // populated cells render series (an exposition of 12 empty histograms
     // would drown the real ones), but the `# TYPE` header is
     // unconditional so scrapers and smoke tests can gate on the family.
-    let _ = writeln!(out, "# TYPE soctam_request_latency_seconds histogram");
-    for (k, kind) in KIND_LABELS.iter().enumerate() {
-        for (c, cache) in CACHE_LABELS.iter().enumerate() {
-            let snap = shared.latency[k][c].snapshot();
-            if snap.count == 0 {
-                continue;
+    let latency = "soctam_request_latency_seconds";
+    w.family(latency, exposition::Kind::Histogram);
+    for (kind, row) in KIND_LABELS.iter().zip(&shared.latency) {
+        for (cache, histogram) in CACHE_LABELS.iter().zip(row) {
+            let snapshot = histogram.snapshot();
+            if snapshot.count > 0 {
+                w.histogram(latency, &[("kind", kind), ("cache", cache)], &snapshot);
             }
-            snap.render_into(
-                &mut out,
-                "soctam_request_latency_seconds",
-                &format!("kind=\"{kind}\",cache=\"{cache}\""),
-            );
         }
     }
     // Fault-injection counts, one sample per armed spec. Only rendered
     // when a plan is armed: a production daemon's exposition carries no
     // chaos-harness rows.
     if let Some(plan) = &shared.cfg.fault_plan {
-        let _ = writeln!(out, "# TYPE soctam_fault_injected_total counter");
+        w.family("soctam_fault_injected_total", exposition::Kind::Counter);
         for (label, count) in plan.injected() {
-            let _ = writeln!(
-                out,
-                "soctam_fault_injected_total{{fault=\"{label}\"}} {count}"
-            );
+            w.sample("soctam_fault_injected_total", &[("fault", &label)], count);
         }
     }
-    out
+    w.finish()
 }

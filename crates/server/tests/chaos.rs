@@ -25,6 +25,7 @@ use soctam_core::engine::Engine;
 use soctam_core::fault::FaultPlan;
 use soctam_core::protocol::{self, benchmark_resolver};
 use soctam_server::client::{self, RetryPolicy, RetryingClient};
+use soctam_server::exposition::Scrape;
 use soctam_server::{Server, ServerConfig};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -53,19 +54,6 @@ fn server(cfg: ServerConfig) -> Server {
 
 fn plan(text: &str) -> Option<Arc<FaultPlan>> {
     Some(Arc::new(FaultPlan::parse(text).expect("test plan parses")))
-}
-
-/// Reads one metric's value out of the Prometheus exposition. `name`
-/// includes the label set for labelled samples
-/// (`soctam_fault_injected_total{fault="io:error"}`).
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("no metric `{name}` in:\n{metrics}"))
 }
 
 /// Silences the default panic-hook report for *injected* panics while
@@ -121,17 +109,14 @@ fn injected_solver_panics_fail_only_the_struck_requests() {
         }
     }
 
-    let metrics = server.metrics();
+    let metrics = Scrape::parse(&server.metrics()).expect("strict /metrics");
     assert_eq!(
-        metric_value(
-            &metrics,
-            "soctam_fault_injected_total{fault=\"solve:panic\"}"
-        ),
-        3
+        metrics.value("soctam_fault_injected_total{fault=\"solve:panic\"}"),
+        Some(3.0)
     );
     assert_eq!(
-        metric_value(&metrics, "soctam_solver_panics_recovered_total"),
-        3,
+        metrics.value("soctam_solver_panics_recovered_total"),
+        Some(3.0),
         "every injection shows up as a recovery"
     );
     let (status, body) = client::http_get(addr, "/healthz").expect("healthz");
@@ -175,12 +160,12 @@ fn overload_sheds_excess_connections_and_retrying_clients_all_succeed() {
         }
     });
 
-    let metrics = server.metrics();
+    let metrics = Scrape::parse(&server.metrics()).expect("strict /metrics");
     assert!(
-        metric_value(&metrics, "soctam_shed_total") > 0,
-        "offered load over capacity must shed: {metrics}"
+        metrics.value("soctam_shed_total") > Some(0.0),
+        "offered load over capacity must shed: {metrics:?}"
     );
-    assert_eq!(metric_value(&metrics, "soctam_queue_depth"), 0);
+    assert_eq!(metrics.value("soctam_queue_depth"), Some(0.0));
     let (status, _) = client::http_get(addr, "/healthz").expect("healthz");
     assert!(status.contains("200"), "drained daemon healthy: {status}");
     server.shutdown();
@@ -268,11 +253,10 @@ fn severed_connections_are_absorbed_by_the_retry_policy() {
     // injections.
     assert_eq!(client.retried(), 2);
     assert_eq!(
-        metric_value(
-            &server.metrics(),
-            "soctam_fault_injected_total{fault=\"io:error\"}"
-        ),
-        2
+        Scrape::parse(&server.metrics())
+            .expect("strict /metrics")
+            .value("soctam_fault_injected_total{fault=\"io:error\"}"),
+        Some(2.0)
     );
     server.shutdown();
 }
@@ -301,19 +285,19 @@ fn worker_killing_panics_are_respawned_and_service_continues() {
 
     let deadline = Instant::now() + Duration::from_secs(2);
     loop {
-        let metrics = server.metrics();
-        let workers = metric_value(&metrics, "soctam_worker_threads");
-        if workers == 2 {
-            assert_eq!(metric_value(&metrics, "soctam_worker_panics_total"), 2);
+        let metrics = Scrape::parse(&server.metrics()).expect("strict /metrics");
+        let workers = metrics.value("soctam_worker_threads");
+        if workers == Some(2.0) {
+            assert_eq!(metrics.value("soctam_worker_panics_total"), Some(2.0));
             assert_eq!(
-                metric_value(&metrics, "soctam_fault_injected_total{fault=\"io:panic\"}"),
-                2
+                metrics.value("soctam_fault_injected_total{fault=\"io:panic\"}"),
+                Some(2.0)
             );
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "worker pool never recovered to full strength:\n{metrics}"
+            "worker pool never recovered to full strength:\n{metrics:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -350,8 +334,10 @@ fn transient_answers_keep_the_connection_for_their_retries() {
     // Four attempts, one connection: a transient answer on a live socket
     // must not force a reconnect per retry.
     assert_eq!(
-        metric_value(&server.metrics(), "soctam_connections_total"),
-        1,
+        Scrape::parse(&server.metrics())
+            .expect("strict /metrics")
+            .value("soctam_connections_total"),
+        Some(1.0),
         "transient retries reconnected"
     );
     server.shutdown();
@@ -381,7 +367,12 @@ fn queue_depth_gauge_is_zeroed_when_shutdown_discards_queued_connections() {
     let _queued_a = client::Connection::connect(addr).expect("connect");
     let _queued_b = client::Connection::connect(addr).expect("connect");
     let deadline = Instant::now() + Duration::from_secs(2);
-    while metric_value(&server.metrics(), "soctam_queue_depth") < 2 {
+    let queue_depth = || {
+        Scrape::parse(&server.metrics())
+            .expect("strict /metrics")
+            .value("soctam_queue_depth")
+    };
+    while queue_depth() < Some(2.0) {
         assert!(Instant::now() < deadline, "queued connections never showed");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -389,8 +380,10 @@ fn queue_depth_gauge_is_zeroed_when_shutdown_discards_queued_connections() {
     server.shutdown(); // during the stall: both queued connections die queued
     pump.join().expect("client thread");
     assert_eq!(
-        metric_value(&probe.render(), "soctam_queue_depth"),
-        0,
+        Scrape::parse(&probe.render())
+            .expect("strict /metrics")
+            .value("soctam_queue_depth"),
+        Some(0.0),
         "shutdown must drain the gauge over discarded queued connections"
     );
 }

@@ -24,6 +24,7 @@ use soctam_core::engine::Engine;
 use soctam_core::protocol::{self, benchmark_resolver};
 use soctam_server::balance::{Balancer, BalancerConfig};
 use soctam_server::client::{self, Connection};
+use soctam_server::exposition::Scrape;
 use soctam_server::{Server, ServerConfig};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -78,18 +79,6 @@ fn failover_cfg() -> BalancerConfig {
     }
 }
 
-/// Reads one metric's value out of a Prometheus exposition (`name`
-/// includes the label set for labelled samples).
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or_else(|| panic!("no metric `{name}` in:\n{metrics}"))
-}
-
 #[test]
 fn requests_through_the_front_are_bit_identical_and_key_affine() {
     let _guard = serialize();
@@ -129,17 +118,16 @@ fn requests_through_the_front_are_bit_identical_and_key_affine() {
     );
 
     // The front's own books agree.
-    let metrics = front.metrics();
-    let routed_a = metric_value(
-        &metrics,
-        &format!("soctam_balance_routed_total{{backend=\"{}\"}}", addrs[0]),
-    );
-    let routed_b = metric_value(
-        &metrics,
-        &format!("soctam_balance_routed_total{{backend=\"{}\"}}", addrs[1]),
-    );
-    assert_eq!(routed_a + routed_b, 48);
-    assert_eq!(metric_value(&metrics, "soctam_balance_failover_total"), 0);
+    let metrics = Scrape::parse(&front.metrics()).expect("strict front /metrics");
+    let routed = |addr: SocketAddr| {
+        metrics
+            .value(&format!(
+                "soctam_balance_routed_total{{backend=\"{addr}\"}}"
+            ))
+            .expect("a routed sample per backend")
+    };
+    assert_eq!(routed(addrs[0]) + routed(addrs[1]), 48.0);
+    assert_eq!(metrics.value("soctam_balance_failover_total"), Some(0.0));
 
     front.shutdown();
     backend_a.shutdown();
@@ -170,27 +158,19 @@ fn front_http_surface_rolls_up_backends_and_answers_parse_errors_locally() {
 
     let (status, metrics) = client::http_get(front_addr, "/metrics").expect("front metrics");
     assert!(status.contains("200"), "{status}");
-    assert_eq!(metric_value(&metrics, "soctam_balance_backends"), 2);
-    assert_eq!(
-        metric_value(&metrics, "soctam_balance_parse_errors_total"),
-        1
-    );
+    let scrape = Scrape::parse(&metrics).expect("strict front /metrics");
+    assert_eq!(scrape.value("soctam_balance_backends"), Some(2.0));
+    assert_eq!(scrape.value("soctam_balance_parse_errors_total"), Some(1.0));
     for addr in addrs {
         assert_eq!(
-            metric_value(
-                &metrics,
-                &format!("soctam_balance_backend_up{{backend=\"{addr}\"}}")
-            ),
-            1
+            scrape.value(&format!("soctam_balance_backend_up{{backend=\"{addr}\"}}")),
+            Some(1.0)
         );
     }
     // The roll-up sums backend families: 8 proxied requests answered ok
     // across the two shards, none of them parse errors.
-    assert_eq!(metric_value(&metrics, "soctam_responses_ok_total"), 8);
-    assert_eq!(
-        metric_value(&metrics, "soctam_request_parse_errors_total"),
-        0
-    );
+    assert_eq!(scrape.value("soctam_responses_ok_total"), Some(8.0));
+    assert_eq!(scrape.value("soctam_request_parse_errors_total"), Some(0.0));
     assert!(
         metrics.contains("# TYPE soctam_balance_routed_total counter"),
         "front families carry TYPE lines:\n{metrics}"
@@ -221,17 +201,17 @@ fn the_front_rolls_up_latency_histograms_bucket_for_bucket() {
     // series name. Bucket counts are cumulative per backend, and sums of
     // cumulative counts are cumulative again — so the roll-up can (and
     // must) match series for series.
-    let mut want: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut want: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
     for addr in addrs {
         let (status, body) = client::http_get(addr, "/metrics").expect("backend metrics");
         assert!(status.contains("200"), "{status}");
-        for line in body.lines() {
-            if line.starts_with("soctam_request_latency_seconds_bucket{")
-                || line.starts_with("soctam_request_latency_seconds_count{")
-            {
-                let (series, value) = line.rsplit_once(' ').expect("series then value");
-                *want.entry(series.to_owned()).or_default() +=
-                    value.parse::<u64>().expect("integral sample");
+        let scrape = Scrape::parse(&body).expect("strict backend /metrics");
+        let family = scrape
+            .family("soctam_request_latency_seconds")
+            .expect("the latency histogram family");
+        for sample in &family.samples {
+            if sample.name().ends_with("_bucket") || sample.name().ends_with("_count") {
+                *want.entry(sample.series.clone()).or_default() += sample.value;
             }
         }
     }
@@ -242,19 +222,17 @@ fn the_front_rolls_up_latency_histograms_bucket_for_bucket() {
         metrics.contains("# TYPE soctam_request_latency_seconds histogram"),
         "{metrics}"
     );
+    let scrape = Scrape::parse(&metrics).expect("strict front /metrics");
     for (series, value) in &want {
         assert_eq!(
-            metric_value(&metrics, series),
-            *value,
+            scrape.value(series),
+            Some(*value),
             "roll-up diverged for `{series}`"
         );
     }
     assert_eq!(
-        metric_value(
-            &metrics,
-            "soctam_request_latency_seconds_count{kind=\"bounds\",cache=\"miss\"}"
-        ),
-        8,
+        scrape.value("soctam_request_latency_seconds_count{kind=\"bounds\",cache=\"miss\"}"),
+        Some(8.0),
         "8 distinct keys solved exactly once across the shards"
     );
 
@@ -262,8 +240,8 @@ fn the_front_rolls_up_latency_histograms_bucket_for_bucket() {
     // carries its prefixed build-info gauge next to the summed backend
     // one.
     assert_eq!(
-        metric_value(&metrics, "soctam_balance_proxy_latency_seconds_count"),
-        16
+        scrape.value("soctam_balance_proxy_latency_seconds_count"),
+        Some(16.0)
     );
     assert!(
         metrics.contains("soctam_balance_build_info{version=\""),
@@ -299,19 +277,20 @@ fn killing_a_backend_fails_over_with_zero_client_visible_failures() {
     }
 
     let metrics = front.metrics();
+    let scrape = Scrape::parse(&metrics).expect("strict front /metrics");
     assert!(
-        metric_value(&metrics, "soctam_balance_failover_total") > 0,
+        scrape.value("soctam_balance_failover_total") > Some(0.0),
         "diverted keys must count as failovers:\n{metrics}"
     );
     assert_eq!(
-        metric_value(
-            &metrics,
-            &format!("soctam_balance_backend_up{{backend=\"{}\"}}", addrs[0])
-        ),
-        0,
+        scrape.value(&format!(
+            "soctam_balance_backend_up{{backend=\"{}\"}}",
+            addrs[0]
+        )),
+        Some(0.0),
         "the dead backend is marked down by its transport failure"
     );
-    assert_eq!(metric_value(&metrics, "soctam_balance_unrouted_total"), 0);
+    assert_eq!(scrape.value("soctam_balance_unrouted_total"), Some(0.0));
 
     // The front stays healthy on one backend.
     let (status, _) = client::http_get(front.local_addr(), "/healthz").expect("healthz");
@@ -409,9 +388,14 @@ fn a_saturated_front_sheds_http_with_503_and_protocol_lines_with_busy() {
         },
     );
     let addr = front.local_addr();
+    let value = |name: &str| {
+        Scrape::parse(&front.metrics())
+            .expect("strict front /metrics")
+            .value(name)
+    };
     let wait_for = |name: &str, want: u64| {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while metric_value(&front.metrics(), name) != want {
+        while value(name) != Some(want as f64) {
             assert!(Instant::now() < deadline, "{name} never reached {want}");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -443,10 +427,7 @@ fn a_saturated_front_sheds_http_with_503_and_protocol_lines_with_busy() {
         !client::response_ok(&busy) && client::response_busy(&busy),
         "structured shed answer: {busy}"
     );
-    assert_eq!(
-        metric_value(&front.metrics(), "soctam_balance_shed_total"),
-        2
-    );
+    assert_eq!(value("soctam_balance_shed_total"), Some(2.0));
 
     front.shutdown();
     backend.shutdown();

@@ -2,8 +2,9 @@
 //!
 //! A fixed sequential mix (each request kind cold then warm, plus one
 //! parse error) runs against one daemon and against a front over two
-//! daemons. Each scrape is reduced to its `# TYPE` lines and its sample
-//! names with their labels: values are dropped, loopback addresses become
+//! daemons. Each scrape is parsed strictly (`exposition::Scrape`) and
+//! reduced to its `# TYPE` lines and its sample names with their labels:
+//! values are dropped, loopback addresses become
 //! `ADDR`, and the lines are sorted. The result must equal
 //! `tests/golden/metrics_series.txt`, so a refactor of either exposition
 //! keeps it series-for-series identical.
@@ -17,6 +18,7 @@ use std::time::Duration;
 
 use soctam_server::balance::{Balancer, BalancerConfig};
 use soctam_server::client::{self, Connection};
+use soctam_server::exposition::Scrape;
 use soctam_server::{Server, ServerConfig};
 
 /// Each request kind cold then warm, then one line that fails to parse.
@@ -67,18 +69,16 @@ fn mask_addresses(line: &str) -> String {
     out
 }
 
-/// The series set of one scrape, each line tagged with `side`.
+/// The series set of one scrape, parsed strictly, each line tagged with
+/// `side`.
 fn series(side: &str, exposition: &str) -> Vec<String> {
-    exposition
-        .lines()
-        .filter_map(|line| {
-            if line.starts_with("# TYPE ") {
-                Some(line.to_owned())
-            } else if line.starts_with('#') || line.trim().is_empty() {
-                None
-            } else {
-                line.rsplit_once(' ').map(|(name, _)| name.to_owned())
-            }
+    let scrape = Scrape::parse(exposition).unwrap_or_else(|e| panic!("{e} in:\n{exposition}"));
+    scrape
+        .families
+        .iter()
+        .flat_map(|family| {
+            std::iter::once(format!("# TYPE {} {}", family.name, family.kind.as_str()))
+                .chain(family.samples.iter().map(|sample| sample.series.clone()))
         })
         .map(|line| format!("{side} {}", mask_addresses(&line)))
         .collect()

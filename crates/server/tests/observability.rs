@@ -26,6 +26,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use soctam_core::protocol::Json;
 use soctam_core::schedule::instrument;
 use soctam_server::{client, Server, ServerConfig};
 
@@ -40,35 +41,18 @@ fn server(cfg: ServerConfig) -> Server {
     Server::bind("127.0.0.1:0", cfg).expect("ephemeral loopback bind")
 }
 
-/// The value of the first `"key": <u64>` occurrence in `text`.
-fn json_u64(text: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    let at = text
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no `{needle}` in:\n{text}"));
-    let digits: String = text[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .unwrap_or_else(|_| panic!("`{needle}` is not a u64 in:\n{text}"))
+/// Parses one emitted line strictly.
+fn json(line: &str) -> Json<'_> {
+    Json::parse(line).unwrap_or_else(|e| panic!("{e}:\n{line}"))
 }
 
-/// Sum of the values in the first `"phases": {...}` object in `text`.
-fn phases_sum(text: &str) -> u64 {
-    let at = text.find("\"phases\": {").expect("a phases object");
-    let body = &text[at + "\"phases\": {".len()..];
-    let body = &body[..body.find('}').expect("phases object closes")];
-    body.split(',')
-        .filter(|entry| !entry.trim().is_empty())
-        .map(|entry| {
-            let value = entry.rsplit(':').next().expect("key: value");
-            value
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("non-integer phase in `{body}`"))
-        })
+/// The sum of a `"phases"` object's values.
+fn sum_of(phases: &Json) -> u64 {
+    phases
+        .as_object()
+        .expect("a phases object")
+        .iter()
+        .map(|(phase, micros)| micros.as_u64().unwrap_or_else(|| panic!("phase `{phase}`")))
         .sum()
 }
 
@@ -103,8 +87,9 @@ fn traced_responses_carry_a_phase_tree_and_warm_repeats_report_zero_compiles() {
 
     // Exclusive phase micros sum within the span total, which sits
     // within the client-measured wall latency.
-    let total = json_u64(&cold, "total_micros");
-    let phase_sum = phases_sum(&cold);
+    let trace = &json(&cold)["trace"];
+    let total = trace["total_micros"].as_u64().expect("a total");
+    let phase_sum = sum_of(&trace["phases"]);
     assert!(
         phase_sum <= total,
         "exclusive phases ({phase_sum} µs) exceed the trace total ({total} µs):\n{cold}"
@@ -116,8 +101,14 @@ fn traced_responses_carry_a_phase_tree_and_warm_repeats_report_zero_compiles() {
 
     // A cold schedule solve compiled its context and ran the scheduler,
     // and the counter deltas in the trace say so.
-    assert!(json_u64(&cold, "context_compiles") >= 1, "{cold}");
-    assert!(json_u64(&cold, "schedule_runs") >= 1, "{cold}");
+    assert!(
+        trace["counters"]["context_compiles"].as_u64() >= Some(1),
+        "{cold}"
+    );
+    assert!(
+        trace["counters"]["schedule_runs"].as_u64() >= Some(1),
+        "{cold}"
+    );
 
     // Tracing is presentation-only: the untraced twin is the traced
     // response minus its `"trace"` member, answered from cache.
@@ -243,8 +234,9 @@ fn request_log_records_carry_compact_phase_splits() {
     assert!(line.contains("\"context_compile\": "), "{line}");
     // The compact log shape stops at phases — no span tree.
     assert!(!line.contains("\"spans\""), "{line}");
+    let record = json(line);
     assert!(
-        phases_sum(line) <= json_u64(line, "latency_micros"),
+        Some(sum_of(&record["phases"])) <= record["latency_micros"].as_u64(),
         "{line}"
     );
 
@@ -307,14 +299,17 @@ fn cold_traced_requests_bill_their_time_to_the_phases_that_ran() {
 
         // The solve is billed to the phases that ran it, so the cache
         // probe's own exclusive time is small...
-        let total = json_u64(&cold, "total_micros");
-        let lookup = json_u64(&cold, "cache_lookup");
+        let trace = &json(&cold)["trace"];
+        let total = trace["total_micros"].as_u64().expect("a total");
+        let lookup = trace["phases"]["cache_lookup"]
+            .as_u64()
+            .expect("a cache_lookup phase");
         assert!(
             lookup * 10 < total,
             "`{request}` bills {lookup} of {total} µs to cache_lookup:\n{cold}"
         );
         // ...and the phases account for nearly all of the request.
-        let phase_sum = phases_sum(&cold);
+        let phase_sum = sum_of(&trace["phases"]);
         assert!(
             phase_sum * 100 >= total * 95,
             "`{request}`: phases sum to {phase_sum} of {total} µs:\n{cold}"

@@ -46,8 +46,8 @@ impl Partition {
 ///
 /// Ties between equally loaded bins are broken toward the lowest bin index,
 /// and ties between equally sized items toward the earlier input index, so
-/// the result is deterministic. The placements themselves are
-/// [`place_decreasing`]'s.
+/// the result is deterministic. The placements themselves are the
+/// crate's one decreasing-order placement loop's.
 ///
 /// # Panics
 ///
