@@ -1022,6 +1022,49 @@ mod tests {
         }
     }
 
+    /// A top-level boolean member as the strict parser reads it: `None`
+    /// for an absent member, a non-boolean value, or a line that does not
+    /// parse.
+    fn bool_field(line: &str, field: &str) -> Option<bool> {
+        match Json::parse(line).ok()?.get(field)? {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn json_bool_field_reads_top_level_booleans_only() {
+        let ok = "{\"op\": \"schedule\", \"soc\": \"d695\", \"ok\": true, \"makespan\": 41}";
+        assert_eq!(bool_field(ok, "ok"), Some(true));
+        assert_eq!(bool_field(ok, "busy"), None);
+        let shed = "{\"ok\": false, \"busy\": true, \"transient\": true, \"error\": \"x\"}";
+        assert_eq!(bool_field(shed, "ok"), Some(false));
+        assert_eq!(bool_field(shed, "busy"), Some(true));
+        assert_eq!(bool_field(shed, "transient"), Some(true));
+        // Whitespace around the colon and value is tolerated.
+        assert_eq!(bool_field("{ \"ok\" :  true }", "ok"), Some(true));
+        // Present but not a boolean: absent, not a guess.
+        assert_eq!(bool_field("{\"ok\": 1}", "ok"), None);
+        assert_eq!(bool_field("{\"ok\": \"true\"}", "ok"), None);
+    }
+
+    #[test]
+    fn json_bool_field_is_not_fooled_by_echoed_request_text() {
+        // A parse error echoing hostile request text into its `error`
+        // string. Substring matching sees `"busy": true` and `"ok": true`;
+        // reading the parsed members must not.
+        let echo = render_parse_error("unknown request kind `{\"busy\": true, \"ok\": true}`");
+        assert_eq!(bool_field(&echo, "ok"), Some(false));
+        assert_eq!(bool_field(&echo, "busy"), None);
+        assert_eq!(bool_field(&echo, "transient"), None);
+        // Nested objects don't leak members to the top level either.
+        let nested = "{\"ok\": false, \"detail\": {\"busy\": true}}";
+        assert_eq!(bool_field(nested, "busy"), None);
+        // A string *value* that equals the field name is not a key.
+        let value = "{\"error\": \"busy\", \"busy\": false}";
+        assert_eq!(bool_field(value, "busy"), Some(false));
+    }
+
     #[test]
     fn json_reads_request_log_records() {
         let line = "{\"ts_micros\": 1722950000000000, \"peer\": \"127.0.0.1:9\", \

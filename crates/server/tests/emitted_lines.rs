@@ -433,8 +433,17 @@ fn a_backend_whose_scrape_does_not_parse_is_left_out_of_the_roll_up() {
     std::thread::spawn(move || {
         for stream in fake.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let mut head = [0u8; 1024];
-            let _ = stream.read(&mut head);
+            // Read the whole request head before answering: closing with
+            // unread bytes resets the connection, and the prober would see
+            // the reset instead of the 200.
+            let mut head = Vec::new();
+            let mut buf = [0u8; 1024];
+            while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => head.extend_from_slice(&buf[..n]),
+                }
+            }
             let body = "# TYPE soctam_queue_capacity gauge\nsoctam_queue_capacity 1000\n\
                         soctam_shed_total 5\n";
             let _ = write!(
