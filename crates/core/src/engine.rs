@@ -195,8 +195,9 @@ impl From<CacheLookup> for CacheDisposition {
 /// (kind and widths), the scheduling mode, and the parameter grid
 /// searched. The engine's thread count is *excluded*: the equivalence
 /// suites pin that it never changes an output bit. A miss probes the
-/// registry with the carried context key, so a cold request hashes its
-/// SOC model once.
+/// registry with the carried context key, whose SOC hash is the model's
+/// memo ([`Soc::content_hash`]): a request over a resolver's shared model
+/// walks none of it.
 #[derive(Debug, Clone)]
 struct SolutionKey {
     context: ContextKey,

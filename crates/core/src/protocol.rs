@@ -1193,6 +1193,64 @@ mod tests {
         assert_ne!(route_key(&a), route_key(&soc));
     }
 
+    /// Every request's shard, pinned: `route_key` values computed before
+    /// the SOC content hash was memoized. A memo built with another hasher,
+    /// one that leaked into `Soc`'s `Hash`, or a reordered digest moves
+    /// them. The values are `DefaultHasher`'s (SipHash-1-3, fixed keys) on
+    /// a 64-bit target; a toolchain that changed that hasher would move
+    /// every route, and this table with it.
+    #[test]
+    fn route_keys_match_the_golden_table() {
+        const GOLDEN: [(&str, u64); 12] = [
+            ("schedule d695 --width 16", 0x8312_ea5b_e17b_3d22),
+            (
+                "sweep d695 --from 16 --to 24 --power",
+                0x3da6_a182_f4fb_f474,
+            ),
+            (
+                "bounds d695 --widths 16,32 --no-preempt",
+                0x3cab_19b7_cd22_8819,
+            ),
+            ("schedule p22810 --width 32 --power", 0xcf8e_0511_eb2e_9635),
+            (
+                "sweep p22810 --from 8 --to 12 --no-preempt",
+                0x1507_0be8_5f2b_ef3c,
+            ),
+            ("bounds p22810 --widths 24", 0xb543_d8a7_5a7e_0323),
+            (
+                "schedule p34392 --width 24 --no-preempt",
+                0x0daf_4c0b_b191_1b57,
+            ),
+            ("sweep p34392 --from 16 --to 20", 0x1884_68fa_84f7_309b),
+            (
+                "bounds p34392 --widths 16,24 --power",
+                0x5211_fc12_3aed_ef78,
+            ),
+            ("schedule p93791 --width 64", 0xd129_f178_6db8_3562),
+            (
+                "sweep p93791 --from 32 --to 40 --power --no-preempt",
+                0xf913_5874_24f5_6f50,
+            ),
+            (
+                "bounds p93791 --widths 32,64 --power --no-preempt",
+                0x8af1_7817_c06c_cde2,
+            ),
+        ];
+        // One resolver shares each model across its requests, so the second
+        // pass reads memoized hashes; a fresh resolver hashes from scratch.
+        let mut shared = benchmark_resolver();
+        for _ in 0..2 {
+            for (line, key) in GOLDEN {
+                let request = parse_request(line, &mut shared).unwrap();
+                assert_eq!(route_key(&request), key, "{line}");
+                let traced = parse_request(&format!("{line} --trace"), &mut shared).unwrap();
+                assert_eq!(route_key(&traced), key, "{line} --trace");
+                let fresh = parse_request(line, &mut benchmark_resolver()).unwrap();
+                assert_eq!(route_key(&fresh), key, "{line} (fresh model)");
+            }
+        }
+    }
+
     #[test]
     fn trace_is_parsed_but_never_part_of_the_route_key() {
         let mut r = benchmark_resolver();

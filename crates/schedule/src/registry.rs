@@ -31,7 +31,7 @@
 //! [`instrument::context_compiles`](crate::instrument::context_compiles).
 
 use std::convert::Infallible;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,14 +44,15 @@ use crate::solution_cache::SolutionCache;
 /// The identity of one compiled context: SOC content, width cap, and the
 /// constraint-relevant configuration (power budget).
 ///
-/// The SOC's content hash is computed once, when the key is built, and
-/// kept here, so shard selection and map probing hash a `u64` instead of
-/// re-walking the whole model; equality short-circuits on the cheap
-/// fields and falls back to full content comparison only on a hash match
-/// (derived `PartialEq` compares fields in declaration order), so a 64-bit
+/// The SOC's content hash is read from the model's memo
+/// ([`Soc::content_hash`]) and kept here, so building a key over a shared,
+/// already-hashed model walks none of it, and shard selection and map
+/// probing hash a `u64`; equality short-circuits on the cheap fields and
+/// falls back to full content comparison only on a hash match (derived
+/// `PartialEq` compares fields in declaration order), so a 64-bit
 /// collision can never alias two different SOCs. A caller that keys more
-/// than the context (the engine's solution cache) carries one of these
-/// and probes the registry with it, hashing the SOC once per request.
+/// than the context (the engine's solution cache) carries one of these and
+/// probes the registry with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextKey {
     w_max: TamWidth,
@@ -64,14 +65,10 @@ impl ContextKey {
     /// The key of `(soc, w_max, power_budget)`, `w_max` clamped to at
     /// least 1 as [`CompiledSoc::compile`] clamps it.
     pub fn new(soc: &Arc<Soc>, w_max: TamWidth, power_budget: Option<u64>) -> Self {
-        // DefaultHasher with default keys is deterministic across
-        // processes of one build, so the hash can feed stable digests.
-        let mut h = DefaultHasher::new();
-        soc.hash(&mut h);
         Self {
             w_max: w_max.max(1),
             power_budget,
-            soc_hash: h.finish(),
+            soc_hash: soc.content_hash(),
             soc: Arc::clone(soc),
         }
     }

@@ -22,7 +22,20 @@
 //! their real top-level JSON fields ([`response_ok`],
 //! [`is_retryable_response`]), read from one strict parse
 //! ([`Json::parse`]), never by substring. `soctam client --retries N
-//! --backoff SECS` and [`replay_with_retry`] ride on it.
+//! --backoff SECS` and [`replay_with_retry`] ride on it. A response torn
+//! off before its `\n` (the peer died mid-answer) is a transport error,
+//! not an answer, so it is retried on a fresh connection.
+//!
+//! # One write per message
+//!
+//! Every socket here is `TCP_NODELAY`, so each `write` leaves as its own
+//! segment. A request line and its `\n`, or an HTTP head, sent in pieces
+//! makes the peer's line reader wake on the first piece, find no newline,
+//! and block again for the rest: an extra wake-up and `read` per message.
+//! Every message is therefore framed in one buffer and sent with one
+//! `write_all` — no `BufWriter`, which would split a message longer than
+//! its capacity. The connection front the daemon and the balancer share
+//! keeps the same rule for every answer it writes.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -68,24 +81,27 @@ impl Connection {
     }
 
     /// Sends one request line and reads its one-line JSON response
-    /// (without the trailing newline).
+    /// (without the trailing newline). The line and its `\n` leave in one
+    /// `write` (see the module docs).
     ///
     /// # Errors
     ///
-    /// Propagates write/read failures; an empty read (daemon closed the
-    /// connection) is reported as [`std::io::ErrorKind::UnexpectedEof`].
+    /// Propagates write/read failures. A response that ends before its
+    /// `\n` — an empty read (the daemon closed the connection) or a line
+    /// torn off mid-answer — is reported as
+    /// [`std::io::ErrorKind::UnexpectedEof`], never returned as an answer.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.write_all([line, "\n"].concat().as_bytes())?;
         let mut response = String::new();
-        if self.reader.read_line(&mut response)? == 0 {
+        self.reader.read_line(&mut response)?;
+        if !response.ends_with('\n') {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
+                "server closed the connection before a whole answer",
             ));
         }
-        Ok(response.trim_end().to_owned())
+        response.truncate(response.trim_end().len());
+        Ok(response)
     }
 }
 
@@ -374,14 +390,12 @@ pub fn http_get_timeout(
     http_exchange(stream, path)
 }
 
-/// Writes one `GET <path>` on `stream` and reads the whole response.
+/// Writes one `GET <path>` on `stream`, the whole head in one `write`,
+/// and reads the whole response.
 fn http_exchange(mut stream: TcpStream, path: &str) -> std::io::Result<(String, String)> {
     stream.set_nodelay(true).ok();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: soctam\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    let head = format!("GET {path} HTTP/1.1\r\nHost: soctam\r\nConnection: close\r\n\r\n");
+    stream.write_all(head.as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     let (head, body) = raw.split_once("\r\n\r\n").ok_or_else(|| {

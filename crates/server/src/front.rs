@@ -21,6 +21,17 @@
 //! What a connection asks for is the [`Handler`]'s business: one call per
 //! protocol request line, one per HTTP request, and a notice of each
 //! oversized line (the daemon logs it; both count it as a parse error).
+//!
+//! # One write per message
+//!
+//! Every connection is `TCP_NODELAY`, so each `write` leaves as its own
+//! segment, and a peer reading lines wakes on the first segment of a
+//! split message only to block again for the rest. Each answer — a
+//! response line with its `\n`, the oversized-line verdict, a shed line,
+//! an HTTP response — is framed in one `String` and sent with one
+//! `write_all`. No `BufWriter`: it would split a message longer than its
+//! capacity, and the framed message costs nothing to build in the
+//! `String` the handler already returned.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -492,13 +503,12 @@ fn serve_connection<H: Handler>(inner: &Inner<H>, stream: TcpStream) {
                 busy.store(true, Ordering::SeqCst);
                 inner.stats.oversized_lines.fetch_add(1, Ordering::Relaxed);
                 inner.handler.oversized(&conn);
-                let response = protocol::render_parse_error(&format!(
+                let mut response = protocol::render_parse_error(&format!(
                     "request line exceeds the {}-byte cap; closing connection",
                     limits.max_line_bytes
                 ));
+                response.push('\n');
                 let _ = writer.write_all(response.as_bytes());
-                let _ = writer.write_all(b"\n");
-                let _ = writer.flush();
                 // Discard (bounded, fixed-buffer — memory never grows) what
                 // remains of the over-long line: closing with unread data
                 // would RST the verdict out from under the peer.
@@ -521,12 +531,11 @@ fn serve_connection<H: Handler>(inner: &Inner<H>, stream: TcpStream) {
         if request.is_empty() || request.starts_with('#') {
             continue; // same skip rule as a batch file
         }
-        let Some(response) = inner.handler.line(&conn, request) else {
+        let Some(mut response) = inner.handler.line(&conn, request) else {
             return;
         };
-        let write_ok = writer.write_all(response.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok();
+        response.push('\n');
+        let write_ok = writer.write_all(response.as_bytes()).is_ok();
         busy.store(false, Ordering::SeqCst);
         if !write_ok {
             return;

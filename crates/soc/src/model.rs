@@ -1,6 +1,8 @@
 //! The system-on-chip model: cores, hierarchy, and scheduling constraints.
 
 use std::collections::HashSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 use crate::{Core, CoreIdx, SocError};
 
@@ -21,6 +23,16 @@ pub enum ConstraintKind {
 /// derived concurrency constraints implied by the test hierarchy (a parent
 /// core in Intest cannot run while any of its children runs) are exposed by
 /// [`Soc::effective_concurrency`].
+///
+/// # Content hash
+///
+/// [`Soc::content_hash`] is the model's `DefaultHasher` hash, the SOC part
+/// of every cache key and routing digest. It is computed on first use and
+/// memoized, so a model shared behind an `Arc` is walked once, not once
+/// per request. The memo takes no part in `Eq` or `Hash`, and every
+/// `&mut self` method ([`Soc::add_core`], [`Soc::add_precedence`],
+/// [`Soc::add_concurrency`], [`Soc::core_mut`]) clears it, so the hash
+/// always describes the model as it is.
 ///
 /// # Example
 ///
@@ -45,6 +57,25 @@ pub struct Soc {
     cores: Vec<Core>,
     precedence: Vec<(CoreIdx, CoreIdx)>,
     concurrency: Vec<(CoreIdx, CoreIdx)>,
+    #[cfg_attr(feature = "serde", serde(skip))]
+    content_hash: HashMemo,
+}
+
+/// The memoized content hash: equal to every other memo and hashing to
+/// nothing, so `Soc`'s derived `Eq` and `Hash` see only the model.
+#[derive(Debug, Clone, Default)]
+struct HashMemo(OnceLock<u64>);
+
+impl PartialEq for HashMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for HashMemo {}
+
+impl Hash for HashMemo {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl Soc {
@@ -55,6 +86,7 @@ impl Soc {
             cores: Vec::new(),
             precedence: Vec::new(),
             concurrency: Vec::new(),
+            content_hash: HashMemo::default(),
         }
     }
 
@@ -63,8 +95,20 @@ impl Soc {
         &self.name
     }
 
+    /// The model's `DefaultHasher` content hash (name, cores, constraints),
+    /// computed on the first call and memoized. `DefaultHasher::new` uses
+    /// fixed keys, so the value is stable across processes of one build.
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.0.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.hash(&mut h);
+            h.finish()
+        })
+    }
+
     /// Adds a core and returns its index.
     pub fn add_core(&mut self, core: Core) -> CoreIdx {
+        self.content_hash.0.take();
         self.cores.push(core);
         self.cores.len() - 1
     }
@@ -78,6 +122,7 @@ impl Soc {
     /// [`SocError::SelfConstraint`] if `before == after`.
     pub fn add_precedence(&mut self, before: CoreIdx, after: CoreIdx) -> Result<(), SocError> {
         self.check_pair(before, after)?;
+        self.content_hash.0.take();
         self.precedence.push((before, after));
         Ok(())
     }
@@ -89,6 +134,7 @@ impl Soc {
     /// Same conditions as [`Soc::add_precedence`].
     pub fn add_concurrency(&mut self, a: CoreIdx, b: CoreIdx) -> Result<(), SocError> {
         self.check_pair(a, b)?;
+        self.content_hash.0.take();
         self.concurrency.push((a, b));
         Ok(())
     }
@@ -134,6 +180,7 @@ impl Soc {
     /// Mutable core access (e.g. to adjust preemption budgets per
     /// experiment).
     pub fn core_mut(&mut self, idx: CoreIdx) -> &mut Core {
+        self.content_hash.0.take();
         &mut self.cores[idx]
     }
 
@@ -420,5 +467,135 @@ mod tests {
         let one = tiny("x").test().test_data_bits();
         assert_eq!(soc.total_test_bits(), 3 * one);
         assert_eq!(soc.max_core_power(), tiny("x").power());
+    }
+
+    /// The model's four fields, in declaration order, through a fresh
+    /// `DefaultHasher`: the value every cache key and route digest is
+    /// pinned to, with the memo nowhere in it.
+    fn fresh_hash(soc: &Soc) -> u64 {
+        let mut h = DefaultHasher::new();
+        soc.name.hash(&mut h);
+        soc.cores.hash(&mut h);
+        soc.precedence.hash(&mut h);
+        soc.concurrency.hash(&mut h);
+        h.finish()
+    }
+
+    /// The derived `Hash` of the whole value, memo field included.
+    fn derived_hash(soc: &Soc) -> u64 {
+        let mut h = DefaultHasher::new();
+        soc.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn content_hash_is_the_fresh_hash_of_the_model() {
+        for soc in [
+            soc3(),
+            crate::benchmarks::d695(),
+            crate::benchmarks::p93791(),
+        ] {
+            let before = derived_hash(&soc);
+            assert_eq!(soc.content_hash(), fresh_hash(&soc), "{}", soc.name());
+            // Memoized: the same value again, and the memo leaks into
+            // neither `Hash` nor `Eq`.
+            assert_eq!(soc.content_hash(), fresh_hash(&soc));
+            assert_eq!(derived_hash(&soc), before);
+            assert_eq!(before, fresh_hash(&soc));
+            let mut unhashed = soc.clone();
+            unhashed.content_hash.0.take();
+            assert_eq!(soc, unhashed);
+        }
+    }
+
+    #[test]
+    fn every_mutator_resets_the_memo() {
+        let mut soc = soc3();
+        let mut seen = vec![soc.content_hash()];
+        soc.add_core(tiny("d"));
+        seen.push(soc.content_hash());
+        soc.add_precedence(0, 3).unwrap();
+        seen.push(soc.content_hash());
+        soc.add_concurrency(1, 2).unwrap();
+        seen.push(soc.content_hash());
+        let core = soc.core_mut(2);
+        *core = core.clone().with_max_preemptions(3);
+        seen.push(soc.content_hash());
+        assert_eq!(soc.content_hash(), fresh_hash(&soc));
+        // Each mutation changed the model, so each hash is new.
+        let distinct: HashSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "{seen:x?}");
+        // A failed mutation changes nothing, the memo included.
+        let before = soc.content_hash();
+        assert!(soc.add_precedence(1, 1).is_err());
+        assert_eq!(soc.content_hash(), before);
+    }
+
+    #[test]
+    fn a_clone_carries_an_equal_hash() {
+        let soc = crate::benchmarks::p22810();
+        let hashed = soc.content_hash();
+        let clone = soc.clone();
+        assert_eq!(clone.content_hash(), hashed);
+        assert_eq!(fresh_hash(&clone), hashed);
+        // Unhashed when cloned: the clone computes the same value itself.
+        let unhashed = crate::benchmarks::p22810();
+        assert_eq!(unhashed.clone().content_hash(), hashed);
+        // A mutated clone moves away without touching the original.
+        let mut mutated = soc.clone();
+        mutated.add_core(tiny("extra"));
+        assert_ne!(mutated.content_hash(), hashed);
+        assert_eq!(soc.content_hash(), hashed);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any sequence of mutations — hashing or not between them —
+        /// the memo equals a fresh hash of the model as it stands.
+        #[test]
+        fn content_hash_tracks_random_mutation_sequences(
+            cores in 1usize..16,
+            seed in 0u64..5000,
+            steps in proptest::collection::vec((0u8..5, 0usize..20, 0usize..20, 0u8..2), 0..16),
+        ) {
+            let mut soc = crate::synth::SynthConfig::new(cores)
+                .with_constraints()
+                .generate(seed);
+            for (op, a, b, hash_now) in steps {
+                let len = soc.len();
+                match op {
+                    0 => {
+                        soc.add_core(tiny(&format!("x{}", soc.len())));
+                    }
+                    1 => {
+                        let _ = soc.add_precedence(a % len, b % len);
+                    }
+                    2 => {
+                        let _ = soc.add_concurrency(a % len, b % len);
+                    }
+                    3 => {
+                        let core = soc.core_mut(a % len);
+                        *core = core.clone().with_max_preemptions(b as u32);
+                    }
+                    // A replaced core with a new test: another model entirely.
+                    _ => {
+                        let name = soc.core(a % len).name().to_owned();
+                        *soc.core_mut(a % len) = Core::new(
+                            name,
+                            CoreTest::new(2, 2, 0, vec![b as u32 + 1], 5).unwrap(),
+                        );
+                    }
+                }
+                if hash_now == 1 {
+                    prop_assert_eq!(soc.content_hash(), fresh_hash(&soc));
+                }
+            }
+            prop_assert_eq!(soc.content_hash(), fresh_hash(&soc));
+            prop_assert_eq!(soc.clone().content_hash(), fresh_hash(&soc));
+            prop_assert_eq!(derived_hash(&soc), fresh_hash(&soc));
+        }
     }
 }
