@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soctam_core::flow::{FlowConfig, ParamSweep, TestFlow};
-use soctam_core::schedule::{
-    best_of, CompiledSoc, RectangleMenus, ScheduleBuilder, SchedulerConfig,
-};
+use soctam_core::schedule::{best_of, CompiledSoc, ScheduleBuilder, SchedulerConfig};
 use soctam_core::soc::benchmarks;
 use soctam_core::soc::synth::SynthConfig;
 
@@ -64,7 +62,8 @@ fn bench_scalability(c: &mut Criterion) {
 }
 
 fn bench_menu_sharing(c: &mut Criterion) {
-    // The sweep-scale hot path: one shared menu build vs a rebuild per run.
+    // The sweep-scale hot path: one shared context (menus, constraint
+    // tables, bound) vs a private compile per run.
     let mut group = c.benchmark_group("schedule_menu_sharing");
     let soc = benchmarks::p22810();
     let cfg = SchedulerConfig::new(64);
@@ -76,11 +75,11 @@ fn bench_menu_sharing(c: &mut Criterion) {
                 .makespan()
         });
     });
-    let menus = RectangleMenus::for_config(&soc, &cfg);
-    group.bench_function("p22810_w64_shared_menus", |b| {
+    let ctx = CompiledSoc::compile(&soc, cfg.effective_w_max());
+    group.bench_function("p22810_w64_shared_context", |b| {
         b.iter(|| {
             ScheduleBuilder::new(&soc, cfg.clone())
-                .with_menus(&menus)
+                .with_context(&ctx)
                 .run()
                 .expect("schedulable")
                 .makespan()

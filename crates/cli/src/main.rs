@@ -61,7 +61,10 @@
 //! daemons with the same protocol and HTTP surface, consistent-hashing
 //! each request's solution-cache key onto a backend so shard caches stay
 //! hot and disjoint, failing over past dead or shedding backends, and
-//! health-probing the ring (see [`soctam_server::balance`]). `client` is
+//! health-probing the ring (see [`soctam_server::balance`]). Keys are
+//! placed by each backend's position in `--backends`, so appending a
+//! backend moves about 1/n of them and reordering the list reshuffles
+//! them. `client` is
 //! the scripted
 //! counterpart — one request per argv tail (or per stdin line), one JSON
 //! response line each, plus `--get /healthz` / `--get /metrics` for the
@@ -70,7 +73,8 @@
 //! `--backoff SECS`) retries shed connections, transient errors, and
 //! transport failures with exponential backoff and deterministic jitter.
 
-use std::io::{BufRead, Write as _};
+use std::fmt;
+use std::io::{self, BufRead, Write};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -89,14 +93,58 @@ use soctam_server::{client, Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+        // A reader that stops early (`soctam list | head -1`) ends the
+        // command; it is not an error.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(failure) => {
+            eprintln!("error: {failure}");
+            if let Failure::Usage(_) = failure {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command stopped early.
+#[derive(Debug)]
+enum Failure {
+    /// A bad invocation or a failed request: reported with the usage text.
+    Usage(String),
+    /// A write to stdout failed. Only writes to the command's output
+    /// convert an `io::Error` into this; every other I/O error is a
+    /// `Usage` message naming what failed.
+    Stdout(io::Error),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Usage(msg) => f.write_str(msg),
+            Failure::Stdout(e) => write!(f, "writing to stdout: {e}"),
+        }
+    }
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
     }
 }
 
@@ -113,6 +161,8 @@ const USAGE: &str = "usage:
                [--probe-interval SECS] [--probe-timeout SECS] [--retries N]
                [--backoff SECS] [--backend-conns N] [--max-line BYTES]
                [--idle-timeout SECS] [--max-pending N]
+               (keys are placed by position in --backends: appending a backend
+               moves about 1/n of them, reordering the list reshuffles them)
   soctam client --addr A [--retries N] [--backoff SECS]
                [--get PATH | --file FILE | <request words> | (requests on stdin)]
   soctam staircase <soc> <core-name>
@@ -121,20 +171,21 @@ const USAGE: &str = "usage:
   soctam list
 (--trace is a daemon option: send the request through `soctam client`)";
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Runs one command, writing everything it prints to `out`.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("schedule" | "sweep" | "bounds") => cmd_solve(args),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("balance") => cmd_balance(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        Some("staircase") => cmd_staircase(&args[1..]),
-        Some("wrapper") => cmd_wrapper(&args[1..]),
-        Some("parse") => cmd_parse(&args[1..]),
-        Some("list") => cmd_list(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("missing command".to_owned()),
+        Some("schedule" | "sweep" | "bounds") => cmd_solve(args, out),
+        Some("batch") => cmd_batch(&args[1..], out),
+        Some("serve") => cmd_serve(&args[1..], out),
+        Some("balance") => cmd_balance(&args[1..], out),
+        Some("client") => cmd_client(&args[1..], out),
+        Some("staircase") => cmd_staircase(&args[1..], out),
+        Some("wrapper") => cmd_wrapper(&args[1..], out),
+        Some("parse") => cmd_parse(&args[1..], out),
+        Some("list") => cmd_list(&args[1..], out),
+        Some(other) => Err(format!("unknown command `{other}`").into()),
+        None => Err("missing command".into()),
     }
 }
 
@@ -170,7 +221,7 @@ const VIEW_FLAGS: [(&str, &str, bool); 3] = [
 
 /// `soctam schedule|sweep|bounds`: the argv, minus its view flags, is one
 /// protocol request, served as `batch` and the daemon serve it.
-fn cmd_solve(args: &[String]) -> Result<(), String> {
+fn cmd_solve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let kind = args[0].as_str();
     let (mut view, mut words) = (Vec::new(), Vec::new());
     let mut it = args.iter().peekable();
@@ -192,20 +243,21 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     }
     let alpha: f64 = opt_num(&view, "--alpha")?.unwrap_or(0.5);
     if !(0.0..=1.0).contains(&alpha) {
-        return Err(format!("option `--alpha`: {alpha} is outside [0, 1]"));
+        return Err(format!("option `--alpha`: {alpha} is outside [0, 1]").into());
     }
     let svg = opt_value(&view, "--svg")?;
     if flag(&words, "--trace") || flag(&words, "trace=1") {
         return Err("`--trace` is a daemon option: send the request through \
                     `soctam client` to see its phase trace"
-            .to_owned());
+            .into());
     }
     let req = protocol::parse_words(&words, &mut MemoResolver::new(load_soc))?;
     let output = Engine::new().serve_one(&req).map_err(|e| e.to_string())?;
     let soc = &req.soc;
     match (&req.op, output) {
         (EngineOp::Schedule { width }, EngineOutput::Schedule(run)) => {
-            println!(
+            writeln!(
+                out,
                 "{}: W={width}, testing time {} cycles (lower bound {}), volume {} bits, \
                  utilization {:.1}%, params (m={}, d={}, slack={})",
                 soc.name(),
@@ -216,50 +268,54 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                 run.params.0,
                 run.params.1,
                 run.params.2,
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "sweep: {} of {} grid points run ({} deduplicated, {} cut, {} stopped early)",
                 run.sweep.runs_executed,
                 run.sweep.runs_total,
                 run.sweep.runs_skipped,
                 run.sweep.runs_cut,
                 run.sweep.runs_aborted,
-            );
+            )?;
             let name = |i: usize| soc.core(i).name().to_string();
             if flag(&view, "--gantt") {
-                println!();
-                println!("{}", run.schedule.gantt(&name, 90));
+                writeln!(out)?;
+                writeln!(out, "{}", run.schedule.gantt(&name, 90))?;
             }
             if let Some(path) = svg {
                 let svg = run
                     .schedule
                     .to_svg(&name, soctam_core::schedule::SvgOptions::default());
                 std::fs::write(path, svg).map_err(|e| format!("writing `{path}`: {e}"))?;
-                println!("wrote {path}");
+                writeln!(out, "wrote {path}")?;
             }
         }
         (_, EngineOutput::Sweep(points)) => {
             let curve = CostCurve::new(&points, alpha);
-            println!(
+            writeln!(
+                out,
                 "{:>4} {:>12} {:>14} {:>10}",
                 "W", "T (cycles)", "V (bits)", "C"
-            );
+            )?;
             for (p, c) in points.iter().zip(curve.points()) {
-                println!(
+                writeln!(
+                    out,
                     "{:>4} {:>12} {:>14} {:>10.4}",
                     p.width, p.time, p.volume, c.cost
-                );
+                )?;
             }
             let eff = curve.effective_point();
-            println!(
+            writeln!(
+                out,
                 "effective width for alpha={alpha}: W_eff={} (C_min={:.4}, T={}, V={})",
                 eff.width, eff.cost, eff.time, eff.volume
-            );
+            )?;
         }
         (EngineOp::Bounds { widths }, EngineOutput::Bounds(bounds)) => {
-            println!("{}: testing-time lower bounds", soc.name());
+            writeln!(out, "{}: testing-time lower bounds", soc.name())?;
             for (w, lb) in widths.iter().zip(bounds) {
-                println!("  W={w:>3}: {lb}");
+                writeln!(out, "  W={w:>3}: {lb}")?;
             }
         }
         _ => unreachable!("the engine answers each op with its own output"),
@@ -279,11 +335,11 @@ fn json_request(req: &EngineRequest, result: &EngineResult) -> String {
     format!("    {}", protocol::render_result(req, result))
 }
 
-fn cmd_batch(args: &[String]) -> Result<(), String> {
+fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("missing request file")?;
     check_known_args(&args[1..], &["--threads", "--out"], &[])?;
     let threads = opt_num(args, "--threads")?;
-    let out = opt_value(args, "--out")?;
+    let out_path = opt_value(args, "--out")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
     let requests = parse_batch_file(&text)?;
     let mut engine = Engine::new();
@@ -319,12 +375,12 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     ));
     json.push_str("}\n");
 
-    match out {
-        Some(out) => {
-            std::fs::write(out, &json).map_err(|e| format!("writing `{out}`: {e}"))?;
-            eprintln!("wrote {out}");
+    match out_path {
+        Some(path) => {
+            std::fs::write(path, &json).map_err(|e| format!("writing `{path}`: {e}"))?;
+            eprintln!("wrote {path}");
         }
-        None => print!("{json}"),
+        None => write!(out, "{json}")?,
     }
     Ok(())
 }
@@ -349,7 +405,7 @@ fn opt_seconds(args: &[String], name: &str) -> Result<Option<Option<Duration>>, 
 }
 
 /// `soctam serve`: run the daemon in the foreground until killed.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     check_known_args(
         args,
         &[
@@ -373,7 +429,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let threads = opt_num(args, "--threads")?.unwrap_or(4);
     let cache_capacity = opt_num(args, "--cache-cap")?.unwrap_or(1024);
     let ttl = match opt_seconds(args, "--ttl")? {
-        Some(None) => return Err("--ttl must be a positive number of seconds".to_owned()),
+        Some(None) => return Err("--ttl must be a positive number of seconds".into()),
         Some(some) => some,
         None => None,
     };
@@ -401,13 +457,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(ms) = opt_num::<f64>(args, "--slow-log")? {
         if !ms.is_finite() || ms < 0.0 {
-            return Err("--slow-log must be a non-negative millisecond threshold".to_owned());
+            return Err("--slow-log must be a non-negative millisecond threshold".into());
         }
         cfg.slow_log = Some(Duration::from_secs_f64(ms / 1000.0));
     }
     cfg.slow_log_path = opt_value(args, "--slow-log-file")?.map(std::path::PathBuf::from);
     if cfg.slow_log_path.is_some() && cfg.slow_log.is_none() {
-        return Err("--slow-log-file needs --slow-log MS to set the threshold".to_owned());
+        return Err("--slow-log-file needs --slow-log MS to set the threshold".into());
     }
     let warm_text = match opt_value(args, "--warm")? {
         None => None,
@@ -422,16 +478,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let fault_plan = cfg.fault_plan.clone();
     let server = Server::bind(addr, cfg).map_err(|e| format!("binding `{addr}`: {e}"))?;
     if let Some(plan) = &fault_plan {
-        println!("fault injection armed: {plan}");
+        writeln!(out, "fault injection armed: {plan}")?;
     }
     if let Some(text) = warm_text {
         let report = server.warm_from_text(&text);
-        println!(
+        writeln!(
+            out,
             "warmed the cache from {} requests ({} ok, {} failed, {} skipped)",
             report.requests, report.ok, report.failed, report.skipped
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "soctam-server listening on {} ({} workers, solution cache capacity {}, ttl {}, \
          idle timeout {}, pending queue {})",
         server.local_addr(),
@@ -440,8 +498,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ttl.map_or("none".to_owned(), |t| format!("{}s", t.as_secs_f64())),
         idle_timeout.map_or("none".to_owned(), |t| format!("{}s", t.as_secs_f64())),
         max_pending,
-    );
-    let _ = std::io::stdout().flush();
+    )?;
+    out.flush()?;
     server.join();
     Ok(())
 }
@@ -449,7 +507,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `soctam balance`: run the consistent-hash cluster front in the
 /// foreground until killed. `--backends` names the ring; everything else
 /// tunes the front (see [`soctam_server::balance`]).
-fn cmd_balance(args: &[String]) -> Result<(), String> {
+fn cmd_balance(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     check_known_args(
         args,
         &[
@@ -481,7 +539,7 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
         backends.push(resolved);
     }
     if backends.is_empty() {
-        return Err("--backends names no backend addresses".to_owned());
+        return Err("--backends names no backend addresses".into());
     }
 
     let mut cfg = BalancerConfig::default();
@@ -519,7 +577,8 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
     let backend_conns = cfg.backend_conns;
     let front = Balancer::bind(addr, &backends, cfg.clone())
         .map_err(|e| format!("binding `{addr}`: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "soctam-balance listening on {} ({} workers, {} backends, {} pooled conns each, \
          probing every {}s)",
         front.local_addr(),
@@ -527,11 +586,11 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
         backends.len(),
         backend_conns,
         probe_interval.as_secs_f64(),
-    );
+    )?;
     for backend in &backends {
-        println!("  backend {backend}");
+        writeln!(out, "  backend {backend}")?;
     }
-    let _ = std::io::stdout().flush();
+    out.flush()?;
     front.join();
     Ok(())
 }
@@ -543,7 +602,7 @@ fn cmd_balance(args: &[String]) -> Result<(), String> {
 /// `--file FILE` replays a request file or saved JSONL log and prints
 /// latency percentiles. `--retries N` retries shed/transient/failed
 /// requests with exponential backoff (base `--backoff SECS`).
-fn cmd_client(args: &[String]) -> Result<(), String> {
+fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let addr = req_value(args, "--addr")?.to_owned();
     let path = opt_value(args, "--get")?.map(str::to_owned);
     let file = opt_value(args, "--file")?.map(str::to_owned);
@@ -571,30 +630,31 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
 
     if let Some(path) = path {
         if !words.is_empty() || file.is_some() {
-            return Err("--get cannot be combined with a request or --file".to_owned());
+            return Err("--get cannot be combined with a request or --file".into());
         }
         let (status, body) =
             client::http_get(&addr, &path).map_err(|e| format!("GET {path} on `{addr}`: {e}"))?;
         if !status.contains("200") {
-            return Err(format!("GET {path}: {status}"));
+            return Err(format!("GET {path}: {status}").into());
         }
-        print!("{body}");
+        write!(out, "{body}")?;
         return Ok(());
     }
 
     if let Some(file) = file {
         if !words.is_empty() {
-            return Err("--file cannot be combined with a request".to_owned());
+            return Err("--file cannot be combined with a request".into());
         }
         let text = std::fs::read_to_string(&file).map_err(|e| format!("reading `{file}`: {e}"))?;
         let report = client::replay_with_retry(&addr, &text, policy)
             .map_err(|e| format!("replaying `{file}`: {e}"))?;
         for (request, response) in &report.responses {
-            println!("{request}\n  -> {response}");
+            writeln!(out, "{request}\n  -> {response}")?;
         }
         match &report.latency {
-            None => println!("replay: no replayable requests in `{file}`"),
-            Some(lat) => println!(
+            None => writeln!(out, "replay: no replayable requests in `{file}`")?,
+            Some(lat) => writeln!(
+                out,
                 "replay: {} requests ({} ok, {} failed, {} retried), latency mean {:.3} ms, \
                  p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms, max {:.3} ms, \
                  stddev {:.3} ms",
@@ -609,10 +669,10 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                 lat.p999_ms,
                 lat.max_ms,
                 lat.stddev_ms
-            ),
+            )?,
         }
         if report.failed > 0 {
-            return Err(format!("{} replayed requests failed", report.failed));
+            return Err(format!("{} replayed requests failed", report.failed).into());
         }
         return Ok(());
     }
@@ -631,19 +691,19 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             let response = conn
                 .request(line)
                 .map_err(|e| format!("request `{line}`: {e}"))?;
-            println!("{response}");
+            writeln!(out, "{response}")?;
         }
     } else {
         let line = words.join(" ");
         let response = conn
             .request(&line)
             .map_err(|e| format!("request `{line}`: {e}"))?;
-        println!("{response}");
+        writeln!(out, "{response}")?;
     }
     Ok(())
 }
 
-fn cmd_staircase(args: &[String]) -> Result<(), String> {
+fn cmd_staircase(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let soc_name = args.first().ok_or("missing SOC name")?;
     let core_name = args.get(1).ok_or("missing core name")?;
     check_known_args(&args[2..], &[], &[])?;
@@ -652,19 +712,19 @@ fn cmd_staircase(args: &[String]) -> Result<(), String> {
         .core_by_name(core_name)
         .ok_or_else(|| format!("no core `{core_name}` in {}", soc.name()))?;
     let s = report::staircase(soc.core(idx).test(), 64);
-    println!("{:>4} {:>12} {:>10}", "W", "T (cycles)", "Pareto");
+    writeln!(out, "{:>4} {:>12} {:>10}", "W", "T (cycles)", "Pareto")?;
     for p in &s.points {
         let mark = if s.pareto_widths.contains(&p.width) {
             "*"
         } else {
             ""
         };
-        println!("{:>4} {:>12} {:>10}", p.width, p.time, mark);
+        writeln!(out, "{:>4} {:>12} {:>10}", p.width, p.time, mark)?;
     }
     Ok(())
 }
 
-fn cmd_wrapper(args: &[String]) -> Result<(), String> {
+fn cmd_wrapper(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let soc_name = args.first().ok_or("missing SOC name")?;
     let core_name = args.get(1).ok_or("missing core name")?;
     check_known_args(&args[2..], &["--width"], &[])?;
@@ -675,36 +735,38 @@ fn cmd_wrapper(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("no core `{core_name}` in {}", soc.name()))?;
     let layout = soctam_core::wrapper::WrapperLayout::build(soc.core(idx).test(), width)
         .map_err(|e| e.to_string())?;
-    print!("{}", layout.render(core_name));
-    println!(
+    write!(out, "{}", layout.render(core_name))?;
+    writeln!(
+        out,
         "test time at this width: {} cycles for {} patterns",
         layout.design().test_time(),
         layout.design().patterns()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_parse(args: &[String]) -> Result<(), String> {
+fn cmd_parse(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("missing file path")?;
     check_known_args(&args[1..], &[], &[])?;
     let soc = load_soc(path)?;
     soc.validate().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "{}: {} cores, {} precedence, {} concurrency constraints, {} total test bits",
         soc.name(),
         soc.len(),
         soc.precedence().len(),
         soc.concurrency().len(),
         soc.total_test_bits()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_list(args: &[String]) -> Result<(), String> {
+fn cmd_list(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     check_known_args(args, &[], &[])?;
     for name in benchmarks::NAMES {
         let soc = benchmarks::by_name(name).expect("known benchmark");
-        println!("{name}: {} cores", soc.len());
+        writeln!(out, "{name}: {} cores", soc.len())?;
     }
     Ok(())
 }
@@ -716,6 +778,12 @@ mod tests {
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// [`super::run`] with its output discarded and its failure as the
+    /// message `main` prints.
+    fn run(args: &[String]) -> Result<(), String> {
+        super::run(args, &mut io::sink()).map_err(|failure| failure.to_string())
     }
 
     #[test]

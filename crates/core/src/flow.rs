@@ -34,7 +34,7 @@ use soctam_schedule::{
 };
 use soctam_soc::Soc;
 use soctam_tam::WireAssignment;
-use soctam_volume::{volume_of, CostCurve, SweepPoint};
+use soctam_volume::{volume_of, SweepPoint};
 
 /// How the flow derives the power ceiling `P_max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,12 +190,6 @@ impl TestFlow {
         &self.ctx
     }
 
-    /// Shared handle on the schedule context, for handing the same
-    /// compilation to another flow or thread.
-    pub fn context_arc(&self) -> &Arc<CompiledSoc> {
-        &self.ctx
-    }
-
     /// The scheduler configuration a sweep at SOC width `w` starts from;
     /// the grid supplies `m`, `d`, and the slack.
     fn scheduler_config(&self, w: TamWidth) -> SchedulerConfig {
@@ -290,12 +284,6 @@ impl TestFlow {
             });
         }
         Ok(out)
-    }
-
-    /// Evaluates the normalized cost function over a sweep for one `α` —
-    /// the effective-TAM-width analysis of §5.
-    pub fn cost_curve(points: &[SweepPoint], alpha: f64) -> CostCurve {
-        CostCurve::new(points, alpha)
     }
 }
 

@@ -6,8 +6,9 @@
 //! menus, the compiled constraint tables, and the lower-bound ingredients
 //! (per-core minimum areas and the full-cap staircase). [`CompiledSoc`]
 //! computes all of it exactly once per SOC and hands shared references to
-//! the scheduler ([`ScheduleBuilder::with_context`](crate::ScheduleBuilder::with_context)),
-//! the bounds ([`CompiledSoc::lower_bound`]), the validator
+//! the scheduler ([`best_of`](crate::best_of), which every
+//! [`ScheduleBuilder`](crate::ScheduleBuilder) run goes through), the
+//! bounds ([`CompiledSoc::lower_bound`]), the validator
 //! ([`validate_with`](crate::validate::validate_with)), and the baseline
 //! architectures (`soctam-baseline`), so a whole `(m, d, slack) × width`
 //! sweep compiles the SOC once and only solves from then on.
@@ -56,7 +57,6 @@ use crate::bounds;
 use crate::constraints::ConstraintSet;
 use crate::menus::RectangleMenus;
 use crate::sync::lock_unpoisoned;
-use crate::SchedulerConfig;
 
 /// The deferred full-cap compilation products: the `w_max`-wide menus (the
 /// lower-bound staircase and the widest Pareto sets) and the summed
@@ -180,7 +180,8 @@ impl CompiledSoc {
     }
 
     /// The effective per-core cap a run at SOC width `w` uses — the same
-    /// clamp as [`SchedulerConfig::effective_w_max`].
+    /// clamp as
+    /// [`SchedulerConfig::effective_w_max`](crate::SchedulerConfig::effective_w_max).
     pub fn effective_cap(&self, w: TamWidth) -> TamWidth {
         self.w_max.min(w).max(1)
     }
@@ -211,11 +212,6 @@ impl CompiledSoc {
                 None => RectangleMenus::build(&self.soc, cap),
             })
         }))
-    }
-
-    /// The menus a configuration's run uses (`cfg.effective_w_max()` wide).
-    pub fn menus_for_config(&self, cfg: &SchedulerConfig) -> Arc<RectangleMenus> {
-        self.menus_at(cfg.effective_w_max())
     }
 
     /// Testing-time lower bound at SOC width `w` — bit-identical to

@@ -44,9 +44,9 @@ pub fn context_compiles() -> u64 {
     CONTEXT_COMPILES.load(Ordering::Relaxed)
 }
 
-/// Number of solver invocations
-/// ([`ScheduleBuilder::run`](crate::ScheduleBuilder::run)) since process
-/// start. The serving tier's warm-path invariant — a repeat request served
+/// Number of packer runs [`best_of`](crate::best_of) executed since
+/// process start; a [`ScheduleBuilder::run`](crate::ScheduleBuilder::run)
+/// that passes validation is one. The serving tier's warm-path invariant — a repeat request served
 /// from a [`SolutionCache`](crate::SolutionCache) never re-solves — is
 /// pinned by measuring a zero delta of this counter across a warm pass.
 pub fn schedule_runs() -> u64 {

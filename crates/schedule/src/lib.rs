@@ -28,12 +28,13 @@
 //! menus, compiled constraint tables, lower-bound ingredients — is
 //! invariant across the `(m, d, slack) × width` parameter sweeps the
 //! paper's methodology calls for. [`CompiledSoc::compile`] precomputes it
-//! once; [`ScheduleBuilder::with_context`],
-//! [`CompiledSoc::lower_bound`], and
+//! once; [`best_of`], [`CompiledSoc::lower_bound`], and
 //! [`validate_with`](crate::validate::validate_with) then reuse it with
 //! bit-identical results, as do the `soctam-baseline` architectures and
-//! the `soctam-core` flow. [`best_of`] is the one best-of sweep over a
-//! context: every caller that searches a [`ParamSweep`] runs it.
+//! the `soctam-core` flow. [`best_of`] is the only code that runs the
+//! packer: every caller that searches a [`ParamSweep`] runs it, and a
+//! single [`ScheduleBuilder`] run is `best_of` over a one-point grid, on a
+//! shared context ([`ScheduleBuilder::with_context`]) or a private one.
 //!
 //! # Ownership model: contexts outlive requests
 //!

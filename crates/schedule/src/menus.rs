@@ -2,11 +2,11 @@
 //!
 //! A core's rectangle menu depends only on the core's test and the
 //! effective per-core width cap — it is invariant across the sweep
-//! parameters `(m, d, slack)` that the flow's best-of search explores.
-//! Building the menus once per `(SOC, w_max)` and sharing them across every
-//! run of the sweep removes the dominant repeated cost of
-//! [`ScheduleBuilder`](crate::ScheduleBuilder); the menus are plain shared
-//! data, so many threads can read them at once.
+//! parameters `(m, d, slack)` that [`best_of`](crate::best_of) explores.
+//! A [`CompiledSoc`](crate::CompiledSoc) builds the menus once per
+//! `(SOC, w_max)`, derives every smaller cap from that build, and hands
+//! them to every run of a sweep; the menus are plain shared data, so many
+//! threads can read them at once.
 
 use soctam_soc::{CoreIdx, Soc};
 use soctam_wrapper::{RectangleSet, TamWidth};
@@ -19,22 +19,17 @@ use crate::SchedulerConfig;
 /// # Example
 ///
 /// ```
-/// use soctam_schedule::{RectangleMenus, ScheduleBuilder, SchedulerConfig};
+/// use soctam_schedule::{RectangleMenus, SchedulerConfig};
 /// use soctam_soc::benchmarks;
 ///
-/// # fn main() -> Result<(), soctam_schedule::ScheduleError> {
 /// let soc = benchmarks::d695();
 /// let cfg = SchedulerConfig::new(32);
-/// let menus = RectangleMenus::for_config(&soc, &cfg);
-/// // Many runs share one menu build.
-/// for m in 1..=10 {
-///     let s = ScheduleBuilder::new(&soc, cfg.clone().with_percent(m))
-///         .with_menus(&menus)
-///         .run()?;
-///     assert!(s.makespan() > 0);
+/// let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
+/// assert_eq!(menus.len(), soc.len());
+/// // Every preferred width lies on its core's menu.
+/// for w in menus.preferred_widths(&cfg) {
+///     assert!((1..=menus.w_max()).contains(&w));
 /// }
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RectangleMenus {
@@ -60,12 +55,6 @@ impl RectangleMenus {
                 .map(|core| RectangleSet::build(core.test(), w_max))
                 .collect(),
         }
-    }
-
-    /// Builds the menus a configuration's run would build on its own
-    /// (`cfg.effective_w_max()` wide).
-    pub fn for_config(soc: &Soc, cfg: &SchedulerConfig) -> Self {
-        Self::build(soc, cfg.effective_w_max())
     }
 
     /// Derives the menus for a smaller cap from this build, without
@@ -150,18 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn for_config_uses_effective_cap() {
-        let soc = benchmarks::d695();
-        let cfg = SchedulerConfig::new(16); // w_max 64 clamps to 16
-        let menus = RectangleMenus::for_config(&soc, &cfg);
-        assert_eq!(menus.w_max(), 16);
-    }
-
-    #[test]
     fn preferred_widths_follow_toggles() {
         let soc = benchmarks::d695();
         let cfg = SchedulerConfig::new(32).with_percent(7).with_bump(2);
-        let menus = RectangleMenus::for_config(&soc, &cfg);
+        let menus = RectangleMenus::build(&soc, 32);
         let bumped = menus.preferred_widths(&cfg);
         for (i, &w) in bumped.iter().enumerate() {
             assert_eq!(w, menus.menu(i).preferred_width_bumped(7, 2));

@@ -19,9 +19,9 @@
 //! * **Latency histograms.** A fixed-boundary log₂ [`Histogram`] (powers
 //!   of two from 1 µs to ~2.1 s, plus overflow) over lock-striped atomic
 //!   counters. Recording is wait-free; [`Histogram::snapshot`] folds the
-//!   stripes into a [`HistogramSnapshot`] that renders Prometheus
-//!   `_bucket`/`_sum`/`_count` exposition with `le` boundaries in seconds
-//!   ([`HistogramSnapshot::render_into`]). Buckets, sum, and count are
+//!   stripes into a plain-data [`HistogramSnapshot`]; the server's
+//!   exposition writer renders it as Prometheus `_bucket`/`_sum`/`_count`
+//!   series with `le` boundaries in seconds. Buckets, sum, and count are
 //!   plain series, so the balancer's roll-up merges backend histograms
 //!   by summing their scraped series.
 //!
@@ -365,21 +365,6 @@ pub fn bucket_index(micros: u64) -> usize {
     ceil_log2.min(MAX_EXPONENT + 1)
 }
 
-/// The `le` label of bucket `i`: its upper bound in seconds, or `+Inf`.
-///
-/// # Panics
-///
-/// Panics if `i ≥ HISTOGRAM_BUCKETS`.
-#[must_use]
-pub fn bucket_le_label(i: usize) -> String {
-    assert!(i < HISTOGRAM_BUCKETS, "bucket {i} out of range");
-    if i > MAX_EXPONENT {
-        return "+Inf".to_owned();
-    }
-    // Bounds are integral microseconds, so six decimals are exact.
-    format!("{:.6}", (1u64 << i) as f64 / 1e6)
-}
-
 struct Stripe {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum_micros: AtomicU64,
@@ -493,34 +478,6 @@ impl HistogramSnapshot {
             count: 0,
         }
     }
-
-    /// Appends Prometheus exposition for one labeled series of the
-    /// family `name`: cumulative `name_bucket{…,le="…"}` lines for every
-    /// boundary (`+Inf` included), then `name_sum` (seconds) and
-    /// `name_count`. `labels` is the comma-joined inner label list
-    /// (`kind="schedule",cache="hit"`), or empty for an unlabeled
-    /// series. The caller owns the family's `# TYPE name histogram`
-    /// header.
-    pub fn render_into(&self, out: &mut String, name: &str, labels: &str) {
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            let le = bucket_le_label(i);
-            if labels.is_empty() {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            } else {
-                let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
-            }
-        }
-        let sum_seconds = self.sum_micros as f64 / 1e6;
-        if labels.is_empty() {
-            let _ = writeln!(out, "{name}_sum {sum_seconds:.6}");
-            let _ = writeln!(out, "{name}_count {}", self.count);
-        } else {
-            let _ = writeln!(out, "{name}_sum{{{labels}}} {sum_seconds:.6}");
-            let _ = writeln!(out, "{name}_count{{{labels}}} {}", self.count);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -627,45 +584,6 @@ mod tests {
         // Past the last finite bound: the overflow bucket.
         assert_eq!(bucket_index((1 << MAX_EXPONENT) + 1), MAX_EXPONENT + 1);
         assert_eq!(bucket_index(u64::MAX), MAX_EXPONENT + 1);
-    }
-
-    #[test]
-    fn le_labels_render_in_seconds() {
-        assert_eq!(bucket_le_label(0), "0.000001");
-        assert_eq!(bucket_le_label(10), "0.001024");
-        assert_eq!(bucket_le_label(MAX_EXPONENT), "2.097152");
-        assert_eq!(bucket_le_label(MAX_EXPONENT + 1), "+Inf");
-    }
-
-    #[test]
-    fn render_is_cumulative_and_labeled() {
-        let h = Histogram::new();
-        h.record(Duration::from_micros(1));
-        h.record(Duration::from_micros(2));
-        h.record(Duration::from_secs(10)); // overflow bucket
-        let mut out = String::new();
-        h.snapshot()
-            .render_into(&mut out, "t_seconds", "kind=\"x\"");
-        assert!(
-            out.contains("t_seconds_bucket{kind=\"x\",le=\"0.000001\"} 1"),
-            "{out}"
-        );
-        assert!(
-            out.contains("t_seconds_bucket{kind=\"x\",le=\"0.000002\"} 2"),
-            "{out}"
-        );
-        // Every cumulative line up to +Inf sees all three samples.
-        assert!(
-            out.contains("t_seconds_bucket{kind=\"x\",le=\"+Inf\"} 3"),
-            "{out}"
-        );
-        assert!(out.contains("t_seconds_sum{kind=\"x\"} 10.000003"), "{out}");
-        assert!(out.contains("t_seconds_count{kind=\"x\"} 3"), "{out}");
-
-        let mut bare = String::new();
-        h.snapshot().render_into(&mut bare, "t_seconds", "");
-        assert!(bare.contains("t_seconds_bucket{le=\"+Inf\"} 3"), "{bare}");
-        assert!(bare.contains("t_seconds_count 3"), "{bare}");
     }
 
     #[test]

@@ -16,11 +16,12 @@ use crate::{ScheduleError, SchedulerConfig};
 
 /// Runs the paper's scheduling algorithm on one SOC for one configuration.
 ///
-/// By default each run builds its own rectangle menus and compiles its own
-/// constraint tables; sweeps that execute many runs should compile a
-/// [`CompiledSoc`] once and share it via [`ScheduleBuilder::with_context`]
-/// (or share just the menus via [`ScheduleBuilder::with_menus`]). The
-/// paper's best-of search over `(m, d, slack)` is [`best_of`].
+/// A run is [`best_of`] over the one-point grid `(cfg.percent, cfg.bump,
+/// cfg.idle_fill_slack)`, so it packs exactly as every served sweep does.
+/// By default it compiles a private [`CompiledSoc`] at the run's cap
+/// (`cfg.effective_w_max()`); runs that share an SOC should compile one
+/// context and pass it via [`ScheduleBuilder::with_context`]. The paper's
+/// best-of search over `(m, d, slack)` is [`best_of`] over a wider grid.
 ///
 /// # Example
 ///
@@ -39,7 +40,6 @@ use crate::{ScheduleError, SchedulerConfig};
 pub struct ScheduleBuilder<'a> {
     soc: &'a Soc,
     cfg: SchedulerConfig,
-    menus: Option<&'a RectangleMenus>,
     ctx: Option<&'a CompiledSoc>,
 }
 
@@ -49,27 +49,16 @@ impl<'a> ScheduleBuilder<'a> {
         Self {
             soc,
             cfg,
-            menus: None,
             ctx: None,
         }
     }
 
-    /// Reuses prebuilt rectangle menus instead of rebuilding them.
+    /// Runs against a precompiled schedule context: its constraint tables
+    /// and its menus at the run's cap ([`CompiledSoc::menus_at`]).
     ///
-    /// The menus must cover the same SOC and have been built at this
-    /// configuration's `effective_w_max()`; `run` rejects mismatches.
-    pub fn with_menus(mut self, menus: &'a RectangleMenus) -> Self {
-        self.menus = Some(menus);
-        self
-    }
-
-    /// Reuses a precompiled schedule context: constraint tables are taken
-    /// from `ctx`, and — unless [`ScheduleBuilder::with_menus`] supplied
-    /// menus explicitly — rectangle menus come from the context's per-cap
-    /// cache.
-    ///
-    /// The context must have been compiled from the same SOC; `run`
-    /// rejects mismatches.
+    /// The context must have been compiled from the same SOC, with a
+    /// `w_max` at least the run's `effective_w_max()`; `run` rejects
+    /// mismatches.
     pub fn with_context(mut self, ctx: &'a CompiledSoc) -> Self {
         self.ctx = Some(ctx);
         self
@@ -80,31 +69,19 @@ impl<'a> ScheduleBuilder<'a> {
     /// # Errors
     ///
     /// * [`ScheduleError::InvalidConfig`] — `tam_width == 0`, the SOC has
-    ///   no cores, or a shared context/menus doesn't match the
-    ///   SOC/configuration;
+    ///   no cores, or a shared context was compiled from another SOC or
+    ///   for a narrower cap than the run's;
     /// * [`ScheduleError::Soc`] — the SOC model fails validation;
     /// * [`ScheduleError::Stuck`] — constraints make some core permanently
     ///   unschedulable (e.g. its power rating alone exceeds `P_max`).
     pub fn run(self) -> Result<Schedule, ScheduleError> {
-        crate::instrument::note_schedule_run();
         let cfg = &self.cfg;
-        if cfg.tam_width == 0 {
-            return Err(ScheduleError::InvalidConfig {
-                reason: "TAM width must be at least one wire".to_owned(),
-            });
-        }
-        if self.soc.is_empty() {
-            return Err(ScheduleError::InvalidConfig {
-                reason: "SOC has no cores".to_owned(),
-            });
-        }
-        self.soc.validate()?;
-
-        if let Some(ctx) = self.ctx {
+        let private;
+        let ctx = match self.ctx {
             // Pointer check first (the overwhelmingly common case), value
             // equality as the slow fallback for contexts compiled from a
             // clone of the same model.
-            if !std::ptr::eq(ctx.soc(), self.soc) && ctx.soc() != self.soc {
+            Some(ctx) if !std::ptr::eq(ctx.soc(), self.soc) && ctx.soc() != self.soc => {
                 return Err(ScheduleError::InvalidConfig {
                     reason: format!(
                         "shared context was compiled for SOC `{}`, not `{}`",
@@ -113,69 +90,19 @@ impl<'a> ScheduleBuilder<'a> {
                     ),
                 });
             }
-        }
-
-        if let Some(menus) = self.menus {
-            if menus.len() != self.soc.len() || menus.w_max() != cfg.effective_w_max() {
-                return Err(ScheduleError::InvalidConfig {
-                    reason: format!(
-                        "shared menus cover {} cores at w_max {}, need {} cores at {}",
-                        menus.len(),
-                        menus.w_max(),
-                        self.soc.len(),
-                        cfg.effective_w_max()
-                    ),
-                });
+            Some(ctx) => ctx,
+            None => {
+                private = CompiledSoc::compile(self.soc, cfg.effective_w_max());
+                &private
             }
-        }
-
-        let shared_constraints = self.ctx.map(CompiledSoc::constraints);
-        match (self.menus, self.ctx) {
-            (Some(menus), _) => {
-                let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
-                run_with_menus(self.soc, cfg, menus, shared_constraints)
-            }
-            (None, Some(ctx)) => {
-                let menus = ctx.menus_for_config(cfg);
-                let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
-                run_with_menus(self.soc, cfg, &menus, shared_constraints)
-            }
-            (None, None) => {
-                let menus = {
-                    let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
-                    RectangleMenus::for_config(self.soc, cfg)
-                };
-                let _sweep = crate::obs::span(crate::obs::Phase::Sweep);
-                run_with_menus(self.soc, cfg, &menus, None)
-            }
-        }
+        };
+        let one_point = ParamSweep {
+            percents: vec![cfg.percent],
+            bumps: vec![cfg.bump],
+            slacks: vec![cfg.idle_fill_slack],
+        };
+        best_of(ctx, cfg, &one_point).map(|(schedule, _, _)| schedule)
     }
-}
-
-/// The validated core of a run: compile constraints (unless precompiled
-/// ones were shared), initialize states from the shared menus, pack.
-fn run_with_menus(
-    soc: &Soc,
-    cfg: &SchedulerConfig,
-    menus: &RectangleMenus,
-    shared_constraints: Option<&ConstraintSet>,
-) -> Result<Schedule, ScheduleError> {
-    let compiled;
-    let constraints = match shared_constraints {
-        Some(c) => c,
-        None => {
-            compiled = ConstraintSet::compile(soc);
-            &compiled
-        }
-    };
-    let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
-    scratch.reset(soc, cfg, menus, &menus.preferred_widths(cfg));
-    let makespan = scratch
-        .pack(cfg, constraints, None)?
-        .expect("a run without a limit never stops");
-    let schedule = Schedule::from_slices(soc.name(), cfg.tam_width, scratch.slices);
-    debug_assert_eq!(schedule.makespan(), makespan);
-    Ok(schedule)
 }
 
 /// The packer's per-run buffers, allocated once per sweep and *cleared*
@@ -1049,9 +976,9 @@ mod tests {
     fn shared_menus_match_rebuild_per_run() {
         let soc = benchmarks::p22810();
         let cfg = SchedulerConfig::new(24).with_percent(7).with_bump(2);
-        let menus = RectangleMenus::for_config(&soc, &cfg);
+        let ctx = CompiledSoc::compile(&soc, 64);
         let shared = ScheduleBuilder::new(&soc, cfg.clone())
-            .with_menus(&menus)
+            .with_context(&ctx)
             .run()
             .unwrap();
         let rebuilt = ScheduleBuilder::new(&soc, cfg).run().unwrap();
@@ -1061,16 +988,16 @@ mod tests {
     #[test]
     fn mismatched_menus_rejected() {
         let soc = benchmarks::d695();
-        let narrow = RectangleMenus::build(&soc, 8);
+        let narrow = CompiledSoc::compile(&soc, 8);
         let err = ScheduleBuilder::new(&soc, SchedulerConfig::new(24))
-            .with_menus(&narrow)
+            .with_context(&narrow)
             .run();
         assert!(matches!(err, Err(ScheduleError::InvalidConfig { .. })));
 
         let other = benchmarks::p22810();
-        let foreign = RectangleMenus::build(&other, 24);
+        let foreign = CompiledSoc::compile(&other, 24);
         let err = ScheduleBuilder::new(&soc, SchedulerConfig::new(24))
-            .with_menus(&foreign)
+            .with_context(&foreign)
             .run();
         assert!(matches!(err, Err(ScheduleError::InvalidConfig { .. })));
     }
@@ -1149,7 +1076,7 @@ mod tests {
             grid_point in (1u32..60, 0u16..5, 0u16..13),
         ) {
             let (soc, cfg) = synth_point(soc_shape, width, modes, grid_point);
-            let menus = RectangleMenus::for_config(&soc, &cfg);
+            let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
             let want = reference::run(&soc, &cfg, &menus, &ConstraintSet::compile(&soc));
             prop_assert_eq!(ScheduleBuilder::new(&soc, cfg).run(), want);
         }
@@ -1166,7 +1093,7 @@ mod tests {
             permille in 500u64..1500,
         ) {
             let (soc, cfg) = synth_point(soc_shape, width, modes, grid_point);
-            let menus = RectangleMenus::for_config(&soc, &cfg);
+            let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
             let constraints = ConstraintSet::compile(&soc);
             let want = reference::run(&soc, &cfg, &menus, &constraints)
                 .expect("schedulable");

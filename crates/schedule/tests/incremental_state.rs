@@ -12,7 +12,7 @@
 //! below, just not the per-step state equality.
 
 use proptest::prelude::*;
-use soctam_schedule::{validate, RectangleMenus, ScheduleBuilder, ScheduleError, SchedulerConfig};
+use soctam_schedule::{validate, CompiledSoc, ScheduleBuilder, ScheduleError, SchedulerConfig};
 use soctam_soc::{Core, Soc};
 use soctam_wrapper::CoreTest;
 
@@ -114,8 +114,9 @@ proptest! {
         }
     }
 
-    /// Shared prebuilt menus produce bit-identical outcomes (schedule or
-    /// error) to the build-on-the-fly path on randomized SOCs.
+    /// A shared full-cap context (menus prefix-derived at the run's cap)
+    /// produces bit-identical outcomes (schedule or error) to a run's
+    /// private context on randomized SOCs.
     #[test]
     fn shared_menus_equal_fresh_build(
         soc in soc_strategy(),
@@ -123,8 +124,8 @@ proptest! {
         percent in 1u32..30,
     ) {
         let cfg = SchedulerConfig::new(tam_width).with_percent(percent);
-        let menus = RectangleMenus::for_config(&soc, &cfg);
-        let shared = ScheduleBuilder::new(&soc, cfg.clone()).with_menus(&menus).run();
+        let ctx = CompiledSoc::compile(&soc, cfg.w_max);
+        let shared = ScheduleBuilder::new(&soc, cfg.clone()).with_context(&ctx).run();
         let fresh = ScheduleBuilder::new(&soc, cfg).run();
         prop_assert_eq!(shared, fresh);
     }

@@ -14,6 +14,14 @@
 //! [`RetryingClient`]. Requests the backends would cache as one entry
 //! land on one shard — caches stay hot and mutually disjoint.
 //!
+//! # Placement
+//!
+//! Each backend owns 64 virtual nodes, placed by the backend's position
+//! in the `--backends` list, not by its address: the same list splits the
+//! keys the same way whichever ports the backends bind. Appending a
+//! backend moves about 1/n of the keys (n counting the newcomer) onto it
+//! and leaves the rest in place; reordering the list reshuffles them.
+//!
 //! # Failover
 //!
 //! Candidate backends are tried in ring order from the key's point: the
@@ -255,23 +263,24 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(labels: &[String], replicas: usize) -> Self {
+    /// Places `replicas` points for each of `backends` backends, hashing
+    /// each point's `(position, replica)` — not the backend's address, so
+    /// the same backend list splits keys the same way whatever ports it
+    /// binds.
+    fn new(backends: usize, replicas: usize) -> Self {
         use std::hash::{DefaultHasher, Hash, Hasher};
-        let mut points = Vec::with_capacity(labels.len() * replicas);
-        for (index, label) in labels.iter().enumerate() {
+        let mut points = Vec::with_capacity(backends * replicas);
+        for index in 0..backends {
             for replica in 0..replicas {
                 // DefaultHasher uses fixed SipHash keys: the ring layout,
                 // like the route key, is stable across processes.
                 let mut h = DefaultHasher::new();
-                (label.as_str(), replica as u64).hash(&mut h);
+                (index as u64, replica as u64).hash(&mut h);
                 points.push((h.finish(), index));
             }
         }
         points.sort_unstable();
-        Self {
-            points,
-            backends: labels.len(),
-        }
+        Self { points, backends }
     }
 
     /// Every backend index in ring order from `key`'s point: the owner
@@ -396,7 +405,6 @@ impl Balancer {
         cfg.probe_interval = cfg.probe_interval.max(Duration::from_millis(10));
 
         let backends: Vec<Backend> = backends.iter().copied().map(Backend::new).collect();
-        let labels: Vec<String> = backends.iter().map(|b| b.label.clone()).collect();
         // No drain window: front requests are bounded by the pooled
         // clients' I/O deadline, so severing client connections at once
         // unblocks every worker promptly without corrupting backend state.
@@ -410,7 +418,7 @@ impl Balancer {
             drain: Duration::ZERO,
         };
         let shared = Arc::new(Proxy {
-            ring: Ring::new(&labels, REPLICAS),
+            ring: Ring::new(backends.len(), REPLICAS),
             cfg,
             backends,
             catalog: protocol::benchmark_resolver(),
@@ -685,13 +693,9 @@ fn backend_scrapes(shared: &Proxy) -> Vec<exposition::Scrape> {
 mod tests {
     use super::*;
 
-    fn labels(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("127.0.0.1:{}", 4000 + i)).collect()
-    }
-
     #[test]
     fn ring_candidates_cover_every_backend_exactly_once() {
-        let ring = Ring::new(&labels(4), 64);
+        let ring = Ring::new(4, 64);
         for key in [0u64, 1, u64::MAX, 0xdead_beef, 42] {
             let order = ring.candidates(key);
             let mut sorted = order.clone();
@@ -702,8 +706,8 @@ mod tests {
 
     #[test]
     fn ring_routing_is_deterministic_and_balanced() {
-        let ring_a = Ring::new(&labels(3), 64);
-        let ring_b = Ring::new(&labels(3), 64);
+        let ring_a = Ring::new(3, 64);
+        let ring_b = Ring::new(3, 64);
         let mut per_backend = [0usize; 3];
         for key in 0..3000u64 {
             let key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -726,8 +730,8 @@ mod tests {
     fn ring_ownership_is_stable_when_a_backend_joins() {
         // Consistent hashing's point: adding a backend moves only the keys
         // the newcomer now owns; everything else keeps its shard.
-        let three = Ring::new(&labels(3), 64);
-        let four = Ring::new(&labels(4), 64);
+        let three = Ring::new(3, 64);
+        let four = Ring::new(4, 64);
         let (mut moved, total) = (0usize, 2000u64);
         for key in 0..total {
             let key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -22,7 +22,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::{Display, Write as _};
 
-use soctam_core::schedule::obs::HistogramSnapshot;
+use soctam_core::schedule::obs::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// A metric family's type, as its `# TYPE` line names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,12 +92,14 @@ impl Writer {
         self.family(name, kind).sample(name, &[], value)
     }
 
-    /// One labelled series of the histogram family `name`
-    /// ([`HistogramSnapshot::render_into`]).
+    /// One labelled series of the histogram family `name`: a cumulative
+    /// `name_bucket{…,le="…"}` line for every boundary, `+Inf` included,
+    /// then `name_sum` in seconds and `name_count`. The caller writes the
+    /// family's `# TYPE name histogram` line.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snapshot: &HistogramSnapshot) {
         let mut inner = String::new();
         write_labels(&mut inner, labels);
-        snapshot.render_into(&mut self.out, name, &inner);
+        write_histogram(&mut self.out, name, &inner, snapshot);
     }
 
     /// Writes parsed or summed families back out, each series as it was
@@ -122,6 +124,45 @@ impl Writer {
     pub fn finish(self) -> String {
         self.out
     }
+}
+
+/// [`Writer::histogram`] over the comma-joined inner label list
+/// (`kind="schedule",cache="hit"`), or an empty one for an unlabelled
+/// series.
+fn write_histogram(out: &mut String, name: &str, labels: &str, snapshot: &HistogramSnapshot) {
+    let mut cumulative = 0u64;
+    for (i, bucket) in snapshot.buckets.iter().enumerate() {
+        cumulative += bucket;
+        let le = bucket_le_label(i);
+        if labels.is_empty() {
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+        } else {
+            let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
+        }
+    }
+    let sum_seconds = snapshot.sum_micros as f64 / 1e6;
+    if labels.is_empty() {
+        let _ = writeln!(out, "{name}_sum {sum_seconds:.6}");
+        let _ = writeln!(out, "{name}_count {}", snapshot.count);
+    } else {
+        let _ = writeln!(out, "{name}_sum{{{labels}}} {sum_seconds:.6}");
+        let _ = writeln!(out, "{name}_count{{{labels}}} {}", snapshot.count);
+    }
+}
+
+/// The `le` label of bucket `i`: its upper bound, 2^`i` µs, in seconds,
+/// or `+Inf` for the overflow bucket.
+///
+/// # Panics
+///
+/// Panics if `i ≥ HISTOGRAM_BUCKETS`.
+fn bucket_le_label(i: usize) -> String {
+    assert!(i < HISTOGRAM_BUCKETS, "bucket {i} out of range");
+    if i == HISTOGRAM_BUCKETS - 1 {
+        return "+Inf".to_owned();
+    }
+    // Bounds are integral microseconds, so six decimals are exact.
+    format!("{:.6}", (1u64 << i) as f64 / 1e6)
 }
 
 /// `k="v",k2="v2"`, values escaped.
@@ -352,6 +393,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use soctam_core::schedule::obs::Histogram;
+    use std::time::Duration;
 
     /// A daemon-shaped exposition of one histogram series.
     fn exposition_of(samples: &[u64]) -> String {
@@ -389,6 +431,44 @@ mod tests {
             series_values(&summed.families),
             series_values(&whole.families)
         );
+    }
+
+    #[test]
+    fn le_labels_render_in_seconds() {
+        assert_eq!(bucket_le_label(0), "0.000001");
+        assert_eq!(bucket_le_label(10), "0.001024");
+        assert_eq!(bucket_le_label(21), "2.097152");
+        assert_eq!(bucket_le_label(22), "+Inf");
+    }
+
+    #[test]
+    fn render_is_cumulative_and_labeled() {
+        let h = Histogram::new();
+        h.record(Duration::from_micros(1));
+        h.record(Duration::from_micros(2));
+        h.record(Duration::from_secs(10)); // overflow bucket
+        let mut out = String::new();
+        write_histogram(&mut out, "t_seconds", "kind=\"x\"", &h.snapshot());
+        assert!(
+            out.contains("t_seconds_bucket{kind=\"x\",le=\"0.000001\"} 1"),
+            "{out}"
+        );
+        assert!(
+            out.contains("t_seconds_bucket{kind=\"x\",le=\"0.000002\"} 2"),
+            "{out}"
+        );
+        // Every cumulative line up to +Inf sees all three samples.
+        assert!(
+            out.contains("t_seconds_bucket{kind=\"x\",le=\"+Inf\"} 3"),
+            "{out}"
+        );
+        assert!(out.contains("t_seconds_sum{kind=\"x\"} 10.000003"), "{out}");
+        assert!(out.contains("t_seconds_count{kind=\"x\"} 3"), "{out}");
+
+        let mut bare = String::new();
+        write_histogram(&mut bare, "t_seconds", "", &h.snapshot());
+        assert!(bare.contains("t_seconds_bucket{le=\"+Inf\"} 3"), "{bare}");
+        assert!(bare.contains("t_seconds_count 3"), "{bare}");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   successors with zero client-visible failures, and the failover
 //!   counter says so;
 //! * **rejoin** — a backend that comes (back) up is probed healthy and
-//!   takes its keys home.
+//!   takes its keys home;
+//! * **placement** — a key's backend depends on the backend's position in
+//!   the front's list, not on the port it bound.
 //!
 //! Tests serialize on one mutex (shared convention with the loopback and
 //! chaos suites).
@@ -132,6 +134,63 @@ fn requests_through_the_front_are_bit_identical_and_key_affine() {
     front.shutdown();
     backend_a.shutdown();
     backend_b.shutdown();
+}
+
+/// The position in `addrs` (the front's backend list) that answered each
+/// key, read off the front's `soctam_balance_routed_total` series.
+fn routed_positions(front: &Balancer, addrs: &[SocketAddr], keys: &[String]) -> Vec<usize> {
+    let routed = || -> Vec<f64> {
+        let scrape = Scrape::parse(&front.metrics()).expect("strict front /metrics");
+        addrs
+            .iter()
+            .map(|addr| {
+                scrape
+                    .value(&format!(
+                        "soctam_balance_routed_total{{backend=\"{addr}\"}}"
+                    ))
+                    .expect("a routed sample per backend")
+            })
+            .collect()
+    };
+    let mut conn = Connection::connect(front.local_addr()).expect("front connect");
+    keys.iter()
+        .map(|key| {
+            let before = routed();
+            conn.request(key).expect("proxied answer");
+            let after = routed();
+            let moved: Vec<usize> = (0..addrs.len())
+                .filter(|&i| after[i] != before[i])
+                .collect();
+            assert_eq!(moved.len(), 1, "`{key}`: {before:?} -> {after:?}");
+            moved[0]
+        })
+        .collect()
+}
+
+#[test]
+fn keys_route_by_backend_position_not_address() {
+    let _guard = serialize();
+    // Two fronts over two backend pairs on different ephemeral ports: the
+    // ring places backends by their position in the list, so both fronts
+    // send each key to the same position.
+    let backends: Vec<Server> = (0..4).map(|_| backend()).collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let (pair_a, pair_b) = addrs.split_at(2);
+    let (front_a, front_b) = (front(pair_a, failover_cfg()), front(pair_b, failover_cfg()));
+    let keys = keys(24);
+    let at_a = routed_positions(&front_a, pair_a, &keys);
+    let at_b = routed_positions(&front_b, pair_b, &keys);
+    assert_eq!(at_a, at_b, "each key's position on both fronts");
+    assert!(
+        at_a.contains(&0) && at_a.contains(&1),
+        "24 keys should spread over both positions: {at_a:?}"
+    );
+
+    front_a.shutdown();
+    front_b.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
 }
 
 #[test]
