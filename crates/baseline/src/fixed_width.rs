@@ -23,9 +23,10 @@ pub struct FixedWidthResult {
 /// bus finishing earliest).
 ///
 /// Per-core widths are capped at the context's `w_max` like the main
-/// scheduler; the per-core rectangle menus come from the shared
-/// [`CompiledSoc`], so sweeping many widths and architectures rebuilds
-/// nothing.
+/// scheduler: a core on a wider bus uses only `min(bus, cap)` of its
+/// wires. The per-core rectangle menus come from the shared
+/// [`CompiledSoc`], read under that cap, so sweeping many widths and
+/// architectures rebuilds nothing.
 ///
 /// # Panics
 ///
@@ -36,18 +37,18 @@ pub fn fixed_width_best(ctx: &CompiledSoc, w: TamWidth, max_tams: usize) -> Fixe
     assert!(!ctx.is_empty(), "SOC has no cores");
 
     let soc = ctx.soc();
-    let menus = ctx.menus_at(ctx.effective_cap(w));
-    let rects = menus.menus();
+    let rects = ctx.full_menus().menus();
+    let cap = ctx.effective_cap(w);
 
-    // Core order for the greedy assignment: longest test (at full width)
-    // first — the LPT rule.
+    // Core order for the greedy assignment: longest test (at the per-core
+    // cap) first — the LPT rule.
     let mut order: Vec<usize> = (0..rects.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(rects[i].min_time()));
+    order.sort_by_key(|&i| std::cmp::Reverse(rects[i].time_at(cap)));
 
     let mut best: Option<FixedWidthResult> = None;
     let mut partition = Vec::new();
     enumerate_partitions(w, max_tams, w, &mut partition, &mut |parts| {
-        let (makespan, assignment) = evaluate(parts, &order, rects);
+        let (makespan, assignment) = evaluate(parts, &order, rects, cap);
         if best.as_ref().is_none_or(|b| makespan < b.makespan) {
             best = Some(FixedWidthResult {
                 makespan,
@@ -59,7 +60,7 @@ pub fn fixed_width_best(ctx: &CompiledSoc, w: TamWidth, max_tams: usize) -> Fixe
     });
 
     let mut result = best.expect("at least the single-bus partition exists");
-    result.schedule = realize(soc, w, &result.partition, &result.assignment, rects);
+    result.schedule = realize(soc, w, &result.partition, &result.assignment, rects, cap);
     result
 }
 
@@ -93,41 +94,50 @@ fn enumerate_partitions(
     }
 }
 
-/// Greedy LPT assignment of cores to buses; returns (makespan, core→bus).
-fn evaluate(parts: &[TamWidth], order: &[usize], rects: &[RectangleSet]) -> (Cycles, Vec<usize>) {
+/// Greedy LPT assignment of cores to buses, each core using at most `cap`
+/// of its bus's wires; returns (makespan, core→bus).
+fn evaluate(
+    parts: &[TamWidth],
+    order: &[usize],
+    rects: &[RectangleSet],
+    cap: TamWidth,
+) -> (Cycles, Vec<usize>) {
     let mut load = vec![0u64; parts.len()];
     let mut assignment = vec![0usize; rects.len()];
     for &core in order {
         let mut best_bus = 0;
         let mut best_end = u64::MAX;
         for (b, &width) in parts.iter().enumerate() {
-            let end = load[b] + rects[core].time_at(width);
+            let end = load[b] + rects[core].time_at(width.min(cap));
             if end < best_end {
                 best_end = end;
                 best_bus = b;
             }
         }
-        load[best_bus] += rects[core].time_at(parts[best_bus]);
+        load[best_bus] += rects[core].time_at(parts[best_bus].min(cap));
         assignment[core] = best_bus;
     }
     (load.into_iter().max().unwrap_or(0), assignment)
 }
 
-/// Materializes the serialized schedule of a fixed architecture.
+/// Materializes the serialized schedule of a fixed architecture; a core
+/// occupies `min(bus, cap)` of its bus's wires.
 fn realize(
     soc: &Soc,
     w: TamWidth,
     parts: &[TamWidth],
     assignment: &[usize],
     rects: &[RectangleSet],
+    cap: TamWidth,
 ) -> Schedule {
     let mut cursor = vec![0u64; parts.len()];
     let mut slices = Vec::with_capacity(assignment.len());
     for (core, &bus) in assignment.iter().enumerate() {
-        let t = rects[core].time_at(parts[bus]);
+        let width = parts[bus].min(cap);
+        let t = rects[core].time_at(width);
         slices.push(Slice {
             core,
-            width: parts[bus],
+            width,
             start: cursor[bus],
             end: cursor[bus] + t,
         });

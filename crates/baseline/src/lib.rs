@@ -57,3 +57,35 @@ mod shelf;
 pub use fixed_width::{fixed_width_best, FixedWidthResult};
 pub use session::{session_schedule, SessionResult};
 pub use shelf::{shelf_pack, ShelfResult};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use soctam_schedule::validate::validate_with;
+    use soctam_schedule::CompiledSoc;
+    use soctam_soc::benchmarks;
+
+    /// Above the context's cap a core uses at most `w_max` wires of a
+    /// wider bus or session, so every baseline still answers with a valid
+    /// schedule at or above the lower bound.
+    #[test]
+    fn baselines_answer_validly_above_the_context_cap() {
+        let w = 80;
+        for soc in [benchmarks::d695(), benchmarks::p93791()] {
+            let ctx = CompiledSoc::compile(&soc, 64);
+            let fixed = fixed_width_best(&ctx, w, 3);
+            let shelf = shelf_pack(&ctx, w, 5, 1);
+            let session = session_schedule(&ctx, w);
+            for (name, makespan, schedule) in [
+                ("fixed-width", fixed.makespan, &fixed.schedule),
+                ("shelf", shelf.makespan, &shelf.schedule),
+                ("session", session.makespan, &session.schedule),
+            ] {
+                let soc = soc.name();
+                validate_with(&ctx, schedule).unwrap_or_else(|e| panic!("{soc} {name}: {e}"));
+                assert_eq!(schedule.makespan(), makespan, "{soc} {name}");
+                assert!(makespan >= ctx.lower_bound(w), "{soc} {name}: {makespan}");
+            }
+        }
+    }
+}

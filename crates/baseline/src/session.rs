@@ -32,7 +32,7 @@ pub struct SessionResult {
 /// discipline; compare on constraint-free instances.
 ///
 /// Per-core widths are capped at the context's `w_max`; the rectangle
-/// menus come from the shared [`CompiledSoc`].
+/// menus come from the shared [`CompiledSoc`], read under that cap.
 ///
 /// # Panics
 ///
@@ -42,16 +42,16 @@ pub fn session_schedule(ctx: &CompiledSoc, w: TamWidth) -> SessionResult {
     assert!(!ctx.is_empty(), "SOC has no cores");
 
     let soc = ctx.soc();
-    let menus = ctx.menus_at(ctx.effective_cap(w));
-    let rects = menus.menus();
+    let rects = ctx.full_menus().menus();
+    let cap = ctx.effective_cap(w);
 
     let n = rects.len();
     let mut best: Option<(Cycles, Vec<Vec<CoreIdx>>)> = None;
     for sessions in 1..=n {
-        let partition = partition_lpt(rects, sessions);
+        let partition = partition_lpt(rects, sessions, cap);
         let total: Cycles = partition
             .iter()
-            .map(|members| session_time(members, rects, w))
+            .map(|members| session_time(members, rects, w, cap))
             .sum();
         if best.as_ref().is_none_or(|(t, _)| total < *t) {
             best = Some((total, partition));
@@ -63,7 +63,7 @@ pub fn session_schedule(ctx: &CompiledSoc, w: TamWidth) -> SessionResult {
     let mut slices = Vec::with_capacity(n);
     let mut start: Cycles = 0;
     for members in &sessions {
-        let widths = deal_wires(members, rects, w);
+        let widths = deal_wires(members, rects, w, cap);
         let duration = members
             .iter()
             .zip(&widths)
@@ -88,17 +88,18 @@ pub fn session_schedule(ctx: &CompiledSoc, w: TamWidth) -> SessionResult {
     }
 }
 
-/// LPT partition of cores onto `sessions` groups by minimum testing time.
-fn partition_lpt(rects: &[RectangleSet], sessions: usize) -> Vec<Vec<CoreIdx>> {
+/// LPT partition of cores onto `sessions` groups by minimum testing time
+/// under the per-core cap.
+fn partition_lpt(rects: &[RectangleSet], sessions: usize, cap: TamWidth) -> Vec<Vec<CoreIdx>> {
     let mut order: Vec<CoreIdx> = (0..rects.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(rects[i].min_time()));
+    order.sort_by_key(|&i| std::cmp::Reverse(rects[i].time_at(cap)));
     let mut groups = vec![Vec::new(); sessions];
     let mut loads = vec![0u64; sessions];
     for core in order {
         let target = (0..sessions)
             .min_by_key(|&g| loads[g])
             .expect("at least one session");
-        loads[target] += rects[core].min_time();
+        loads[target] += rects[core].time_at(cap);
         groups[target].push(core);
     }
     groups.retain(|g| !g.is_empty());
@@ -106,8 +107,14 @@ fn partition_lpt(rects: &[RectangleSet], sessions: usize) -> Vec<Vec<CoreIdx>> {
 }
 
 /// Deals `w` wires to the session members: everyone starts at one wire,
-/// spare wires go one at a time to the member gating the session.
-fn deal_wires(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Vec<TamWidth> {
+/// spare wires go one at a time to the member gating the session, and no
+/// member gets more than `cap`.
+fn deal_wires(
+    members: &[CoreIdx],
+    rects: &[RectangleSet],
+    w: TamWidth,
+    cap: TamWidth,
+) -> Vec<TamWidth> {
     let k = members.len() as u32;
     let mut widths: Vec<TamWidth> = vec![1; members.len()];
     // If the session has more members than wires, the discipline cannot run
@@ -126,7 +133,6 @@ fn deal_wires(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Vec<T
         let mut best: Option<(Cycles, usize)> = None;
         for (i, &core) in members.iter().enumerate() {
             let cur = rects[core].time_at(widths[i]);
-            let cap = rects[core].w_max();
             if widths[i] >= cap {
                 continue;
             }
@@ -140,7 +146,10 @@ fn deal_wires(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Vec<T
         let core = members[gate];
         let cur_t = rects[core].time_at(widths[gate]);
         let mut grant = 1;
-        while grant < spare && rects[core].time_at(widths[gate] + grant) == cur_t {
+        while grant < spare
+            && widths[gate] + grant < cap
+            && rects[core].time_at(widths[gate] + grant) == cur_t
+        {
             grant += 1;
         }
         if rects[core].time_at(widths[gate] + grant) == cur_t {
@@ -152,12 +161,12 @@ fn deal_wires(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Vec<T
     widths
 }
 
-fn session_time(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth) -> Cycles {
+fn session_time(members: &[CoreIdx], rects: &[RectangleSet], w: TamWidth, cap: TamWidth) -> Cycles {
     if members.len() > usize::from(w) {
         // Infeasible concurrency for this discipline; price it as serial.
-        return members.iter().map(|&c| rects[c].time_at(w)).sum();
+        return members.iter().map(|&c| rects[c].time_at(w.min(cap))).sum();
     }
-    let widths = deal_wires(members, rects, w);
+    let widths = deal_wires(members, rects, w, cap);
     members
         .iter()
         .zip(&widths)

@@ -26,7 +26,7 @@ pub struct ShelfResult {
 /// paper's flexible packer reclaims.
 ///
 /// Per-core widths are capped at the context's `w_max`; the rectangle
-/// menus come from the shared [`CompiledSoc`].
+/// menus come from the shared [`CompiledSoc`], read under that cap.
 ///
 /// # Panics
 ///
@@ -36,12 +36,13 @@ pub fn shelf_pack(ctx: &CompiledSoc, w: TamWidth, percent: u32, bump: TamWidth) 
     assert!(!ctx.is_empty(), "SOC has no cores");
 
     let soc = ctx.soc();
-    let menus = ctx.menus_at(ctx.effective_cap(w));
-    let prefs: Vec<(TamWidth, Cycles)> = menus
+    let cap = ctx.effective_cap(w);
+    let prefs: Vec<(TamWidth, Cycles)> = ctx
+        .full_menus()
         .menus()
         .iter()
         .map(|rects| {
-            let width = rects.preferred_width_bumped(percent, bump);
+            let width = rects.preferred_width_bumped(percent, bump, cap);
             (width, rects.time_at(width))
         })
         .collect();

@@ -123,7 +123,6 @@ fn bench_best_of(c: &mut Criterion) {
     for name in benchmarks::NAMES {
         let soc = benchmarks::by_name(name).expect("known benchmark");
         let ctx = CompiledSoc::compile(&soc, base.w_max);
-        let _ = ctx.menus_at(base.effective_w_max());
         let _ = ctx.lower_bound(base.tam_width);
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {

@@ -68,9 +68,7 @@ fn time_sweep(
     let t0 = Instant::now();
     let ctx = registry.get_or_compile(soc, cfg.w_max, cfg.power.resolve(soc));
     let flow = TestFlow::with_context(ctx, cfg.clone());
-    let menus = flow.menus_for(width); // prewarm the width's menu cap
     let compile_seconds = t0.elapsed().as_secs_f64();
-    drop(menus);
     let runs_before = instrument::schedule_runs();
     let t1 = Instant::now();
     let (schedule, params, stats) = flow
@@ -110,9 +108,9 @@ struct ColdTiming {
 /// SOC at its widest Table 1 width, under an armed span recorder. The
 /// request is the daemon's `schedule <soc> --width W`, so the sweep is the
 /// one the daemon runs, bound cutoff included (p34392 reaches its bound at
-/// W=32). The compile/solve split comes from the `context_compile` and
-/// `sweep`+`menu_build` phases the work sites record, not from an ad-hoc
-/// stopwatch around call boundaries.
+/// W=32). The compile/solve split comes from the `context_compile`+
+/// `menu_build` (the build nests in the compile) and `sweep` phases the
+/// work sites record, not from an ad-hoc stopwatch around call boundaries.
 fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     let soc = Arc::new(benchmarks::by_name(name).expect("known benchmark"));
     let request = EngineRequest::schedule(soc, request_flow(false, false), width);
@@ -128,10 +126,10 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     let Ok(EngineOutput::Schedule(run)) = result else {
         panic!("{name}: cold schedule request failed: {result:?}");
     };
-    let compile_seconds = trace.phase_total(obs::Phase::ContextCompile) as f64 / 1e6;
-    let solve_seconds = (trace.phase_total(obs::Phase::Sweep)
+    let compile_seconds = (trace.phase_total(obs::Phase::ContextCompile)
         + trace.phase_total(obs::Phase::MenuBuild)) as f64
         / 1e6;
+    let solve_seconds = trace.phase_total(obs::Phase::Sweep) as f64 / 1e6;
     ColdTiming {
         name,
         width,
@@ -361,14 +359,14 @@ fn main() -> Result<(), String> {
     }
 
     // Cold-path gates. (i) A cold solve builds rectangle menus exactly
-    // once: the full cap, from which any narrower cap is prefix-derived. A
-    // second build means derivation or the OnceLock full-cap slot
-    // regressed to rebuilding; none means the counter went dead.
+    // once, when its context compiles; every run reads that build under its
+    // cap. A second build means a run regressed to rebuilding; none means
+    // the counter went dead.
     for t in &cold_blocks {
         if t.menu_builds != 1 {
             eprintln!(
                 "error: {} cold solve built rectangle menus {} times, not once — \
-                 lazy menu reuse regressed",
+                 menu reuse regressed",
                 t.name, t.menu_builds
             );
             std::process::exit(1);

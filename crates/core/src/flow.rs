@@ -200,12 +200,14 @@ impl TestFlow {
         cfg
     }
 
-    /// The shared rectangle menus for one SOC width, from the context's
-    /// per-cap cache (built on first use, reused ever after). The cap is
-    /// `SchedulerConfig::effective_w_max`, the one the sweep uses.
-    pub fn menus_for(&self, w: TamWidth) -> Arc<RectangleMenus> {
-        self.context()
-            .menus_at(self.scheduler_config(w).effective_w_max())
+    /// The rectangle menus a sweep at SOC width `w` reads: the context's
+    /// one build, and the cap the sweep reads it under
+    /// (`SchedulerConfig::effective_w_max`).
+    pub fn menus_for(&self, w: TamWidth) -> (&RectangleMenus, TamWidth) {
+        (
+            self.context().full_menus(),
+            self.scheduler_config(w).effective_w_max(),
+        )
     }
 
     /// Finds the best schedule at `w` over the configured parameter sweep.
@@ -269,9 +271,9 @@ impl TestFlow {
         &self,
         widths: impl IntoIterator<Item = TamWidth>,
     ) -> Result<Vec<SweepPoint>, ScheduleError> {
-        // Widths above `w_max` share one effective cap and hence one menu
-        // build; the context's per-cap cache covers the whole width sweep
-        // (and any later sweep over the same context).
+        // Every width reads the context's one menu build under its own cap
+        // (widths above `w_max` all read it whole), so the whole width
+        // sweep, and any later sweep over the same context, builds nothing.
         let mut out = Vec::new();
         for w in widths {
             let (schedule, _, _) = self.best_schedule_detailed(w)?;
@@ -414,13 +416,14 @@ mod tests {
     fn flow_reuses_one_menu_build_per_cap() {
         let soc = benchmarks::d695();
         let flow = TestFlow::new(&soc, FlowConfig::quick());
-        let a = flow.menus_for(16);
-        let b = flow.menus_for(16);
-        assert!(Arc::ptr_eq(&a, &b), "same cap must share one build");
-        // 16 and 64 are distinct caps; 100 clamps to w_max = 64.
-        let c = flow.menus_for(100);
-        assert_eq!(c.w_max(), 64);
-        assert!(Arc::ptr_eq(&c, &flow.menus_for(64)));
+        // Every width reads the context's one build, under its own cap;
+        // 100 clamps to w_max = 64.
+        for (w, cap) in [(16u16, 16u16), (64, 64), (100, 64)] {
+            let (menus, read_cap) = flow.menus_for(w);
+            assert!(std::ptr::eq(menus, flow.context().full_menus()), "W={w}");
+            assert_eq!(menus.w_max(), 64);
+            assert_eq!(read_cap, cap, "W={w}");
+        }
     }
 
     /// One grid point, `SchedulerConfig::new`'s defaults: the flow runs

@@ -6,11 +6,12 @@
 //!   (`soctam_schedule::instrument`, `soctam_wrapper::instrument`) prove
 //!   that a whole `(m, d, slack)` sweep builds `RectangleMenus` and
 //!   compiles `ConstraintSet` exactly once per SOC, that width sweeps —
-//!   served or direct — build menus once and *derive* every smaller cap
-//!   from that full-cap build, that baseline evaluations over a shared
-//!   context rebuild *zero* menus, that a registry-backed preemption
-//!   ablation compiles one context per budget variant, and that an
-//!   `Engine` batch compiles one context per `(SOC, w_max, budget)` key.
+//!   served or direct — build menus once, when the context compiles, and
+//!   read every narrower cap from that one build, that baseline
+//!   evaluations over a shared context rebuild *zero* menus, that a
+//!   registry-backed preemption ablation compiles one context per budget
+//!   variant, and that an `Engine` batch compiles one context per
+//!   `(SOC, w_max, budget)` key.
 //! * **Bit-identity** — every context-reuse path (scheduler, bounds,
 //!   baselines) produces results identical to a rebuild-per-call run on
 //!   all four benchmark SOCs.
@@ -47,21 +48,17 @@ fn quick_flow() -> FlowConfig {
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     menus: u64,
-    menu_derives: u64,
     constraints: u64,
     contexts: u64,
     rects: u64,
-    rect_derives: u64,
 }
 
 fn counters() -> Counters {
     Counters {
         menus: instrument::menu_builds(),
-        menu_derives: instrument::menu_derives(),
         constraints: instrument::constraint_compiles(),
         contexts: instrument::context_compiles(),
         rects: wrapper_instrument::rectangle_set_builds(),
-        rect_derives: wrapper_instrument::rectangle_set_derives(),
     }
 }
 
@@ -71,8 +68,8 @@ fn one_width_sweep_compiles_the_soc_exactly_once() {
     let soc = benchmarks::d695();
 
     let before = counters();
-    // Width == w_max, so the context's seeded full-cap menus serve the
-    // whole sweep: exactly one menu build, one constraint compilation.
+    // The context's one menu build and constraint compilation serve the
+    // whole sweep.
     let flow = TestFlow::new(&soc, quick_flow());
     let run = flow.run(64).expect("schedulable");
     let after = counters();
@@ -101,28 +98,22 @@ fn one_width_sweep_compiles_the_soc_exactly_once() {
 }
 
 #[test]
-fn width_sweep_derives_smaller_caps_from_the_full_build() {
+fn width_sweep_reads_every_cap_from_one_build() {
     let _guard = lock();
     let soc = benchmarks::d695();
 
     let before = counters();
     let flow = TestFlow::new(&soc, quick_flow());
-    // Compilation is lazy, so the first width (16) forces the one full-cap
-    // (64) build and derives its narrow cap from it. Caps 32 and 48 then
-    // prefix-derive too, 64 reuses the build, and widths past w_max share
-    // the 64-wide cap.
+    // Compiling the context builds the menus at its cap (64). Widths 16,
+    // 32 and 48 read that build under their own caps, 64 reads all of it,
+    // and widths past w_max read it under the 64-wide cap.
     flow.sweep_widths([16u16, 32, 48, 64, 72]).unwrap();
     let after = counters();
 
     assert_eq!(
         after.menus - before.menus,
         1,
-        "exactly one menu build: the full cap"
-    );
-    assert_eq!(
-        after.menu_derives - before.menu_derives,
-        3,
-        "one prefix derivation per smaller distinct effective cap"
+        "exactly one menu build: the context's"
     );
     assert_eq!(
         after.constraints - before.constraints,
@@ -132,21 +123,14 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
     assert_eq!(
         after.rects - before.rects,
         soc.len() as u64,
-        "rectangle sets are built once, at the full cap, then prefixed"
-    );
-    assert_eq!(
-        after.rect_derives - before.rect_derives,
-        3 * soc.len() as u64
+        "rectangle sets are built once, at the context's cap"
     );
 
     // A second sweep over the same flow is fully amortized.
     let before = counters();
     flow.sweep_widths([16u16, 32, 48, 64, 72]).unwrap();
     let after = counters();
-    assert_eq!(
-        after, before,
-        "re-sweeping must rebuild and re-derive nothing"
-    );
+    assert_eq!(after, before, "re-sweeping must rebuild nothing");
 }
 
 #[test]
@@ -164,7 +148,7 @@ fn served_width_sweep_builds_menus_once() {
     assert_eq!(
         after.menus - before.menus,
         1,
-        "a cold 17-width sweep builds the full-cap menus once and derives the rest"
+        "a cold 17-width sweep builds the menus once, when its context compiles"
     );
 }
 
@@ -173,8 +157,6 @@ fn table1_modes_share_one_compilation() {
     let _guard = lock();
     let soc = benchmarks::d695();
     let ctx = Arc::new(CompiledSoc::compile(&soc, 64));
-    // Force the lazy full-cap build once; the three modes then share it.
-    ctx.menus_at(64);
 
     let before = counters();
     for cfg in [
@@ -196,11 +178,6 @@ fn baseline_sweep_rebuilds_zero_menus() {
     let soc = benchmarks::d695();
     let widths = benchmarks::table1_widths("d695");
     let ctx = CompiledSoc::compile(&soc, 64);
-
-    // Warm every cap the sweep touches (one derivation per distinct cap).
-    for &w in &widths {
-        ctx.menus_at(ctx.effective_cap(w));
-    }
 
     let before = counters();
     for &w in &widths {
@@ -235,8 +212,7 @@ fn preemption_ablation_compiles_one_context_per_budget_variant() {
     assert_eq!(registry.stats().misses, budgets.len() as u64);
 
     // Re-sweeping the same variants at the same width compiles and builds
-    // nothing: the registry serves every budget's context, and every cap
-    // those sweeps touch is already cached.
+    // nothing: the registry serves every budget's context, menus included.
     let before = counters();
     let again = preemption_sweep_with(&registry, &soc, 16, &budgets, &quick_flow()).unwrap();
     let after = counters();
@@ -249,7 +225,7 @@ fn preemption_ablation_compiles_one_context_per_budget_variant() {
     assert_eq!(after.constraints - before.constraints, 0);
 
     // Another width also reuses every context, and builds no menus: each
-    // context built its full cap on first use and derives the new cap.
+    // context reads its one build under the new width's cap.
     let before = counters();
     let other_width = preemption_sweep_with(&registry, &soc, 24, &budgets, &quick_flow()).unwrap();
     let after = counters();
@@ -258,7 +234,7 @@ fn preemption_ablation_compiles_one_context_per_budget_variant() {
     assert_eq!(
         after.menus - before.menus,
         0,
-        "a new width on a used context derives its menus, never builds"
+        "a new width on a used context reads its menus, never builds"
     );
     assert_eq!(registry.stats().hits, 2 * budgets.len() as u64);
     assert_eq!(again, first, "registry reuse is bit-identical");

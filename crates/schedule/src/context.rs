@@ -18,14 +18,14 @@
 //! threads, and outlive the request that compiled it — the substrate for
 //! long-lived batch serving (`soctam_core`'s `Engine`).
 //!
-//! Rectangle menus depend on the *effective* per-core width cap
-//! (`min(W, w_max)`), so the context keeps a small per-cap cache behind a
-//! mutex. The full-cap build itself is *lazy* (a `OnceLock` filled on the
-//! first bound query or menu read), and every smaller cap is a cheap prefix
-//! *derivation* of it ([`RectangleMenus::prefix`]), so a context builds
-//! menus exactly once. Everything else is immutable shared data, and the
-//! whole context is `Sync` — the engine's batch workers share one context
-//! across threads.
+//! The context builds every core's rectangle menu once, when it compiles,
+//! for widths `1..=w_max` (the paper's `Initialize` over `Design_wrapper`).
+//! A run at SOC width `W` reads that one build under its own cap
+//! `min(W, w_max)` ([`CompiledSoc::effective_cap`]): the rectangle at each
+//! width never depends on the cap a menu was built for, so a capped read
+//! answers exactly as a build at that cap would. Everything in the context
+//! is immutable shared data, and the whole context is `Sync` — the
+//! engine's batch workers share one context across threads.
 //!
 //! # Example
 //!
@@ -46,30 +46,19 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use soctam_soc::{CoreIdx, Soc};
+use soctam_soc::Soc;
 use soctam_wrapper::{Cycles, RectangleSet, TamWidth};
 
 use crate::bounds;
 use crate::constraints::ConstraintSet;
 use crate::menus::RectangleMenus;
-use crate::sync::lock_unpoisoned;
-
-/// The deferred full-cap compilation products: the `w_max`-wide menus (the
-/// lower-bound staircase and the widest Pareto sets) and the summed
-/// per-core minimum areas (the work term of the bound).
-#[derive(Clone)]
-struct FullCap {
-    menus: Arc<RectangleMenus>,
-    total_min_area: u128,
-}
 
 /// Precompiled, shareable schedule context for one SOC: the owned SOC
 /// model, compiled constraint tables, per-core Pareto rectangle menus
-/// (cached per effective width cap), and the cached lower-bound
+/// built at the context's cap `w_max`, and the cached lower-bound
 /// ingredients.
 ///
 /// Build one per SOC with [`CompiledSoc::compile`] (or
@@ -80,22 +69,20 @@ struct FullCap {
 /// *requests*. All shared paths are bit-identical to their
 /// rebuild-per-call equivalents (pinned by the `context_reuse` and
 /// `sweep_equivalence` suites).
+#[derive(Clone)]
 pub struct CompiledSoc {
     soc: Arc<Soc>,
     w_max: TamWidth,
     constraints: ConstraintSet,
-    /// The full-cap (`w_max`-wide) menus and bound ingredients, built
-    /// lazily on the first path that needs them — bound queries, Pareto /
-    /// full-menu reads, or a `menus_at` request at any cap up to `w_max`.
-    /// Compiling a context that is never queried skips this cost entirely.
-    full: OnceLock<FullCap>,
-    menu_cache: Mutex<HashMap<TamWidth, Arc<RectangleMenus>>>,
+    menus: RectangleMenus,
+    /// The summed per-core minimum areas: the work term of the bound.
+    total_min_area: u128,
 }
 
 impl CompiledSoc {
-    /// Compiles the context: constraint tables immediately, rectangle
-    /// menus at the per-core width cap `w_max` (the paper's 64; clamped to
-    /// at least 1) lazily on first use.
+    /// Compiles the context: constraint tables and the rectangle menus at
+    /// the per-core width cap `w_max` (the paper's 64; clamped to at least
+    /// 1).
     ///
     /// Clones the SOC into shared ownership; callers that already hold an
     /// `Arc<Soc>` should use [`CompiledSoc::compile_arc`].
@@ -104,35 +91,25 @@ impl CompiledSoc {
     }
 
     /// [`CompiledSoc::compile`] over an SOC that is already shared,
-    /// avoiding the model clone.
+    /// avoiding the model clone. The menu build is a `menu_build` span
+    /// nested in this call's `context_compile` span.
     pub fn compile_arc(soc: Arc<Soc>, w_max: TamWidth) -> Self {
         crate::instrument::note_context_compile();
         let _span = crate::obs::span(crate::obs::Phase::ContextCompile);
         let w_max = w_max.max(1);
         let constraints = ConstraintSet::compile(&soc);
+        let menus = {
+            let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
+            RectangleMenus::build(&soc, w_max)
+        };
+        let total_min_area = menus.menus().iter().map(RectangleSet::min_area).sum();
         Self {
             soc,
             w_max,
             constraints,
-            full: OnceLock::new(),
-            menu_cache: Mutex::new(HashMap::new()),
+            menus,
+            total_min_area,
         }
-    }
-
-    /// The full-cap products, building them on first use. `OnceLock`
-    /// publishes exactly one winner, so concurrent first readers still
-    /// observe a single build per context (the registry's one-build-per-key
-    /// counter pins rely on this).
-    fn full_cap(&self) -> &FullCap {
-        self.full.get_or_init(|| {
-            let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
-            let menus = Arc::new(RectangleMenus::build(&self.soc, self.w_max));
-            let total_min_area = menus.menus().iter().map(RectangleSet::min_area).sum();
-            FullCap {
-                menus,
-                total_min_area,
-            }
-        })
     }
 
     /// The SOC this context was compiled from.
@@ -166,17 +143,10 @@ impl CompiledSoc {
         &self.constraints
     }
 
-    /// The per-core Pareto-optimal rectangle set at the full cap — the
-    /// staircase the lower bound and the width-increase heuristic read.
-    /// Forces the lazy full-cap build.
-    pub fn pareto(&self, core: CoreIdx) -> &RectangleSet {
-        self.full_cap().menus.menu(core)
-    }
-
-    /// The rectangle menus at the full cap `w_max`. Forces the lazy
-    /// full-cap build.
+    /// The context's one menu build, at its cap `w_max`. A run at SOC
+    /// width `w` reads it under [`CompiledSoc::effective_cap`]`(w)`.
     pub fn full_menus(&self) -> &RectangleMenus {
-        &self.full_cap().menus
+        &self.menus
     }
 
     /// The effective per-core cap a run at SOC width `w` uses — the same
@@ -184,34 +154,6 @@ impl CompiledSoc {
     /// [`SchedulerConfig::effective_w_max`](crate::SchedulerConfig::effective_w_max).
     pub fn effective_cap(&self, w: TamWidth) -> TamWidth {
         self.w_max.min(w).max(1)
-    }
-
-    /// The rectangle menus for an arbitrary width cap, made on first use
-    /// and cached. The full cap is the lazy full-cap build; every smaller
-    /// cap is prefix-derived from it ([`RectangleMenus::prefix`] —
-    /// bit-identical to a fresh build, no wrapper-design reruns). Every
-    /// served schedule and sweep also asks for the lower bound, which needs
-    /// the full cap anyway, so forcing it here costs nothing extra and a
-    /// context builds menus once. Caps above `w_max` (only reachable by
-    /// calling this directly with an unclamped value) fall back to a fresh
-    /// build. A width sweep touches one cap per distinct `min(W, w_max)`,
-    /// so the cache stays tiny.
-    pub fn menus_at(&self, cap: TamWidth) -> Arc<RectangleMenus> {
-        let cap = cap.max(1);
-        if cap == self.w_max {
-            return Arc::clone(&self.full_cap().menus);
-        }
-        // Force the full cap before taking the cache lock, so a first build
-        // never blocks readers of other caps.
-        let full = (cap < self.w_max).then(|| &self.full_cap().menus);
-        let mut cache = lock_unpoisoned(&self.menu_cache);
-        Arc::clone(cache.entry(cap).or_insert_with(|| {
-            let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
-            Arc::new(match full {
-                Some(full) => full.prefix(cap),
-                None => RectangleMenus::build(&self.soc, cap),
-            })
-        }))
     }
 
     /// Testing-time lower bound at SOC width `w` — bit-identical to
@@ -222,37 +164,13 @@ impl CompiledSoc {
     ///
     /// Panics if `w == 0`.
     pub fn lower_bound(&self, w: TamWidth) -> Cycles {
-        let full = self.full_cap();
-        bounds::lower_bound_from_menus(&full.menus, full.total_min_area, w)
+        bounds::lower_bound_from_menus(&self.menus, self.total_min_area, w)
     }
 
     /// Lower bounds for several widths at once; see
     /// [`CompiledSoc::lower_bound`].
     pub fn lower_bounds(&self, widths: &[TamWidth]) -> Vec<Cycles> {
         widths.iter().map(|&w| self.lower_bound(w)).collect()
-    }
-
-    /// Number of distinct width caps with cached menus, counting the lazy
-    /// full-cap build once it exists (diagnostic).
-    pub fn cached_caps(&self) -> usize {
-        lock_unpoisoned(&self.menu_cache).len() + usize::from(self.full.get().is_some())
-    }
-}
-
-impl Clone for CompiledSoc {
-    fn clone(&self) -> Self {
-        let cache = lock_unpoisoned(&self.menu_cache);
-        let full = OnceLock::new();
-        if let Some(f) = self.full.get() {
-            let _ = full.set(f.clone());
-        }
-        Self {
-            soc: Arc::clone(&self.soc),
-            w_max: self.w_max,
-            constraints: self.constraints.clone(),
-            full,
-            menu_cache: Mutex::new(cache.clone()),
-        }
     }
 }
 
@@ -262,7 +180,6 @@ impl fmt::Debug for CompiledSoc {
             .field("soc", &self.soc.name())
             .field("w_max", &self.w_max)
             .field("cores", &self.len())
-            .field("cached_caps", &self.cached_caps())
             .finish()
     }
 }
@@ -274,37 +191,15 @@ mod tests {
     use soctam_soc::benchmarks;
 
     #[test]
-    fn compile_defers_full_cap_menus() {
+    fn compile_builds_the_menus_once() {
         let soc = benchmarks::d695();
         let ctx = CompiledSoc::compile(&soc, 64);
         assert_eq!(ctx.w_max(), 64);
         assert_eq!(ctx.len(), soc.len());
-        // Compile built nothing; the first full-cap read builds once.
-        assert_eq!(ctx.cached_caps(), 0);
-        assert_eq!(ctx.full_menus().w_max(), 64);
-        assert_eq!(ctx.cached_caps(), 1);
-        // Requesting the full cap reuses the lazy build.
-        let m = ctx.menus_at(64);
-        assert_eq!(ctx.cached_caps(), 1);
-        assert_eq!(m.w_max(), 64);
-    }
-
-    #[test]
-    fn narrow_request_derives_from_the_full_cap() {
-        let soc = benchmarks::d695();
-        let ctx = CompiledSoc::compile(&soc, 64);
-        let derives = crate::instrument::menu_derives();
-        let m = ctx.menus_at(16);
-        assert_eq!(m.w_max(), 16);
-        // The first narrow request builds the full cap and derives from it.
-        assert!(ctx.full.get().is_some());
-        assert!(crate::instrument::menu_derives() > derives);
-        assert_eq!(ctx.cached_caps(), 2);
-        assert_eq!(*m, RectangleMenus::build(&soc, 16));
-        assert_eq!(*m, ctx.full_menus().prefix(16));
-        // The bound reuses that build instead of making another.
-        let _ = ctx.lower_bound(32);
-        assert_eq!(ctx.cached_caps(), 2);
+        // One build at the context's cap; every read returns that build.
+        assert_eq!(*ctx.full_menus(), RectangleMenus::build(&soc, 64));
+        assert!(std::ptr::eq(ctx.full_menus(), ctx.full_menus()));
+        assert_eq!(ctx.clone().full_menus(), ctx.full_menus());
     }
 
     #[test]
@@ -320,55 +215,6 @@ mod tests {
         fn takes<T: Send + Sync + 'static>(_: &T) {}
         let ctx = CompiledSoc::compile(&benchmarks::d695(), 16);
         takes(&ctx);
-    }
-
-    #[test]
-    fn menus_cached_per_cap() {
-        let soc = benchmarks::d695();
-        let ctx = CompiledSoc::compile(&soc, 64);
-        let a = ctx.menus_at(16);
-        let b = ctx.menus_at(16);
-        assert!(Arc::ptr_eq(&a, &b));
-        // The full cap it derives from, plus the cap itself.
-        assert_eq!(ctx.cached_caps(), 2);
-        assert_eq!(*a, RectangleMenus::build(&soc, 16));
-        // The full cap was already there; another narrow cap adds one.
-        let _ = ctx.menus_at(64);
-        assert_eq!(ctx.cached_caps(), 2);
-        let _ = ctx.menus_at(32);
-        assert_eq!(ctx.cached_caps(), 3);
-    }
-
-    #[test]
-    fn smaller_caps_are_derived_once_the_full_cap_exists() {
-        let soc = benchmarks::d695();
-        let ctx = CompiledSoc::compile(&soc, 64);
-        let _ = ctx.full_menus(); // force the full-cap build
-        let derives = crate::instrument::menu_derives();
-        let m = ctx.menus_at(16);
-        assert_eq!(*m, RectangleMenus::build(&soc, 16)); // this build is the reference
-        assert!(crate::instrument::menu_derives() > derives);
-        // A cap above w_max falls back to a fresh build.
-        let wide = ctx.menus_at(80);
-        assert_eq!(wide.w_max(), 80);
-    }
-
-    #[test]
-    fn menu_cache_recovers_from_poison() {
-        let soc = benchmarks::d695();
-        let ctx = CompiledSoc::compile(&soc, 64);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = ctx.menu_cache.lock().unwrap();
-            panic!("poison the menu cache");
-        }));
-        assert!(ctx.menu_cache.lock().is_err(), "cache should be poisoned");
-        // Every cache path shrugs the poison off instead of panicking.
-        let m = ctx.menus_at(16);
-        assert_eq!(*m, RectangleMenus::build(&soc, 16));
-        assert_eq!(ctx.cached_caps(), 2);
-        let cloned = ctx.clone();
-        assert_eq!(cloned.cached_caps(), 2);
-        assert!(Arc::ptr_eq(&cloned.menus_at(16), &m));
     }
 
     #[test]

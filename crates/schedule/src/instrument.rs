@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static MENU_BUILDS: AtomicU64 = AtomicU64::new(0);
-static MENU_DERIVES: AtomicU64 = AtomicU64::new(0);
 static CONSTRAINT_COMPILES: AtomicU64 = AtomicU64::new(0);
 static CONTEXT_COMPILES: AtomicU64 = AtomicU64::new(0);
 static SCHEDULE_RUNS: AtomicU64 = AtomicU64::new(0);
@@ -22,12 +21,11 @@ pub fn menu_builds() -> u64 {
     MENU_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Number of whole-SOC rectangle-menu *derivations* — smaller-cap menus
-/// obtained by truncating a larger cached build
-/// ([`RectangleMenus::prefix`](crate::RectangleMenus::prefix)) instead of
-/// re-running the wrapper designer — since process start.
+/// Always 0: a context builds its menus once and every run reads them
+/// under its own cap, so no menu is ever derived from another. Kept
+/// because `perfbench` still reports it.
 pub fn menu_derives() -> u64 {
-    MENU_DERIVES.load(Ordering::Relaxed)
+    0
 }
 
 /// Number of [`ConstraintSet`](crate::ConstraintSet) compilations since
@@ -59,10 +57,6 @@ pub(crate) fn note_schedule_run() {
 
 pub(crate) fn note_menu_build() {
     MENU_BUILDS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_menu_derive() {
-    MENU_DERIVES.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn note_constraint_compile() {

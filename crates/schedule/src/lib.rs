@@ -47,8 +47,9 @@
 //! power budget)`, with LRU eviction and hit/miss instrumentation.
 //! `soctam_core`'s `Engine` serves whole request batches through one
 //! registry; cross-request caching falls out of the keying.
-//! Per-cap rectangle menus inside a context are prefix-derived from the
-//! full-cap build ([`RectangleMenus::prefix`]) instead of rebuilt.
+//! A context builds its rectangle menus once, at its cap `w_max`, and
+//! every run reads that build under its own cap
+//! ([`CompiledSoc::effective_cap`]).
 //!
 //! One tier above the registry, a second [`SolutionCache`] memoizes whole
 //! solved *results* (sharded, LRU+TTL-bounded, with in-flight request

@@ -1,20 +1,22 @@
 //! Precomputed, shareable rectangle menus for a whole SOC.
 //!
-//! A core's rectangle menu depends only on the core's test and the
-//! effective per-core width cap — it is invariant across the sweep
-//! parameters `(m, d, slack)` that [`best_of`](crate::best_of) explores.
-//! A [`CompiledSoc`](crate::CompiledSoc) builds the menus once per
-//! `(SOC, w_max)`, derives every smaller cap from that build, and hands
-//! them to every run of a sweep; the menus are plain shared data, so many
-//! threads can read them at once.
+//! A core's rectangle menu depends only on the core's test, and the
+//! rectangle at each width does not depend on the cap the menu was built
+//! for. So a [`CompiledSoc`](crate::CompiledSoc) builds the menus once, at
+//! its cap `w_max`, and every run reads them under its own cap
+//! `min(W, w_max)`: the sweep parameters `(m, d, slack)` that
+//! [`best_of`](crate::best_of) explores and the TAM width all share one
+//! build. The menus are plain shared data, so many threads can read them
+//! at once.
 
 use soctam_soc::{CoreIdx, Soc};
 use soctam_wrapper::{RectangleSet, TamWidth};
 
 use crate::SchedulerConfig;
 
-/// One [`RectangleSet`] per core of an SOC, built for a single effective
-/// width cap (`SchedulerConfig::effective_w_max`).
+/// One [`RectangleSet`] per core of an SOC, built for widths `1..=w_max`
+/// and read by each run under its own cap
+/// (`SchedulerConfig::effective_w_max`).
 ///
 /// # Example
 ///
@@ -23,12 +25,13 @@ use crate::SchedulerConfig;
 /// use soctam_soc::benchmarks;
 ///
 /// let soc = benchmarks::d695();
-/// let cfg = SchedulerConfig::new(32);
-/// let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
+/// let menus = RectangleMenus::build(&soc, 64);
 /// assert_eq!(menus.len(), soc.len());
-/// // Every preferred width lies on its core's menu.
+/// // A width-32 run reads the menus under its cap: every preferred width
+/// // lies within it.
+/// let cfg = SchedulerConfig::new(32);
 /// for w in menus.preferred_widths(&cfg) {
-///     assert!((1..=menus.w_max()).contains(&w));
+///     assert!((1..=cfg.effective_w_max()).contains(&w));
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,28 +60,6 @@ impl RectangleMenus {
         }
     }
 
-    /// Derives the menus for a smaller cap from this build, without
-    /// re-running any wrapper design: per-width rectangles are
-    /// cap-prefix-stable ([`RectangleSet::prefix`]), so a cap-16 menu is
-    /// exactly the first 16 entries of the cap-64 one. Bit-identical to
-    /// [`RectangleMenus::build`]`(soc, cap)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0` or `cap > self.w_max()`.
-    pub fn prefix(&self, cap: TamWidth) -> Self {
-        assert!(
-            cap >= 1 && cap <= self.w_max,
-            "prefix cap {cap} outside 1..={}",
-            self.w_max
-        );
-        crate::instrument::note_menu_derive();
-        Self {
-            w_max: cap,
-            menus: self.menus.iter().map(|m| m.prefix(cap)).collect(),
-        }
-    }
-
     /// The width cap the menus were built for.
     pub fn w_max(&self) -> TamWidth {
         self.w_max
@@ -104,18 +85,24 @@ impl RectangleMenus {
         &self.menus
     }
 
-    /// The per-core preferred TAM widths under `cfg` (Figure 5) — the only
-    /// way `(m, d)` enters a scheduling run. Two configurations with equal
-    /// slack and equal preferred-width vectors schedule identically, which
-    /// is what the flow's sweep deduplication keys on.
+    /// The per-core preferred TAM widths under `cfg` (Figure 5), read under
+    /// the run's cap `cfg.effective_w_max()` — the only way `(m, d)` enters
+    /// a scheduling run. Two configurations with equal slack and equal
+    /// preferred-width vectors schedule identically, which is what the
+    /// flow's sweep deduplication keys on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's cap exceeds the build's `w_max`.
     pub fn preferred_widths(&self, cfg: &SchedulerConfig) -> Vec<TamWidth> {
+        let cap = cfg.effective_w_max();
         self.menus
             .iter()
             .map(|rects| {
                 if cfg.toggles.pareto_bump {
-                    rects.preferred_width_bumped(cfg.percent, cfg.bump)
+                    rects.preferred_width_bumped(cfg.percent, cfg.bump, cap)
                 } else {
-                    rects.preferred_width(cfg.percent)
+                    rects.preferred_width(cfg.percent, cap)
                 }
             })
             .collect()
@@ -145,13 +132,13 @@ mod tests {
         let menus = RectangleMenus::build(&soc, 32);
         let bumped = menus.preferred_widths(&cfg);
         for (i, &w) in bumped.iter().enumerate() {
-            assert_eq!(w, menus.menu(i).preferred_width_bumped(7, 2));
+            assert_eq!(w, menus.menu(i).preferred_width_bumped(7, 2, 32));
         }
         let mut plain_cfg = cfg.clone();
         plain_cfg.toggles.pareto_bump = false;
         let plain = menus.preferred_widths(&plain_cfg);
         for (i, &w) in plain.iter().enumerate() {
-            assert_eq!(w, menus.menu(i).preferred_width(7));
+            assert_eq!(w, menus.menu(i).preferred_width(7, 32));
         }
     }
 
@@ -159,21 +146,6 @@ mod tests {
     #[should_panic(expected = "at least one wire")]
     fn zero_width_panics() {
         let _ = RectangleMenus::build(&benchmarks::d695(), 0);
-    }
-
-    #[test]
-    fn prefix_matches_fresh_build() {
-        let soc = benchmarks::d695();
-        let full = RectangleMenus::build(&soc, 64);
-        for cap in [1u16, 9, 16, 32, 64] {
-            assert_eq!(full.prefix(cap), RectangleMenus::build(&soc, cap));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix cap")]
-    fn prefix_beyond_build_panics() {
-        let _ = RectangleMenus::build(&benchmarks::d695(), 16).prefix(17);
     }
 
     #[test]

@@ -43,11 +43,13 @@ pub enum Phase {
     /// Solution-cache probe — on a hit or a coalesced wait, the whole
     /// request body; on a miss, the probe plus the solve nested inside.
     CacheLookup,
-    /// Compiling a [`CompiledSoc`](crate::CompiledSoc) (constraint
-    /// tables). Absent when the context registry already had it.
+    /// Compiling a [`CompiledSoc`](crate::CompiledSoc): constraint
+    /// tables, plus the menu build nested inside as [`Phase::MenuBuild`].
+    /// Absent when the context registry already had it.
     ContextCompile,
-    /// Building (or prefix-deriving) per-core rectangle menus. Absent
-    /// when the context's per-cap cache already had them.
+    /// Building the per-core rectangle menus, once per context, nested in
+    /// its [`Phase::ContextCompile`]. Absent when the context registry
+    /// already had the context.
     MenuBuild,
     /// The scheduler itself: the `(m, d)` parameter sweep, or a single
     /// packer run.

@@ -54,7 +54,8 @@ impl<'a> ScheduleBuilder<'a> {
     }
 
     /// Runs against a precompiled schedule context: its constraint tables
-    /// and its menus at the run's cap ([`CompiledSoc::menus_at`]).
+    /// and its one menu build ([`CompiledSoc::full_menus`]), read under the
+    /// run's cap `effective_w_max()`.
     ///
     /// The context must have been compiled from the same SOC, with a
     /// `w_max` at least the run's `effective_w_max()`; `run` rejects
@@ -209,7 +210,9 @@ impl<'m> PackScratch<'m> {
 struct Limit<'f> {
     makespan: Cycles,
     /// Per core: the least time and the least wire·cycle area an unstarted
-    /// core can take — its menu's `min_time()` and `min_area()`.
+    /// core can take — its menu's `min_time()` and `min_area()`, read at
+    /// the build's cap. Those are at most the floors under any run's cap,
+    /// so they stay a sound bound for every run that reads the build.
     floors: &'f [(Cycles, u128)],
 }
 
@@ -621,8 +624,9 @@ pub struct SweepStats {
 /// (`runs_aborted`): it could only tie or lose. Runs pack raw slices into
 /// a reused buffer, and only the winner's become a [`Schedule`].
 ///
-/// The whole call, validation and menu lookup included, is one `sweep`
-/// span; a menu build it triggers nests inside as `menu_build`.
+/// The whole call, validation included, is one `sweep` span. The runs
+/// read the context's one menu build under the run's cap; building it is
+/// the context's job, so no menu is built here.
 ///
 /// # Errors
 ///
@@ -662,7 +666,7 @@ pub fn best_of(
     }
     soc.validate()?;
 
-    let menus = ctx.menus_at(cap);
+    let menus = ctx.full_menus();
     let bound = ctx.lower_bound(base.tam_width);
     let constraints = ctx.constraints();
     let floors: Vec<(Cycles, u128)> = menus
@@ -705,7 +709,7 @@ pub fn best_of(
             stats.runs_executed += 1;
             crate::instrument::note_schedule_run();
             let cfg = point(*m, *d, slack);
-            scratch.reset(soc, &cfg, &menus, prefs);
+            scratch.reset(soc, &cfg, menus, prefs);
             let limit = best.map(|(makespan, _)| Limit {
                 makespan,
                 floors: &floors,
@@ -1066,19 +1070,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The live-list packer schedules exactly as the every-core
-        /// reference does, slice for slice, and fails the same way.
+        /// The live-list packer, reading a build at least as wide as the
+        /// run's cap under that cap, schedules exactly as the every-core
+        /// reference does on a build at the cap, slice for slice, and fails
+        /// the same way.
         #[test]
         fn packer_matches_the_reference_packer(
             soc_shape in (2usize..14, 0usize..4, 0u64..1000),
             width in 1u16..72,
             modes in (proptest::bool::ANY, proptest::bool::ANY),
             grid_point in (1u32..60, 0u16..5, 0u16..13),
+            wider in 0u16..9,
         ) {
             let (soc, cfg) = synth_point(soc_shape, width, modes, grid_point);
             let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
             let want = reference::run(&soc, &cfg, &menus, &ConstraintSet::compile(&soc));
-            prop_assert_eq!(ScheduleBuilder::new(&soc, cfg).run(), want);
+            let ctx = CompiledSoc::compile(&soc, cfg.effective_w_max() + wider);
+            prop_assert_eq!(ScheduleBuilder::new(&soc, cfg).with_context(&ctx).run(), want);
         }
 
         /// Under a limit `L`, a run either finishes below `L` with exactly

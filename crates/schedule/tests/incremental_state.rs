@@ -114,8 +114,8 @@ proptest! {
         }
     }
 
-    /// A shared full-cap context (menus prefix-derived at the run's cap)
-    /// produces bit-identical outcomes (schedule or error) to a run's
+    /// A shared full-cap context (its one menu build read under the run's
+    /// cap) produces bit-identical outcomes (schedule or error) to a run's
     /// private context on randomized SOCs.
     #[test]
     fn shared_menus_equal_fresh_build(

@@ -34,9 +34,10 @@
 //! [`soctam_core::schedule::obs`] span recorder: the daemon opens
 //! `resolve` and `render` spans around parsing and response formatting,
 //! the engine opens `cache_lookup` around its solution-cache closure, and
-//! the solve path nested inside a miss opens `context_compile`,
-//! `menu_build`, `sweep`, and `validate` at the actual work sites — so a
-//! warm request's compile and menu phases report exactly zero. The trace
+//! the solve path nested inside a miss opens `context_compile` (with
+//! `menu_build` nested inside it), `sweep`, and `validate` at the actual
+//! work sites — so a warm request's compile and menu phases report
+//! exactly zero. The trace
 //! feeds four exports:
 //!
 //! * `--trace` (or `trace=1`) on a request line embeds a `"trace"` object
@@ -717,7 +718,6 @@ struct ServedLine {
 #[derive(Clone, Copy)]
 struct SolverCounters {
     menu_builds: u64,
-    menu_derives: u64,
     constraint_compiles: u64,
     context_compiles: u64,
     schedule_runs: u64,
@@ -727,7 +727,6 @@ impl SolverCounters {
     fn now() -> Self {
         Self {
             menu_builds: instrument::menu_builds(),
-            menu_derives: instrument::menu_derives(),
             constraint_compiles: instrument::constraint_compiles(),
             context_compiles: instrument::context_compiles(),
             schedule_runs: instrument::schedule_runs(),
@@ -738,11 +737,9 @@ impl SolverCounters {
     /// request ones: concurrent traffic can inflate the deltas.
     fn delta_json(&self, before: &Self) -> String {
         format!(
-            "{{\"menu_builds\": {}, \"menu_derives\": {}, \
-             \"constraint_compiles\": {}, \"context_compiles\": {}, \
-             \"schedule_runs\": {}}}",
+            "{{\"menu_builds\": {}, \"constraint_compiles\": {}, \
+             \"context_compiles\": {}, \"schedule_runs\": {}}}",
             self.menu_builds - before.menu_builds,
-            self.menu_derives - before.menu_derives,
             self.constraint_compiles - before.constraint_compiles,
             self.context_compiles - before.context_compiles,
             self.schedule_runs - before.schedule_runs,

@@ -308,7 +308,6 @@ fn a_loopback_daemon_emits_strict_json_and_metrics() {
         }
         for counter in [
             "menu_builds",
-            "menu_derives",
             "constraint_compiles",
             "context_compiles",
             "schedule_runs",

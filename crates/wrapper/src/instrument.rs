@@ -11,7 +11,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static RECTANGLE_SET_BUILDS: AtomicU64 = AtomicU64::new(0);
-static RECTANGLE_SET_DERIVES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`RectangleSet::build`](crate::RectangleSet::build) calls
 /// (one per core per menu construction) since process start.
@@ -19,20 +18,8 @@ pub fn rectangle_set_builds() -> u64 {
     RECTANGLE_SET_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Number of [`RectangleSet::prefix`](crate::RectangleSet::prefix)
-/// derivations since process start — cheap truncations of an existing
-/// build, counted separately so suites can pin that smaller-cap menus are
-/// *derived* (O(cap) copies) rather than rebuilt (O(cap) wrapper designs).
-pub fn rectangle_set_derives() -> u64 {
-    RECTANGLE_SET_DERIVES.load(Ordering::Relaxed)
-}
-
 pub(crate) fn note_rectangle_set_build() {
     RECTANGLE_SET_BUILDS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_rectangle_set_derive() {
-    RECTANGLE_SET_DERIVES.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -54,6 +54,13 @@ impl Rectangle {
 /// achievable with *at most* `w` wires, and `rect_at(w).effective_width`
 /// records how many wires that best design actually needs.
 ///
+/// A set read under a smaller cap `c` answers exactly as a set built at
+/// `c`: the rectangle at width `w` depends only on the designs at widths
+/// `1..=w`, and a Pareto point at `w` is a strict time drop from `w - 1`.
+/// So one build at the widest cap serves every narrower run through
+/// `rect_at(w)` for `w <= c`, [`RectangleSet::highest_pareto_width_at_most`]
+/// and the preferred-width rules, which take the cap.
+///
 /// # Example
 ///
 /// ```
@@ -162,41 +169,6 @@ impl RectangleSet {
         }
     }
 
-    /// Derives the rectangle set for a smaller cap from this one, without
-    /// re-running any wrapper design.
-    ///
-    /// Rectangle menus are *cap-prefix-stable*: the rectangle chosen at
-    /// width `w` depends only on the designs at widths `1..=w`, never on
-    /// the cap the set was built for, and a Pareto point at width `w` is a
-    /// strict time drop between `w - 1` and `w`. A cap-`c` set is therefore
-    /// exactly the first `c` rectangles of any larger build plus the Pareto
-    /// points at widths `<= c` — bit-identical to `build(core, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0` or `cap > self.w_max()`.
-    pub fn prefix(&self, cap: TamWidth) -> Self {
-        assert!(
-            cap >= 1 && cap <= self.w_max(),
-            "prefix cap {cap} outside 1..={}",
-            self.w_max()
-        );
-        crate::instrument::note_rectangle_set_derive();
-        Self {
-            rects: self.rects[..usize::from(cap)].to_vec(),
-            pareto: self
-                .pareto
-                .iter()
-                .filter(|p| p.width <= cap)
-                .copied()
-                .collect(),
-            scan_in_bits: self.scan_in_bits,
-            scan_out_bits: self.scan_out_bits,
-            patterns: self.patterns,
-            test_data_bits: self.test_data_bits,
-        }
-    }
-
     /// Maximum width this set was built for.
     pub fn w_max(&self) -> TamWidth {
         self.rects.len() as TamWidth
@@ -257,24 +229,32 @@ impl RectangleSet {
         self.time_at(self.w_max())
     }
 
-    /// Smallest width whose time is within `percent`% of the minimum time —
-    /// the paper's *preferred TAM width* before the Pareto bump.
-    pub fn preferred_width(&self, percent: u32) -> TamWidth {
-        let target = self.min_time() as u128 * (100 + u128::from(percent));
-        for r in &self.rects {
-            if u128::from(r.time) * 100 <= target {
-                return r.width;
-            }
-        }
-        self.w_max()
+    /// Smallest width whose time is within `percent`% of the best time with
+    /// at most `cap` wires — the paper's *preferred TAM width* before the
+    /// Pareto bump, for a run whose per-core width cap is `cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0` or `cap > w_max`.
+    pub fn preferred_width(&self, percent: u32, cap: TamWidth) -> TamWidth {
+        let target = u128::from(self.time_at(cap)) * (100 + u128::from(percent));
+        self.rects[..usize::from(cap)]
+            .iter()
+            .find(|r| u128::from(r.time) * 100 <= target)
+            .map_or(cap, |r| r.width)
     }
 
-    /// The paper's full preferred-width rule (Figure 5): the `percent`-based
-    /// preferred width, bumped to the highest Pareto-optimal width when that
-    /// costs at most `bump` extra wires. `percent` is `m`, `bump` is `d`.
-    pub fn preferred_width_bumped(&self, percent: u32, bump: TamWidth) -> TamWidth {
-        let pref = self.preferred_width(percent);
-        let hi = self.highest_pareto_width();
+    /// The paper's full preferred-width rule (Figure 5) under the per-core
+    /// cap `cap`: the `percent`-based preferred width, bumped to the highest
+    /// Pareto-optimal width `<= cap` when that costs at most `bump` extra
+    /// wires. `percent` is `m`, `bump` is `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0` or `cap > w_max`.
+    pub fn preferred_width_bumped(&self, percent: u32, bump: TamWidth, cap: TamWidth) -> TamWidth {
+        let pref = self.preferred_width(percent, cap);
+        let hi = self.highest_pareto_width_at_most(cap).unwrap_or(1);
         if hi > pref && hi - pref <= bump {
             hi
         } else {
@@ -394,7 +374,7 @@ mod tests {
     fn preferred_width_within_percent() {
         let s = set(35, 49, vec![46, 45, 44, 44], 97, 64);
         for m in [1u32, 5, 10, 25] {
-            let w = s.preferred_width(m);
+            let w = s.preferred_width(m, 64);
             let t = s.time_at(w);
             assert!(u128::from(t) * 100 <= u128::from(s.min_time()) * (100 + u128::from(m)));
             if w > 1 {
@@ -409,7 +389,7 @@ mod tests {
     #[test]
     fn preferred_width_zero_percent_is_first_min_width() {
         let s = set(8, 8, vec![16, 16], 20, 16);
-        let w = s.preferred_width(0);
+        let w = s.preferred_width(0, 16);
         assert_eq!(s.time_at(w), s.min_time());
         assert_eq!(w, s.highest_pareto_width());
     }
@@ -417,16 +397,16 @@ mod tests {
     #[test]
     fn bump_promotes_to_highest_pareto() {
         let s = set(35, 49, vec![46, 45, 44, 44], 97, 64);
-        let pref = s.preferred_width(10);
+        let pref = s.preferred_width(10, 64);
         let hi = s.highest_pareto_width();
         if hi > pref {
             let gap = hi - pref;
-            assert_eq!(s.preferred_width_bumped(10, gap), hi);
+            assert_eq!(s.preferred_width_bumped(10, gap, 64), hi);
             if gap > 1 {
-                assert_eq!(s.preferred_width_bumped(10, gap - 1), pref);
+                assert_eq!(s.preferred_width_bumped(10, gap - 1, 64), pref);
             }
         }
-        assert_eq!(s.preferred_width_bumped(10, 0), pref);
+        assert_eq!(s.preferred_width_bumped(10, 0, 64), pref);
     }
 
     #[test]
@@ -451,37 +431,43 @@ mod tests {
         let _ = s.rect_at(0);
     }
 
+    /// Everything a run under `cap` reads from a set: each rectangle up to
+    /// the cap, the highest Pareto width within it, and both preferred-width
+    /// rules over a small `(m, d)` grid.
+    fn read_under(
+        s: &RectangleSet,
+        cap: TamWidth,
+    ) -> (Vec<Rectangle>, Option<TamWidth>, Vec<TamWidth>) {
+        let prefs = [0u32, 1, 5, 10, 25, 60]
+            .into_iter()
+            .flat_map(|m| {
+                std::iter::once(s.preferred_width(m, cap))
+                    .chain((0..=4).map(move |d| s.preferred_width_bumped(m, d, cap)))
+            })
+            .collect();
+        (
+            (1..=cap).map(|w| s.rect_at(w)).collect(),
+            s.highest_pareto_width_at_most(cap),
+            prefs,
+        )
+    }
+
     #[test]
-    fn prefix_matches_fresh_build() {
+    fn capped_reads_match_the_build_at_that_cap() {
         let full = set(35, 49, vec![46, 45, 44, 44], 97, 64);
         for cap in [1u16, 2, 7, 16, 33, 64] {
             assert_eq!(
-                full.prefix(cap),
-                set(35, 49, vec![46, 45, 44, 44], 97, cap),
+                read_under(&full, cap),
+                read_under(&set(35, 49, vec![46, 45, 44, 44], 97, cap), cap),
                 "cap {cap}"
             );
         }
         // Including cores whose useful width is below the cap.
         let flat = set(2, 2, vec![50], 10, 64);
-        assert_eq!(flat.prefix(16), set(2, 2, vec![50], 10, 16));
-    }
-
-    #[test]
-    fn prefix_counts_as_derive_not_build() {
-        let full = set(4, 4, vec![16, 16], 10, 32);
-        let builds = crate::instrument::rectangle_set_builds();
-        let derives = crate::instrument::rectangle_set_derives();
-        let _ = full.prefix(8);
-        // Parallel tests may build sets, but *this* derive never does.
-        assert!(crate::instrument::rectangle_set_derives() > derives);
-        let _ = builds; // builds may race upward; bit-identity is pinned above
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix cap")]
-    fn prefix_beyond_build_panics() {
-        let s = set(2, 2, vec![5], 3, 8);
-        let _ = s.prefix(9);
+        assert_eq!(
+            read_under(&flat, 16),
+            read_under(&set(2, 2, vec![50], 10, 16), 16)
+        );
     }
 
     proptest! {
@@ -533,9 +519,10 @@ mod tests {
             );
         }
 
-        /// Any prefix of a build equals the fresh build at that cap.
+        /// A build read under a smaller cap answers every query a run makes
+        /// exactly as the build at that cap does.
         #[test]
-        fn prefix_is_bit_identical_to_build(
+        fn capped_reads_are_bit_identical_to_the_build_at_that_cap(
             inputs in 0u32..50,
             outputs in 0u32..50,
             chains in proptest::collection::vec(1u32..60, 0..8),
@@ -546,8 +533,10 @@ mod tests {
             prop_assume!(inputs + outputs > 0 || !chains.is_empty());
             let cap = 1 + cap_off % (w_max - 1).max(1);
             let c = CoreTest::new(inputs, outputs, 0, chains, patterns).unwrap();
-            let full = RectangleSet::build(&c, w_max);
-            prop_assert_eq!(full.prefix(cap), RectangleSet::build(&c, cap));
+            prop_assert_eq!(
+                read_under(&RectangleSet::build(&c, w_max), cap),
+                read_under(&RectangleSet::build(&c, cap), cap)
+            );
         }
     }
 }

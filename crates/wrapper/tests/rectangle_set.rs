@@ -69,7 +69,7 @@ fn min_area_never_exceeds_any_rectangle() {
 fn preferred_width_is_minimal_within_percent() {
     let set = RectangleSet::build(&scan_core(), 48);
     for m in [1u32, 3, 7, 15, 40] {
-        let pref = set.preferred_width(m);
+        let pref = set.preferred_width(m, 48);
         // Within m% of the minimum time...
         assert!(set.time_at(pref) as u128 * 100 <= set.min_time() as u128 * (100 + u128::from(m)));
         // ...and no narrower width qualifies.
@@ -87,9 +87,9 @@ fn bump_rule_only_jumps_to_highest_pareto_width() {
     let set = RectangleSet::build(&scan_core(), 64);
     let hi = set.highest_pareto_width();
     for m in [1u32, 5, 20] {
-        let pref = set.preferred_width(m);
+        let pref = set.preferred_width(m, 64);
         for d in 0..=16u16 {
-            let bumped = set.preferred_width_bumped(m, d);
+            let bumped = set.preferred_width_bumped(m, d, 64);
             if hi > pref && hi - pref <= d {
                 assert_eq!(bumped, hi, "m={m} d={d}");
             } else {
