@@ -17,12 +17,17 @@
 //!    preferred-width vectors schedule identically and run once;
 //! 3. **Bound cutoff** — once the incumbent meets the width's lower bound,
 //!    no later grid point can be strictly better, so none runs;
-//! 4. **Live cores** — the packer's scans walk only the incomplete cores,
-//!    in index order, so tie-breaks are unchanged;
-//! 5. **Stopped runs** — a run stops as soon as its clock plus what it
-//!    provably still needs (its longest remaining test, or its remaining
-//!    area over `W` wires) reaches the incumbent's makespan: it could
-//!    only tie or lose;
+//! 4. **Running cores keep running** — the packer keeps the incomplete
+//!    cores in three lists (running, waiting to resume, unstarted in
+//!    priority order). A core with no preemption budget left stays
+//!    scheduled until it completes instead of being descheduled at every
+//!    update and resumed by Priority 1, and each instant's contention is
+//!    one walk in priority order instead of a rescan after every
+//!    assignment; both give the paper's schedule exactly;
+//! 5. **Stopped runs** — after each update, a run stops once its clock
+//!    plus what it provably still needs (its longest remaining test, or
+//!    its remaining area over `W` wires) reaches the incumbent's
+//!    makespan: it could only tie or lose;
 //! 6. **Winner-only schedule** — runs pack raw slices into a reused
 //!    buffer, and only the winner's are assembled into a [`Schedule`].
 

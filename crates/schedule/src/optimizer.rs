@@ -1,6 +1,7 @@
 //! `TAM_schedule_optimizer` — the integrated wrapper/TAM co-optimization
 //! and constraint-driven test scheduling algorithm (paper Figures 4–8).
 
+use std::cmp::Reverse;
 use std::collections::HashSet;
 
 use soctam_soc::{CoreIdx, Soc};
@@ -108,24 +109,45 @@ impl<'a> ScheduleBuilder<'a> {
 
 /// The packer's per-run buffers, allocated once per sweep and *cleared*
 /// (not reallocated) between runs.
+///
+/// `running`, `waiting` and `pending` partition the incomplete cores, so
+/// no scan walks a complete core and none walks a list it cannot pick
+/// from: `update` walks `running` only, and each instant's contention is
+/// one merge-walk of `waiting` and `pending` in priority order.
 struct PackScratch<'m> {
     states: Vec<CoreState<'m>>,
-    /// The incomplete cores in index order. Every scan walks this list
-    /// instead of all cores, so ties still break toward the lower index;
-    /// `update` prunes the cores it completes.
-    live: Vec<CoreIdx>,
+    /// The scheduled cores. A core with no preemption budget left stays
+    /// here from its start to its completion.
+    running: Vec<CoreIdx>,
+    /// Begun cores descheduled with preemption budget left, waiting to
+    /// resume. Empty unless some core has a live budget.
+    waiting: Vec<CoreIdx>,
+    /// The unstarted cores in contention order: most `time_left` first,
+    /// lowest index on ties. An unstarted core's `time_left` is its time
+    /// at its preferred width, fixed until it starts, so `reset` sorts
+    /// this list once per run.
+    pending: Vec<CoreIdx>,
     complete: BitSet,
     scheduled: BitSet,
     bist_load: Vec<u32>,
-    /// The run's raw slices, in emission order.
+    /// The run's raw slices, in emission order: one per continuous run of
+    /// a core.
     slices: Vec<Slice>,
+}
+
+/// A core's place in contention order: most `time_left` first, lowest
+/// index on ties (Figure 4's max-time-remaining priorities).
+fn contention_key(states: &[CoreState<'_>], i: CoreIdx) -> (Reverse<Cycles>, CoreIdx) {
+    (Reverse(states[i].time_left), i)
 }
 
 impl<'m> PackScratch<'m> {
     fn for_soc(cores: usize, bist_engines: usize) -> Self {
         Self {
             states: Vec::with_capacity(cores),
-            live: Vec::with_capacity(cores),
+            running: Vec::with_capacity(cores),
+            waiting: Vec::with_capacity(cores),
+            pending: Vec::with_capacity(cores),
             complete: BitSet::new(cores),
             scheduled: BitSet::new(cores),
             bist_load: vec![0; bist_engines],
@@ -135,7 +157,8 @@ impl<'m> PackScratch<'m> {
 
     /// Procedure `Initialize` (Figure 5) over the shared rectangle menus
     /// and the run's preferred widths (`menus.preferred_widths(cfg)`),
-    /// plus a wipe of the incremental occupancy state.
+    /// plus a wipe of the incremental occupancy state and every core
+    /// listed as pending, in contention order.
     fn reset(
         &mut self,
         soc: &Soc,
@@ -160,8 +183,13 @@ impl<'m> PackScratch<'m> {
                     state
                 },
             ));
-        self.live.clear();
-        self.live.extend(0..self.states.len());
+        self.running.clear();
+        self.waiting.clear();
+        self.pending.clear();
+        self.pending.extend(0..self.states.len());
+        let states = &self.states;
+        self.pending
+            .sort_unstable_by_key(|&i| contention_key(states, i));
         self.complete.clear();
         self.scheduled.clear();
         self.bist_load.fill(0);
@@ -179,7 +207,9 @@ impl<'m> PackScratch<'m> {
     ) -> Result<Option<Cycles>, ScheduleError> {
         let PackScratch {
             states,
-            live,
+            running,
+            waiting,
+            pending,
             complete,
             scheduled,
             bist_load,
@@ -190,7 +220,9 @@ impl<'m> PackScratch<'m> {
             constraints,
             limit,
             states,
-            live,
+            running,
+            waiting,
+            pending,
             w_avail: cfg.tam_width,
             scheduled_power: 0,
             now: 0,
@@ -198,7 +230,6 @@ impl<'m> PackScratch<'m> {
             complete,
             scheduled,
             bist_load,
-            scheduled_count: 0,
         }
         .pack()
     }
@@ -216,12 +247,37 @@ struct Limit<'f> {
     floors: &'f [(Cycles, u128)],
 }
 
+/// One run of Figure 4 over the three core lists of [`PackScratch`].
+///
+/// The paper's `Update` (Figure 8) deschedules every test at each
+/// completion, and Priority 1 (Figure 4, line 5) then resumes every
+/// budget-exhausted test in the same instant. This packer leaves those
+/// tests scheduled instead, which changes nothing:
+///
+/// * Priority 1 runs before anything else in an instant, takes the cores
+///   in index order at their fixed widths, charges no preemption and
+///   checks no conflict. They always all fit, because they ran together
+///   the instant before, so their widths sum to at most `W`. After it,
+///   the scheduled set, `w_avail`, scheduled power and BIST occupancy are
+///   what they were before the descheduling;
+/// * a resume changes only `run_begin`, the start of the core's next
+///   slice, and `Schedule::from_slices` merges contiguous equal-width
+///   slices of one core, so one slice per continuous run yields the same
+///   [`Schedule`];
+/// * a resume would set `end = now + time_left`, which `end` already
+///   holds: the sum is invariant while the core runs;
+/// * the core's `first_begin` lies before `now` either way, which keeps
+///   it out of width increase;
+/// * `cannot_beat` reads its `time_left` and `width_assigned`, and a
+///   resume changes neither.
 struct Packer<'a, 'm> {
     cfg: &'a SchedulerConfig,
     constraints: &'a ConstraintSet,
     limit: Option<Limit<'a>>,
     states: &'a mut Vec<CoreState<'m>>,
-    live: &'a mut Vec<CoreIdx>,
+    running: &'a mut Vec<CoreIdx>,
+    waiting: &'a mut Vec<CoreIdx>,
+    pending: &'a mut Vec<CoreIdx>,
     w_avail: TamWidth,
     scheduled_power: u64,
     now: Cycles,
@@ -233,20 +289,24 @@ struct Packer<'a, 'm> {
     scheduled: &'a mut BitSet,
     /// Scheduled-test count per BIST engine.
     bist_load: &'a mut Vec<u32>,
-    /// Number of currently scheduled cores.
-    scheduled_count: usize,
 }
 
 impl Packer<'_, '_> {
     fn pack(mut self) -> Result<Option<Cycles>, ScheduleError> {
-        while !self.live.is_empty() {
+        while !(self.running.is_empty() && self.waiting.is_empty() && self.pending.is_empty()) {
             self.debug_check_incremental_state();
-            if self.w_avail > 0 && self.try_assign_one() {
-                continue;
-            }
-            if self.scheduled_count == 0 {
+            self.fill();
+            self.debug_check_incremental_state();
+            if self.running.is_empty() {
+                let mut remaining: Vec<CoreIdx> = self
+                    .waiting
+                    .iter()
+                    .chain(self.pending.iter())
+                    .copied()
+                    .collect();
+                remaining.sort_unstable();
                 return Err(ScheduleError::Stuck {
-                    remaining: self.live.to_vec(),
+                    remaining,
                     at_time: self.now,
                 });
             }
@@ -259,26 +319,24 @@ impl Packer<'_, '_> {
     }
 
     /// Whether the run provably cannot finish before `limit.makespan`.
-    /// Called between instants, when no core is scheduled: from `now`,
-    /// the run still needs its longest remaining test, and its remaining
-    /// area cannot pass through `W` wires any faster. A begun core's width
-    /// is fixed (it began at an earlier instant) and preemption only adds
-    /// time, so it needs at least `time_left` at `width_assigned`; an
-    /// unstarted core needs at least its floors. Once every core has
-    /// completed, this asks whether the final clock reached the limit.
+    /// Called after an update: from `now`, the run still needs its longest
+    /// remaining test, and its remaining area cannot pass through `W`
+    /// wires any faster. A begun core — running, or waiting to resume —
+    /// has a fixed width (it began at an earlier instant) and preemption
+    /// only adds time, so it needs at least `time_left` at
+    /// `width_assigned`; an unstarted core needs at least its floors. Once
+    /// every core has completed, this asks whether the final clock reached
+    /// the limit.
     fn cannot_beat(&self, limit: Limit<'_>) -> bool {
         let mut longest: Cycles = 0;
         let mut area: u128 = 0;
-        for &i in self.live.iter() {
+        for &i in self.running.iter().chain(self.waiting.iter()) {
             let s = &self.states[i];
-            let (time, core_area) = if s.begun {
-                (
-                    s.time_left,
-                    u128::from(s.width_assigned) * u128::from(s.time_left),
-                )
-            } else {
-                limit.floors[i]
-            };
+            longest = longest.max(s.time_left);
+            area += u128::from(s.width_assigned) * u128::from(s.time_left);
+        }
+        for &i in self.pending.iter() {
+            let (time, core_area) = limit.floors[i];
             longest = longest.max(time);
             area += core_area;
         }
@@ -286,73 +344,76 @@ impl Packer<'_, '_> {
         self.now + longest.max(area_time) >= limit.makespan
     }
 
-    /// Debug-build invariant: the live list, the incremental bitsets and
-    /// BIST occupancy always equal the state recomputed from scratch. The
-    /// `incremental_state` proptest suite drives random SOCs through the
-    /// packer to exercise this.
+    /// Debug-build invariant: the three lists partition the incomplete
+    /// cores by state, `pending` is in contention order, and the
+    /// incremental bitsets, BIST occupancy, scheduled power and `w_avail`
+    /// equal the state recomputed from scratch. The `incremental_state`
+    /// proptest suite drives random SOCs through the packer to exercise
+    /// this.
     fn debug_check_incremental_state(&self) {
         if cfg!(debug_assertions) {
             let mut bist_load = vec![0u32; self.constraints.num_bist_engines()];
-            let mut scheduled_count = 0;
-            let mut live = Vec::new();
+            let mut scheduled_power = 0;
+            let mut width_in_use = 0;
+            let mut listed = vec![0u8; self.states.len()];
+            for (&i, place) in self
+                .running
+                .iter()
+                .map(|i| (i, 1))
+                .chain(self.waiting.iter().map(|i| (i, 2)))
+                .chain(self.pending.iter().map(|i| (i, 3)))
+            {
+                debug_assert_eq!(listed[i], 0, "core {i} listed twice");
+                listed[i] = place;
+            }
             for (i, s) in self.states.iter().enumerate() {
                 debug_assert_eq!(self.complete.contains(i), s.complete, "complete[{i}]");
                 debug_assert_eq!(self.scheduled.contains(i), s.scheduled, "scheduled[{i}]");
-                if !s.complete {
-                    live.push(i);
+                let place = match (s.complete, s.scheduled, s.begun) {
+                    (true, _, _) => 0,
+                    (false, true, _) => 1,
+                    (false, false, true) => 2,
+                    (false, false, false) => 3,
+                };
+                debug_assert_eq!(listed[i], place, "list of core {i}");
+                if place == 2 {
+                    debug_assert!(s.preempts < s.max_preempts, "core {i} waits without budget");
                 }
                 if s.scheduled {
-                    scheduled_count += 1;
+                    width_in_use += s.width_assigned;
+                    scheduled_power += self.constraints.power(i);
                     if let Some(e) = self.constraints.bist_engine(i) {
                         bist_load[e] += 1;
                     }
                 }
             }
-            debug_assert_eq!(*self.live, live, "live list");
-            debug_assert_eq!(self.scheduled_count, scheduled_count);
+            debug_assert!(
+                self.pending
+                    .windows(2)
+                    .all(|w| contention_key(self.states, w[0]) < contention_key(self.states, w[1])),
+                "pending out of contention order"
+            );
+            debug_assert_eq!(self.w_avail, self.cfg.tam_width - width_in_use, "w_avail");
+            debug_assert_eq!(self.scheduled_power, scheduled_power, "scheduled power");
             debug_assert_eq!(*self.bist_load, bist_load);
         }
     }
 
-    /// One pass of Figure 4 lines 4–16: returns `true` if some assignment
-    /// (or width increase) happened.
-    fn try_assign_one(&mut self) -> bool {
-        // Priority 1 (line 5): resume budget-exhausted cores unconditionally.
-        if let Some(i) = self.find_priority1() {
-            // A budget-exhausted core is resumed seamlessly in the same
-            // instant it was descheduled, so no preemption is charged.
-            self.assign(i, self.states[i].width_assigned, false);
-            return true;
+    /// Figure 4 lines 7–16 at the current instant, after Priority 1 (whose
+    /// cores never left `running`): the Priority 2/3 contention, then idle
+    /// fill, then width increase.
+    fn fill(&mut self) {
+        self.contend();
+        // Idle fill runs at most once per instant: it takes all of
+        // `w_avail`.
+        if self.w_avail > 0 && self.cfg.toggles.idle_fill {
+            self.idle_fill();
         }
-        // Priorities 2 and 3 (lines 7–12): all incomplete tests contend for
-        // the available width, ranked by remaining testing time. A begun
-        // core resumes at its fixed width; an unstarted core begins at its
-        // preferred width. A begun core that loses this contention waits —
-        // that wait is exactly a preemption, possible only while the core
-        // still has budget (Priority 1 pins budget-exhausted cores first,
-        // so non-preemptable tests always resume seamlessly).
-        if let Some(i) = self.find_contender() {
-            let s = &self.states[i];
-            if s.begun {
-                let preempt = s.end < self.now;
-                self.assign(i, s.width_assigned, preempt);
-            } else {
-                self.assign(i, s.width_pref, false);
-            }
-            return true;
-        }
-        // Idle fill (lines 13–14): squeeze a near-fit core into the slack.
-        if self.cfg.toggles.idle_fill {
-            if let Some(i) = self.find_idle_fill() {
-                self.assign(i, self.w_avail, false);
-                return true;
-            }
-        }
-        // Width increase (lines 15–16): widen a rectangle that begins now.
-        if self.cfg.toggles.width_increase && self.try_width_increase() {
-            return true;
-        }
-        false
+        // After a width increase no contender or idle-fill candidate can
+        // appear: each one's width window only moves down as `w_avail`
+        // falls, and the conflicts do not change. So width increases
+        // repeat until none applies, and nothing else runs between them.
+        while self.w_avail > 0 && self.cfg.toggles.width_increase && self.try_width_increase() {}
     }
 
     fn conflict(&self, core: CoreIdx) -> bool {
@@ -366,53 +427,95 @@ impl Packer<'_, '_> {
         )
     }
 
-    fn find_priority1(&self) -> Option<CoreIdx> {
-        self.live.iter().copied().find(|&i| {
-            let s = &self.states[i];
-            s.must_continue() && s.width_assigned <= self.w_avail
-        })
-    }
-
-    /// The merged Priority 2/3 contention: the eligible core (begun at its
-    /// assigned width, or fresh at its preferred width) with the largest
-    /// remaining testing time.
-    fn find_contender(&self) -> Option<CoreIdx> {
-        let mut best: Option<(Cycles, CoreIdx)> = None;
-        for &i in self.live.iter() {
-            let s = &self.states[i];
-            let eligible = if s.can_resume() {
-                s.width_assigned <= self.w_avail
-            } else if s.unstarted() {
-                s.width_pref <= self.w_avail
-            } else {
-                false
+    /// Priorities 2 and 3 (Figure 4 lines 7–12): every incomplete,
+    /// unscheduled test contends for the available width, ranked by
+    /// remaining testing time. A begun core resumes at its fixed width; an
+    /// unstarted core begins at its preferred width. A begun core that
+    /// loses waits — that wait is exactly a preemption, possible only
+    /// while the core still has budget.
+    ///
+    /// The paper repeatedly picks the eligible core with the most
+    /// `time_left` (lowest index on ties). Within an instant eligibility
+    /// only shrinks — `w_avail` falls; the scheduled set, scheduled power
+    /// and BIST occupancy only grow; `complete` is fixed — and no
+    /// unscheduled core's key changes. So one walk in key order that
+    /// assigns every core still eligible when the walk reaches it makes
+    /// the same assignments. `pending` is kept in key order and `waiting`
+    /// (whose keys are fixed while a core waits) is sorted here, so the
+    /// walk is a merge of the two.
+    fn contend(&mut self) {
+        let mut pending = std::mem::take(self.pending);
+        let mut waiting = std::mem::take(self.waiting);
+        waiting.sort_unstable_by_key(|&i| contention_key(self.states, i));
+        // Each list is compacted in place: the cores not assigned keep
+        // their relative order.
+        let (mut p, mut p_kept, mut w, mut w_kept) = (0, 0, 0, 0);
+        while self.w_avail > 0 {
+            let from_pending = match (pending.get(p), waiting.get(w)) {
+                (Some(&a), Some(&b)) => {
+                    contention_key(self.states, a) < contention_key(self.states, b)
+                }
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
             };
-            if eligible && !self.conflict(i) {
-                let key = (s.time_left, i);
-                if best.is_none_or(|(t, j)| key.0 > t || (key.0 == t && i < j)) {
-                    best = Some((s.time_left, i));
+            if from_pending {
+                let i = pending[p];
+                p += 1;
+                let width = self.states[i].width_pref;
+                if width <= self.w_avail && !self.conflict(i) {
+                    self.assign(i, width, false);
+                } else {
+                    pending[p_kept] = i;
+                    p_kept += 1;
+                }
+            } else {
+                let i = waiting[w];
+                w += 1;
+                let s = &self.states[i];
+                let width = s.width_assigned;
+                if width <= self.w_avail && !self.conflict(i) {
+                    // A core descheduled at this instant resumes
+                    // seamlessly; one that waited through an earlier
+                    // instant was preempted.
+                    let preempt = s.end < self.now;
+                    self.assign(i, width, preempt);
+                } else {
+                    waiting[w_kept] = i;
+                    w_kept += 1;
                 }
             }
         }
-        best.map(|(_, i)| i)
+        // The walk stops early once no width is left; the cores it did not
+        // reach keep their places behind the ones it kept.
+        pending.copy_within(p.., p_kept);
+        pending.truncate(p_kept + pending.len() - p);
+        waiting.copy_within(w.., w_kept);
+        waiting.truncate(w_kept + waiting.len() - w);
+        *self.pending = pending;
+        *self.waiting = waiting;
     }
 
-    fn find_idle_fill(&self) -> Option<CoreIdx> {
-        // Cores whose preferred width exceeds the idle width by at most
-        // `idle_fill_slack` wires; Priority 3 already handled the rest.
-        let mut best: Option<(TamWidth, CoreIdx)> = None;
-        for &i in self.live.iter() {
-            let s = &self.states[i];
-            if s.unstarted()
-                && s.width_pref > self.w_avail
-                && s.width_pref <= self.w_avail + self.cfg.idle_fill_slack
+    /// Idle fill (Figure 4 lines 13–14): squeeze the unstarted core whose
+    /// preferred width exceeds the idle width by the fewest wires, at most
+    /// `idle_fill_slack`, into the idle width; the contention already took
+    /// every core that fits at its preferred width.
+    fn idle_fill(&mut self) {
+        let mut best: Option<(TamWidth, usize)> = None;
+        for (k, &i) in self.pending.iter().enumerate() {
+            let w = self.states[i].width_pref;
+            if w > self.w_avail
+                && w <= self.w_avail + self.cfg.idle_fill_slack
+                && best.is_none_or(|(bw, bk)| (w, i) < (bw, self.pending[bk]))
                 && !self.conflict(i)
-                && best.is_none_or(|(w, j)| s.width_pref < w || (s.width_pref == w && i < j))
             {
-                best = Some((s.width_pref, i));
+                best = Some((w, k));
             }
         }
-        best.map(|(_, i)| i)
+        if let Some((_, k)) = best {
+            let i = self.pending.remove(k);
+            self.assign(i, self.w_avail, false);
+        }
     }
 
     /// Figure 4 lines 15–16: find the rectangle beginning at the current
@@ -421,9 +524,9 @@ impl Packer<'_, '_> {
     fn try_width_increase(&mut self) -> bool {
         let w_cap = self.cfg.effective_w_max();
         let mut best: Option<(Cycles, CoreIdx, TamWidth)> = None;
-        for &i in self.live.iter() {
+        for &i in self.running.iter() {
             let s = &self.states[i];
-            if !s.scheduled || s.first_begin != Some(self.now) || s.run_begin != self.now {
+            if s.first_begin != Some(self.now) || s.run_begin != self.now {
                 continue;
             }
             let reach = s.width_assigned.saturating_add(self.w_avail).min(w_cap);
@@ -452,7 +555,8 @@ impl Packer<'_, '_> {
         true
     }
 
-    /// Procedure `Assign` (Figure 6).
+    /// Procedure `Assign` (Figure 6); the caller has taken `i` off its
+    /// list, and `assign` puts it on `running`.
     fn assign(&mut self, i: CoreIdx, width: TamWidth, preempt: bool) {
         let s = &mut self.states[i];
         debug_assert!(width >= 1 && width <= self.w_avail);
@@ -462,7 +566,7 @@ impl Packer<'_, '_> {
         self.w_avail -= width;
         s.scheduled = true;
         self.scheduled.insert(i);
-        self.scheduled_count += 1;
+        self.running.push(i);
         if let Some(e) = self.constraints.bist_engine(i) {
             self.bist_load[e] += 1;
         }
@@ -481,50 +585,52 @@ impl Packer<'_, '_> {
     }
 
     /// Procedure `Update` (Figure 8): advance to the earliest completion
-    /// among scheduled tests, deschedule everything, mark completions, and
-    /// prune them from the live list.
+    /// among the running tests. A completed test, and one with preemption
+    /// budget left, emits its slice and is descheduled; a test with no
+    /// budget left stays scheduled (see [`Packer`] for why that is the
+    /// paper's schedule) and emits its slice only when it completes.
     fn update(&mut self) {
         let dt = self
-            .live
+            .running
             .iter()
-            .map(|&i| &self.states[i])
-            .filter(|s| s.scheduled)
-            .map(|s| s.time_left)
+            .map(|&i| self.states[i].time_left)
             .min()
             .expect("update requires a scheduled core");
         let new_time = self.now + dt;
         let mut kept = 0;
-        for k in 0..self.live.len() {
-            let i = self.live[k];
+        for k in 0..self.running.len() {
+            let i = self.running[k];
             let s = &mut self.states[i];
-            if s.scheduled {
-                self.slices.push(Slice {
-                    core: i,
-                    width: s.width_assigned,
-                    start: s.run_begin,
-                    end: new_time,
-                });
-                s.scheduled = false;
-                self.scheduled.remove(i);
-                self.scheduled_count -= 1;
-                if let Some(e) = self.constraints.bist_engine(i) {
-                    self.bist_load[e] -= 1;
-                }
-                s.time_left -= dt;
-                s.end = new_time;
-                self.scheduled_power -= self.constraints.power(i);
-                if s.time_left == 0 {
-                    s.complete = true;
-                    self.complete.insert(i);
-                    continue;
-                }
+            s.time_left -= dt;
+            if s.time_left > 0 && s.preempts >= s.max_preempts {
+                // Priority 1 would resume it at once, unchanged.
+                self.running[kept] = i;
+                kept += 1;
+                continue;
             }
-            self.live[kept] = i;
-            kept += 1;
+            self.slices.push(Slice {
+                core: i,
+                width: s.width_assigned,
+                start: s.run_begin,
+                end: new_time,
+            });
+            s.scheduled = false;
+            self.scheduled.remove(i);
+            if let Some(e) = self.constraints.bist_engine(i) {
+                self.bist_load[e] -= 1;
+            }
+            self.w_avail += s.width_assigned;
+            s.end = new_time;
+            self.scheduled_power -= self.constraints.power(i);
+            if s.time_left == 0 {
+                s.complete = true;
+                self.complete.insert(i);
+            } else {
+                self.waiting.push(i);
+            }
         }
-        self.live.truncate(kept);
+        self.running.truncate(kept);
         self.now = new_time;
-        self.w_avail = self.cfg.tam_width;
     }
 }
 
@@ -907,23 +1013,43 @@ mod tests {
         }
     }
 
-    /// Every grid point run on its own, in grid order, first strictly
-    /// smaller makespan wins: what [`best_of`] must reproduce exactly.
+    /// A core with no preemption budget stays scheduled from its start to
+    /// its completion, so a run without preemption emits exactly one raw
+    /// slice per core, before `Schedule::from_slices` merges anything.
+    #[test]
+    fn a_run_without_preemption_emits_one_raw_slice_per_core() {
+        for (soc, width) in [(benchmarks::p93791(), 64), (benchmarks::p22810(), 32)] {
+            let cfg = SchedulerConfig::new(width).without_preemption();
+            let menus = RectangleMenus::build(&soc, cfg.effective_w_max());
+            let constraints = ConstraintSet::compile(&soc);
+            let prefs = menus.preferred_widths(&cfg);
+            let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
+            scratch.reset(&soc, &cfg, &menus, &prefs);
+            let end = scratch.pack(&cfg, &constraints, None).unwrap();
+            assert!(end.is_some(), "a run without a limit finishes");
+            let mut cores: Vec<CoreIdx> = scratch.slices.iter().map(|s| s.core).collect();
+            cores.sort_unstable();
+            assert_eq!(cores, (0..soc.len()).collect::<Vec<_>>(), "{}", soc.name());
+        }
+    }
+
+    /// Every grid point run on its own through the reference packer, on a
+    /// menu build at the run's cap, in grid order, first strictly smaller
+    /// makespan wins: what [`best_of`] must reproduce exactly.
     fn run_every_point(
-        ctx: &CompiledSoc,
+        soc: &Soc,
         base: &SchedulerConfig,
         grid: &ParamSweep,
     ) -> (Schedule, SweepParams) {
+        let menus = RectangleMenus::build(soc, base.effective_w_max());
+        let constraints = ConstraintSet::compile(soc);
         let mut best: Option<(Schedule, SweepParams)> = None;
         for &slack in &grid.slacks {
             for &m in &grid.percents {
                 for &d in &grid.bumps {
                     let mut cfg = base.clone().with_percent(m).with_bump(d);
                     cfg.idle_fill_slack = slack;
-                    let s = ScheduleBuilder::new(ctx.soc(), cfg)
-                        .with_context(ctx)
-                        .run()
-                        .unwrap();
+                    let s = reference::run(soc, &cfg, &menus, &constraints).unwrap();
                     if best
                         .as_ref()
                         .is_none_or(|(b, _)| s.makespan() < b.makespan())
@@ -957,7 +1083,7 @@ mod tests {
         let ctx = CompiledSoc::compile(&soc, base.effective_w_max());
         let grid = ParamSweep::paper();
         let (s, params, stats) = best_of(&ctx, &base, &grid).unwrap();
-        assert_eq!((s, params), run_every_point(&ctx, &base, &grid));
+        assert_eq!((s, params), run_every_point(&soc, &base, &grid));
         // Every point is accounted for: executed, skipped, or cut.
         assert_eq!(stats.runs_total, 50);
         assert_eq!(
@@ -1070,10 +1196,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The live-list packer, reading a build at least as wide as the
-        /// run's cap under that cap, schedules exactly as the every-core
-        /// reference does on a build at the cap, slice for slice, and fails
-        /// the same way.
+        /// The packer, reading a build at least as wide as the run's cap
+        /// under that cap, schedules exactly as the reference does on a
+        /// build at the cap, slice for slice, and fails the same way.
         #[test]
         fn packer_matches_the_reference_packer(
             soc_shape in (2usize..14, 0usize..4, 0u64..1000),
@@ -1135,9 +1260,35 @@ mod tests {
         }
     }
 
-    /// The packer before the live list, stopped runs and the reused slice
-    /// buffer, kept verbatim as the exactness reference: every scan walks
-    /// every core, and every run builds its own `Schedule`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `best_of` over a context compiled wider than the cap — its
+        /// deduplication, bound cutoff, stopped runs and packer together —
+        /// returns the schedule and parameters of every quick-grid point
+        /// run through the reference, where the first strictly smaller
+        /// makespan wins.
+        #[test]
+        fn best_of_matches_every_point_through_the_reference(
+            soc_shape in (2usize..14, 0usize..4, 0u64..1000),
+            width in 1u16..72,
+            modes in (proptest::bool::ANY, proptest::bool::ANY),
+            wider in 0u16..9,
+        ) {
+            let (soc, base) = synth_point(soc_shape, width, modes, (1, 0, 3));
+            let grid = ParamSweep::quick();
+            let ctx = CompiledSoc::compile(&soc, base.effective_w_max() + wider);
+            let (schedule, params, _) = best_of(&ctx, &base, &grid).expect("schedulable");
+            prop_assert_eq!((schedule, params), run_every_point(&soc, &base, &grid));
+        }
+    }
+
+    /// The paper's Figure 4 loop as written, kept as the exactness
+    /// reference for the packer: every `Update` deschedules every test and
+    /// Priority 1 resumes the budget-exhausted ones, each pass assigns one
+    /// core after a scan of every core, and every run builds its own
+    /// `Schedule`. It predates the packer's core lists, stopped runs and
+    /// reused slice buffer.
     mod reference {
         use super::super::*;
 

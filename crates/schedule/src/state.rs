@@ -5,6 +5,12 @@ use soctam_wrapper::{Cycles, RectangleSet, TamWidth};
 /// Mutable scheduling state of one core, mirroring the paper's Figure 3
 /// data structure field for field.
 ///
+/// One difference in lifetime: the paper's `Update` clears `scheduled[i]`
+/// for every test and Priority 1 sets it again for each test with no
+/// preemption budget left. The packer leaves those tests scheduled, so
+/// for them `scheduled[i]` holds across an update, from the test's start
+/// to its completion.
+///
 /// The rectangle menu is borrowed from a shared
 /// [`RectangleMenus`](crate::RectangleMenus) so that a whole parameter
 /// sweep reuses one menu build instead of cloning per run.
@@ -62,7 +68,12 @@ impl<'m> CoreState<'m> {
     pub fn time_at(&self, w: TamWidth) -> Cycles {
         self.rects.time_at(w)
     }
+}
 
+/// The paper's candidate predicates, read by the test-only reference
+/// packer; the packer itself keeps the candidates in lists.
+#[cfg(test)]
+impl CoreState<'_> {
     /// Whether the core is waiting to resume and has exhausted its
     /// preemption budget (the paper's Priority 1 predicate).
     pub fn must_continue(&self) -> bool {

@@ -1,10 +1,12 @@
 //! Property tests for the packer's incremental constraint state.
 //!
 //! The packer maintains `complete`/`scheduled` bitsets, a BIST-engine
-//! occupancy table, and a scheduled-core count incrementally on every
-//! assign/retire; in debug builds `Packer::debug_check_incremental_state`
-//! recomputes all of them from the per-core states at every packing step
-//! and asserts equality. These proptests drive randomized SOCs — random
+//! occupancy table, the scheduled power, the free width `w_avail`, and
+//! three core lists (running, waiting to resume, unstarted in contention
+//! order) incrementally on every assign/retire; in debug builds
+//! `Packer::debug_check_incremental_state` recomputes all of them from the
+//! per-core states before and after each instant's assignments and
+//! asserts equality. These proptests drive randomized SOCs — random
 //! cores, precedence, concurrency, BIST sharing, power ceilings, and
 //! preemption budgets — through the scheduler so those assertions exercise
 //! the full state machine. They run under `cargo test` (debug assertions

@@ -2,13 +2,29 @@
 //!
 //! Run with: `cargo run --release --example batch_serving`
 
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use soctam::engine::{Engine, EngineOutput, EngineRequest};
 use soctam::flow::{FlowConfig, PowerPolicy};
 use soctam::soc::benchmarks;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(out: &mut impl Write) -> io::Result<()> {
     // One engine serves mixed SOCs, widths, modes, and op kinds; each
     // distinct (SOC, w_max, power budget) key compiles exactly once.
     let engine = Engine::new();
@@ -29,32 +45,35 @@ fn main() {
 
     for (req, result) in requests.iter().zip(engine.serve(&requests)) {
         match result {
-            Ok(EngineOutput::Schedule(run)) => println!(
+            Ok(EngineOutput::Schedule(run)) => writeln!(
+                out,
                 "{:<8} schedule: {} cycles (lower bound {}), volume {} bits",
                 req.soc.name(),
                 run.schedule.makespan(),
                 run.lower_bound,
                 run.volume
-            ),
+            )?,
             Ok(EngineOutput::Bounds(bounds)) => {
-                println!("{:<8} bounds:   {bounds:?}", req.soc.name())
+                writeln!(out, "{:<8} bounds:   {bounds:?}", req.soc.name())?
             }
-            Ok(EngineOutput::Sweep(points)) => println!(
+            Ok(EngineOutput::Sweep(points)) => writeln!(
+                out,
                 "{:<8} sweep:    {} points, best T = {} cycles",
                 req.soc.name(),
                 points.len(),
                 points.iter().map(|p| p.time).min().unwrap_or(0)
-            ),
-            Err(e) => println!("{:<8} failed:   {e}", req.soc.name()),
+            )?,
+            Err(e) => writeln!(out, "{:<8} failed:   {e}", req.soc.name())?,
         }
     }
 
     let stats = engine.registry().stats();
-    println!(
+    writeln!(
+        out,
         "registry: {} hits / {} misses (hit rate {:.2}), {} contexts resident",
         stats.hits,
         stats.misses,
         stats.hit_rate(),
         engine.registry().len()
-    );
+    )
 }

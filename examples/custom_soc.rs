@@ -4,12 +4,35 @@
 //!
 //! Run with: `cargo run --release --example custom_soc`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, TestFlow};
 use soctam::schedule::validate::validate;
 use soctam::soc::{itc02, Core, Soc};
 use soctam::wrapper::CoreTest;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     // --- option 1: the programmatic API --------------------------------
     let mut soc = Soc::new("camera_soc");
     let isp = soc.add_core(Core::new(
@@ -55,31 +78,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- option 2: the .soc text format round-trips the same model -----
     let text = itc02::to_string(&soc);
-    println!("--- camera_soc in .soc format ---\n{text}");
+    writeln!(out, "--- camera_soc in .soc format ---\n{text}")?;
     assert_eq!(itc02::parse(&text)?, soc);
 
     // --- schedule and inspect ------------------------------------------
     let run = TestFlow::new(&soc, FlowConfig::quick()).run(24)?;
     validate(&soc, &run.schedule)?;
-    println!(
+    writeln!(
+        out,
         "schedule on 24 wires: {} cycles (lower bound {})",
         run.schedule.makespan(),
         run.lower_bound
-    );
-    println!();
-    println!(
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{}",
         run.schedule.gantt(&|i| soc.core(i).name().to_string(), 80)
-    );
+    )?;
 
     for a in run.wires.assignments() {
-        println!(
+        writeln!(
+            out,
             "{:<5} [{:>6}..{:>6}) wires {:?}",
             soc.core(a.slice.core).name(),
             a.slice.start,
             a.slice.end,
             a.wires
-        );
+        )?;
     }
     Ok(())
 }

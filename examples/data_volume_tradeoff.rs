@@ -4,12 +4,35 @@
 //!
 //! Run with: `cargo run --release --example data_volume_tradeoff`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, TestFlow};
 use soctam::report::render_plot;
 use soctam::soc::benchmarks;
 use soctam::volume::{CostCurve, TesterMemoryModel};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let soc = benchmarks::d695();
     let flow = TestFlow::new(&soc, FlowConfig::quick());
 
@@ -23,39 +46,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| (p.width as f64, p.volume as f64))
         .collect();
-    println!("{}", render_plot("testing time T(W)", &t_series, 12, 60));
-    println!(
+    writeln!(
+        out,
+        "{}",
+        render_plot("testing time T(W)", &t_series, 12, 60)
+    )?;
+    writeln!(
+        out,
         "{}",
         render_plot("tester data volume V(W) = W*T(W)", &v_series, 12, 60)
-    );
+    )?;
 
     // Figure 9(c)/(d) and Table 2: the cost function and W_eff per alpha.
-    println!(
+    writeln!(
+        out,
         "{:>6} {:>6} {:>8} {:>12} {:>14}",
         "alpha", "W_eff", "C_min", "T", "V"
-    );
+    )?;
     for alpha in [0.1, 0.3, 0.5, 0.75] {
         let curve = CostCurve::new(&points, alpha);
         let eff = curve.effective_point();
-        println!(
+        writeln!(
+            out,
             "{alpha:>6} {:>6} {:>8.3} {:>12} {:>14}",
             eff.width, eff.cost, eff.time, eff.volume
-        );
+        )?;
     }
 
     // The multisite motivation: a narrower TAM lets one tester serve more
     // sites in parallel, so a slower-per-chip width can win on a batch.
     let tester = TesterMemoryModel::new(64 << 20, 64);
-    println!();
-    println!("batch of 1000 SOCs on a 64-channel tester:");
+    writeln!(out)?;
+    writeln!(out, "batch of 1000 SOCs on a 64-channel tester:")?;
     for p in points.iter().filter(|p| [16, 32, 64].contains(&p.width)) {
         if let Some(batch) = tester.batch_time(p.width, p.time, 1000) {
-            println!(
+            writeln!(
+                out,
                 "  W={:>2}: {} sites, batch time {} cycles",
                 p.width,
                 tester.sites(p.width),
                 batch
-            );
+            )?;
         }
     }
     Ok(())

@@ -4,11 +4,34 @@
 //!
 //! Run with: `cargo run --release --example power_constrained`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, PowerPolicy, TestFlow};
 use soctam::schedule::validate::{validate, validate_power};
 use soctam::soc::benchmarks;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let soc = benchmarks::p22810();
     let width = 48;
 
@@ -16,14 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // test data bits per pattern; P_max is the largest single rating, so
     // no two "big" cores may burn together.
     let p_max = soc.max_core_power();
-    println!("{}: per-core power ratings (bits/pattern)", soc.name());
+    writeln!(out, "{}: per-core power ratings (bits/pattern)", soc.name())?;
     let mut rated: Vec<_> = soc.cores().iter().map(|c| (c.power(), c.name())).collect();
     rated.sort_unstable();
     for (p, name) in rated.iter().rev().take(5) {
-        println!("  {name:<6} {p}");
+        writeln!(out, "  {name:<6} {p}")?;
     }
-    println!("  ... P_max set to {p_max}");
-    println!();
+    writeln!(out, "  ... P_max set to {p_max}")?;
+    writeln!(out)?;
 
     let unconstrained = TestFlow::new(&soc, FlowConfig::quick()).run(width)?;
     let constrained = TestFlow::new(
@@ -38,11 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t0 = unconstrained.schedule.makespan();
     let t1 = constrained.schedule.makespan();
-    println!("unconstrained : {t0} cycles");
-    println!(
+    writeln!(out, "unconstrained : {t0} cycles")?;
+    writeln!(
+        out,
         "power-limited : {t1} cycles (+{:.1}%)",
         100.0 * (t1 as f64 - t0 as f64) / t0 as f64
-    );
+    )?;
 
     // Peak concurrent power with and without the ceiling.
     for (label, run) in [
@@ -64,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .max()
             .unwrap_or(0);
-        println!("peak power under {label}: {peak}");
+        writeln!(out, "peak power under {label}: {peak}")?;
     }
     Ok(())
 }

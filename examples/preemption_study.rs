@@ -4,12 +4,35 @@
 //!
 //! Run with: `cargo run --release --example preemption_study`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, TestFlow};
 use soctam::schedule::validate::validate;
 use soctam::soc::benchmarks;
 use soctam::wrapper::RectangleSet;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let mut soc = benchmarks::p93791();
     // The paper sets max_preempts = 2 for the larger cores.
     benchmarks::grant_preemption_to_large_cores(&mut soc, 2);
@@ -23,21 +46,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t_np = non_preemptive.schedule.makespan();
     let t_p = preemptive.schedule.makespan();
-    println!("{} on {width} wires:", soc.name());
-    println!("  non-preemptive: {t_np} cycles");
-    println!(
+    writeln!(out, "{} on {width} wires:", soc.name())?;
+    writeln!(out, "  non-preemptive: {t_np} cycles")?;
+    writeln!(
+        out,
         "  preemptive    : {t_p} cycles ({}{:.2}%)",
         if t_p <= t_np { "-" } else { "+" },
         100.0 * t_np.abs_diff(t_p) as f64 / t_np as f64
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     // Which tests were actually preempted, and what did each interruption
     // cost? (One extra scan-in + scan-out per preemption.)
-    println!(
+    writeln!(
+        out,
         "{:<6} {:>6} {:>10} {:>14}",
         "core", "splits", "preempts", "penalty cycles"
-    );
+    )?;
     let mut total_penalty = 0u64;
     for idx in 0..soc.len() {
         let stats = preemptive
@@ -51,18 +76,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let penalty =
             u64::from(stats.preemptions) * rects.rect_at(stats.width).preemption_penalty();
         total_penalty += penalty;
-        println!(
+        writeln!(
+            out,
             "{:<6} {:>6} {:>10} {:>14}",
             soc.core(idx).name(),
             stats.preemptions + 1,
             stats.preemptions,
             penalty
-        );
+        )?;
     }
-    println!("total preemption overhead: {total_penalty} cycles");
-    println!(
+    writeln!(out, "total preemption overhead: {total_penalty} cycles")?;
+    writeln!(
+        out,
         "(the schedule still wins when the reclaimed idle time outweighs the overhead;\n\
          the paper notes preemption can lose on SOCs with many short tests)"
-    );
+    )?;
     Ok(())
 }

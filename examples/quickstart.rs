@@ -3,11 +3,34 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, TestFlow};
 use soctam::schedule::validate::validate;
 use soctam::soc::benchmarks;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let soc = benchmarks::d695();
 
     // The flow co-optimizes wrapper designs and the TAM, then packs the
@@ -15,31 +38,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flow = TestFlow::new(&soc, FlowConfig::quick());
     let run = flow.run(16)?;
 
-    println!(
+    writeln!(
+        out,
         "{}: tested in {} cycles on 16 wires (lower bound {}, {:.1}% of it)",
         soc.name(),
         run.schedule.makespan(),
         run.lower_bound,
         100.0 * run.schedule.makespan() as f64 / run.lower_bound as f64
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "tester data volume: {} bits; TAM utilization {:.1}%",
         run.volume,
         run.schedule.utilization() * 100.0
-    );
-    println!();
-    println!(
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{}",
         run.schedule.gantt(&|i| soc.core(i).name().to_string(), 90)
-    );
+    )?;
 
     // The schedule is re-checked by an independent validator, and the
     // fork-and-merge wire assignment is concrete and verified.
     validate(&soc, &run.schedule)?;
     let stats = run.wires.stats();
-    println!(
+    writeln!(
+        out,
         "wire assignment: {}/{} slices forked across non-contiguous wires",
         stats.forked_slices, stats.total_slices
-    );
+    )?;
     Ok(())
 }

@@ -5,12 +5,35 @@
 //!
 //! Run with: `cargo run --release --example simulate_tester`
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use soctam::flow::{FlowConfig, TestFlow};
 use soctam::sim::{ScanTestSim, TesterSim};
 use soctam::soc::benchmarks;
 use soctam::wrapper::{WrapperDesign, WrapperLayout};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head -1`) ends the
+        // example; it is not an error.
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let soc = benchmarks::d695();
 
     // --- one core, phase by phase ---------------------------------------
@@ -19,50 +42,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = WrapperDesign::design(core, 4)?;
     let trace = ScanTestSim::new(&design).run();
 
-    println!("s5378 on 4 TAM wires:");
-    println!("  analytic test time : {} cycles", design.test_time());
-    println!("  simulated test time: {} cycles", trace.cycles);
+    writeln!(out, "s5378 on 4 TAM wires:")?;
+    writeln!(out, "  analytic test time : {} cycles", design.test_time())?;
+    writeln!(out, "  simulated test time: {} cycles", trace.cycles)?;
     assert_eq!(trace.cycles, design.test_time());
-    println!(
+    writeln!(
+        out,
         "  moved {} stimulus bits in, {} response bits out, {} captures",
         trace.bits_in, trace.bits_out, trace.captures
-    );
+    )?;
 
     // The cell-level wrapper the simulation shifted through:
-    println!();
-    println!("{}", WrapperLayout::build(core, 4)?.render("s5378"));
+    writeln!(out)?;
+    writeln!(out, "{}", WrapperLayout::build(core, 4)?.render("s5378"))?;
 
     // --- the whole SOC on the tester -------------------------------------
     let run = TestFlow::new(&soc, FlowConfig::quick()).run(16)?;
     let image = TesterSim::new(&soc, &run.schedule, &run.wires).run();
 
-    println!("d695 schedule replayed on the tester (W = 16):");
-    println!(
+    writeln!(out, "d695 schedule replayed on the tester (W = 16):")?;
+    writeln!(
+        out,
         "  per-pin vector depth : {} bits (= makespan)",
         image.depth_per_pin
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  total tester memory  : {} bits (analytic V = {})",
         image.total_bits, run.volume
-    );
+    )?;
     assert_eq!(image.total_bits, run.volume);
-    println!(
+    writeln!(
+        out,
         "  payload fraction     : {:.1}% ({} padding bits on idle wires)",
         image.payload_fraction() * 100.0,
         image.padding_bits
-    );
+    )?;
     for d in image.deliveries.iter().take(3) {
-        println!(
+        writeln!(
+            out,
             "  {}: driven {} cycles, needed {} — exact",
             soc.core(d.core).name(),
             d.cycles_driven,
             d.cycles_needed
-        );
+        )?;
         assert_eq!(d.cycles_driven, d.cycles_needed);
     }
-    println!(
+    writeln!(
+        out,
         "  ... (all {} cores delivered exactly)",
         image.deliveries.len()
-    );
+    )?;
     Ok(())
 }
