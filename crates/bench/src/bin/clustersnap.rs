@@ -36,6 +36,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use soctam_bench::write_report;
 use soctam_core::fault::FaultPlan;
 use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value};
 use soctam_server::balance::{Balancer, BalancerConfig};
@@ -333,11 +334,7 @@ fn main() -> Result<(), String> {
     );
     json.push_str("}\n");
 
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: writing `{out_path}`: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    write_report(out_path, &json);
 
     // The CI gates.
     for p in &points {

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use soctam_bench::{headline_config, json_escape};
+use soctam_bench::{headline_config, json_escape, write_report};
 use soctam_core::engine::{Engine, EngineOutput, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, SweepParams, SweepStats, TestFlow};
 use soctam_core::protocol::{check_known_args, flag, opt_value, request_flow};
@@ -344,11 +344,7 @@ fn main() -> Result<(), String> {
     }
     json.push_str("  ]\n}\n");
 
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: writing `{out_path}`: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    write_report(out_path, &json);
 
     if context_compiles > distinct_keys {
         eprintln!(

@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soctam_bench::json_escape;
+use soctam_bench::{json_escape, write_report};
 use soctam_core::fault::FaultPlan;
 use soctam_core::protocol::{check_known_args, flag, opt_num, opt_value, Json};
 use soctam_server::client::{RetryPolicy, RetryingClient};
@@ -331,20 +331,18 @@ fn main() -> Result<(), String> {
     let _ = writeln!(
         json,
         "  \"solution_cache\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \
-         \"evictions\": {}, \"expiries\": {}, \"failures\": {}, \"hit_rate\": {:.4}}},",
+         \"evictions\": {}, \"failures\": {}, \"hit_rate\": {:.4}}},",
         sol.hits,
         sol.misses,
         sol.coalesced,
         sol.evictions,
-        sol.expiries,
         sol.failures,
         sol.hit_rate()
     );
     let _ = writeln!(
         json,
-        "  \"registry\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"expiries\": {}}},",
-        reg.hits, reg.misses, reg.evictions, reg.expiries
+        "  \"registry\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},",
+        reg.hits, reg.misses, reg.evictions
     );
     let _ = writeln!(
         json,
@@ -359,11 +357,7 @@ fn main() -> Result<(), String> {
     );
     json.push_str("}\n");
 
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: writing `{out_path}`: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+    write_report(out_path, &json);
     server.shutdown();
     std::fs::remove_file(&log_path).ok();
 

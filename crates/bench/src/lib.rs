@@ -7,6 +7,7 @@
 //! `opt_num`, and `flag`. A bad command line exits 1 before any work.
 
 use soctam_core::flow::{FlowConfig, ParamSweep};
+use soctam_core::protocol::Json;
 
 /// The flow configuration used for headline table reproductions: the
 /// paper's `(m, d)` best-of search, extended with idle-fill slack values
@@ -35,6 +36,22 @@ pub fn sweep_config() -> FlowConfig {
 /// JSON by hand; the workspace is vendored-only, so no serde). One
 /// implementation for the whole workspace: the shared protocol module's.
 pub use soctam_core::protocol::json_escape;
+
+/// Writes a snapshot bin's JSON report to `path` and prints `wrote
+/// <path>`, once the workspace's strict reader ([`Json::parse`]) has
+/// accepted it. Exits 1 if the report does not parse (nothing is written)
+/// or cannot be written.
+pub fn write_report(path: &str, json: &str) {
+    if let Err(e) = Json::parse(json) {
+        eprintln!("error: not writing `{path}`: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("error: writing `{path}`: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
 
 #[cfg(test)]
 mod tests {

@@ -5,10 +5,10 @@
 //! soctam sweep <soc> [--from A] [--to B] [--power] [--no-preempt] [--alpha X]
 //! soctam bounds <soc> [--widths a,b,c] [--power] [--no-preempt]
 //! soctam batch <requests.txt> [--threads N] [--out FILE]
-//! soctam serve [--addr A] [--threads N] [--cache-cap C] [--ttl SECS]
-//!              [--idle-timeout SECS] [--max-requests N] [--max-line BYTES]
-//!              [--log FILE] [--warm FILE] [--max-pending N]
-//!              [--fault-inject PLAN] [--slow-log MS] [--slow-log-file FILE]
+//! soctam serve [--addr A] [--threads N] [--cache-cap C] [--idle-timeout SECS]
+//!              [--max-requests N] [--max-line BYTES] [--log FILE] [--warm FILE]
+//!              [--max-pending N] [--fault-inject PLAN] [--slow-log MS]
+//!              [--slow-log-file FILE]
 //! soctam balance --backends A1,A2[,...] [--addr A] [--threads N]
 //!              [--probe-interval SECS] [--backend-conns N] [...]
 //! soctam client --addr A [--retries N] [--backoff SECS]
@@ -153,10 +153,10 @@ const USAGE: &str = "usage:
   soctam sweep <soc> [--from A (16)] [--to B (64)] [--power] [--no-preempt] [--alpha X]
   soctam bounds <soc> [--widths a,b,c] [--power] [--no-preempt]
   soctam batch <requests.txt> [--threads N] [--out FILE]
-  soctam serve [--addr A] [--threads N] [--cache-cap C] [--ttl SECS]
-               [--idle-timeout SECS] [--max-requests N] [--max-line BYTES]
-               [--log FILE] [--warm FILE] [--max-pending N] [--fault-inject PLAN]
-               [--slow-log MS] [--slow-log-file FILE]
+  soctam serve [--addr A] [--threads N] [--cache-cap C] [--idle-timeout SECS]
+               [--max-requests N] [--max-line BYTES] [--log FILE] [--warm FILE]
+               [--max-pending N] [--fault-inject PLAN] [--slow-log MS]
+               [--slow-log-file FILE]
   soctam balance --backends A1,A2[,...] [--addr A] [--threads N]
                [--probe-interval SECS] [--probe-timeout SECS] [--retries N]
                [--backoff SECS] [--backend-conns N] [--max-line BYTES]
@@ -412,7 +412,6 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
             "--addr",
             "--threads",
             "--cache-cap",
-            "--ttl",
             "--idle-timeout",
             "--max-requests",
             "--max-line",
@@ -428,15 +427,9 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let addr = opt_value(args, "--addr")?.unwrap_or("127.0.0.1:3777");
     let threads = opt_num(args, "--threads")?.unwrap_or(4);
     let cache_capacity = opt_num(args, "--cache-cap")?.unwrap_or(1024);
-    let ttl = match opt_seconds(args, "--ttl")? {
-        Some(None) => return Err("--ttl must be a positive number of seconds".into()),
-        Some(some) => some,
-        None => None,
-    };
     let mut cfg = ServerConfig {
         threads,
         cache_capacity,
-        ttl,
         ..ServerConfig::default()
     };
     if let Some(idle) = opt_seconds(args, "--idle-timeout")? {
@@ -490,12 +483,11 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     }
     writeln!(
         out,
-        "soctam-server listening on {} ({} workers, solution cache capacity {}, ttl {}, \
+        "soctam-server listening on {} ({} workers, solution cache capacity {}, \
          idle timeout {}, pending queue {})",
         server.local_addr(),
         threads.max(1),
         cache_capacity,
-        ttl.map_or("none".to_owned(), |t| format!("{}s", t.as_secs_f64())),
         idle_timeout.map_or("none".to_owned(), |t| format!("{}s", t.as_secs_f64())),
         max_pending,
     )?;
@@ -1003,7 +995,11 @@ mod tests {
     #[test]
     fn serve_rejects_bad_argv() {
         assert!(run(&argv(&["serve", "--threads", "zero?"])).is_err());
-        assert!(run(&argv(&["serve", "--ttl", "-3"])).is_err());
+        assert!(run(&argv(&["serve", "--idle-timeout", "-3"])).is_err());
+        // Nothing expires, so `--ttl` is not an option. The invalid port
+        // fails before any bind, so an argv that parsed would fail there.
+        let err = run(&argv(&["serve", "--ttl", "5", "--addr", "127.0.0.1:99999"])).unwrap_err();
+        assert!(err.contains("unknown argument `--ttl`"), "{err}");
         assert!(run(&argv(&["serve", "--cache-cap", "lots"])).is_err());
         assert!(run(&argv(&["serve", "--addres", "127.0.0.1:0"])).is_err());
         assert!(run(&argv(&["serve", "--max-pending", "0"])).is_err());

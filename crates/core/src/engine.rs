@@ -300,18 +300,23 @@ impl Engine {
     /// registry key plus width, mode, and grid) return the cached result
     /// without invoking the solver, and concurrent identical requests
     /// coalesce onto one solve. `capacity` bounds resident results (0
-    /// disables caching entirely); `ttl`, when set, bounds result
-    /// staleness — expired results are lazily evicted and re-solved.
+    /// disables caching entirely); nothing expires, since a result is a
+    /// function of its key.
     ///
     /// Cached or not, responses are bit-identical: the cache key covers
     /// every result-relevant request field, and the equivalence suites pin
     /// warm responses against direct solves.
+    ///
+    /// # Panics
+    ///
+    /// If `ttl` is `Some`. The parameter must be `None` and is kept only
+    /// because `perfbench` still passes it.
     pub fn with_solution_cache(mut self, capacity: usize, ttl: Option<Duration>) -> Self {
+        assert!(ttl.is_none(), "cached results never expire");
         self.solutions = (capacity > 0).then(|| {
             Arc::new(SolutionCache::new(
                 SolutionCache::<SolutionKey, EngineOutput, ScheduleError>::DEFAULT_SHARDS,
                 capacity,
-                ttl,
             ))
         });
         self
@@ -355,21 +360,6 @@ impl Engine {
     /// is disabled).
     pub fn solutions_len(&self) -> usize {
         self.solutions.as_ref().map_or(0, |c| c.len())
-    }
-
-    /// Total solution-cache capacity (0 when result caching is disabled).
-    pub fn solutions_capacity(&self) -> usize {
-        self.solutions.as_ref().map_or(0, |c| c.capacity())
-    }
-
-    /// Sweeps both caches for TTL-expired entries, returning
-    /// `(contexts dropped, solutions dropped)`. A long-lived daemon calls
-    /// this periodically so cold keys don't outstay their TTL.
-    pub fn purge_expired(&self) -> (usize, usize) {
-        (
-            self.registry.purge_expired(),
-            self.solutions.as_ref().map_or(0, |c| c.purge_expired()),
-        )
     }
 
     /// Serves a batch: results are returned in request order and are
@@ -736,36 +726,9 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_solutions_and_contexts() {
-        let ttl = std::time::Duration::from_millis(40);
-        let registry = Arc::new(ContextRegistry::default().with_ttl(ttl));
-        let engine = Engine::with_registry(registry).with_solution_cache(16, Some(ttl));
-        let d695 = Arc::new(benchmarks::d695());
-        let req = EngineRequest::bounds(Arc::clone(&d695), quick(), vec![16, 32]);
-        let cold = engine.serve_one(&req).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        let reheated = engine.serve_one(&req).unwrap();
-        assert_same_output(&cold, &reheated);
-        let stats = engine.solution_stats().unwrap();
-        assert_eq!(stats.expiries, 1, "the solution expired and re-solved");
-        assert_eq!(stats.misses, 2);
-        assert_eq!(
-            engine.registry().stats().expiries,
-            1,
-            "the context expired and recompiled"
-        );
-        // purge_expired sweeps both tiers once the fresh entries age out.
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        assert_eq!(engine.purge_expired(), (1, 1));
-        assert_eq!(engine.solutions_len(), 0);
-        assert!(engine.registry().is_empty());
-    }
-
-    #[test]
     fn zero_capacity_disables_the_cache() {
         let engine = Engine::new().with_solution_cache(0, None);
         assert!(engine.solution_stats().is_none());
-        assert_eq!(engine.solutions_capacity(), 0);
         let d695 = Arc::new(benchmarks::d695());
         let req = EngineRequest::bounds(d695, quick(), vec![16]);
         assert!(engine.serve_one(&req).is_ok());

@@ -1,15 +1,20 @@
 //! Equivalence suite for the sweep-scale optimizations: shared rectangle
 //! menus, run deduplication, the bound cutoff, and concurrent
 //! registry/engine serving must all be bit-identical to the naive
-//! sequential rebuild-per-run sweep.
+//! sequential rebuild-per-run sweep, and so must the served path from
+//! request line to rendered response, cached or not.
 
 use std::sync::Arc;
 
-use soctam_core::engine::{Engine, EngineOutput, EngineRequest};
+use proptest::prelude::*;
+use soctam_core::engine::{Engine, EngineOp, EngineOutput, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, PowerPolicy, TestFlow};
+use soctam_core::protocol::{self, Json};
+use soctam_core::schedule::bounds::{lower_bound, lower_bounds};
 use soctam_core::schedule::{
     ContextRegistry, Schedule, ScheduleBuilder, SchedulerConfig, TamWidth,
 };
+use soctam_core::soc::synth::SynthConfig;
 use soctam_core::soc::{benchmarks, Soc};
 
 fn quick_flow() -> FlowConfig {
@@ -20,7 +25,8 @@ fn quick_flow() -> FlowConfig {
 }
 
 /// The pre-optimization sweep, verbatim: sequential grid order (slack,
-/// then m, then d), no menu sharing, no dedup, strict-`<` winner rule.
+/// then m, then d), no menu sharing, no dedup, strict-`<` winner rule,
+/// under the ceiling the flow's power policy resolves to.
 fn reference_best_schedule(
     soc: &Soc,
     cfg: &FlowConfig,
@@ -34,6 +40,7 @@ fn reference_best_schedule(
                 scfg.w_max = cfg.w_max;
                 scfg.idle_fill_slack = slack;
                 scfg.allow_preemption = cfg.allow_preemption;
+                scfg.p_max = cfg.power.resolve(soc);
                 let s = ScheduleBuilder::new(soc, scfg).run().expect("schedulable");
                 if best
                     .as_ref()
@@ -86,7 +93,6 @@ fn cached_menus_match_rebuild_per_run_p93791() {
 
 #[test]
 fn context_bounds_match_free_functions_on_all_benchmarks() {
-    use soctam_core::schedule::bounds::{lower_bound, lower_bounds};
     use soctam_core::schedule::CompiledSoc;
     for name in benchmarks::NAMES {
         let soc = benchmarks::by_name(name).expect("known benchmark");
@@ -235,4 +241,128 @@ fn eviction_cannot_change_results_only_costs() {
         "capacity-1 registry must actually thrash on 6 distinct keys"
     );
     assert_eq!(tiny.registry().len(), 1);
+}
+
+/// The numbers a served response to `op` must carry, computed point by
+/// point from the SOC and the flow alone: `reference_best_schedule` at
+/// each width and the free lower-bound functions.
+fn reference_numbers(soc: &Soc, flow: &FlowConfig, op: &EngineOp) -> Vec<u64> {
+    let best = |w: TamWidth| reference_best_schedule(soc, flow, w);
+    match op {
+        EngineOp::Schedule { width } => {
+            let (schedule, (m, d, slack)) = best(*width);
+            let time = schedule.makespan();
+            vec![
+                time,
+                lower_bound(soc, *width, flow.w_max),
+                u64::from(*width) * time,
+                u64::from(m),
+                u64::from(d),
+                u64::from(slack),
+            ]
+        }
+        EngineOp::Sweep { widths } => widths
+            .iter()
+            .flat_map(|&w| {
+                let time = best(w).0.makespan();
+                [
+                    u64::from(w),
+                    time,
+                    u64::from(w) * time,
+                    lower_bound(soc, w, flow.w_max),
+                ]
+            })
+            .collect(),
+        EngineOp::Bounds { widths } => lower_bounds(soc, widths, flow.w_max),
+    }
+}
+
+/// The numbers of one rendered `"ok": true` response, in the order
+/// `reference_numbers` lists them.
+fn served_numbers(response: &Json<'_>) -> Vec<u64> {
+    let num = |v: &Json<'_>, key: &str| v[key].as_u64().unwrap_or_else(|| panic!("`{key}`"));
+    if let Some(points) = response["points"].as_array() {
+        points
+            .iter()
+            .flat_map(|p| ["width", "time", "volume", "lower_bound"].map(|k| num(p, k)))
+            .collect()
+    } else if let Some(bounds) = response["bounds"].as_array() {
+        bounds
+            .iter()
+            .map(|b| b.as_u64().expect("a bound"))
+            .collect()
+    } else {
+        ["makespan", "lower_bound", "volume", "m", "d", "slack"]
+            .iter()
+            .map(|k| num(response, k))
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A `schedule`, a three-width `sweep` and a `bounds` line over a
+    /// synthetic SOC with many BIST cores, parsed by the request grammar
+    /// and served on a solution cache's miss, on its hit, and by an engine
+    /// without one, render the same strict-JSON line, and its numbers are
+    /// the naive per-point reference's.
+    #[test]
+    fn served_requests_on_synthetic_socs_match_the_reference(
+        cores in 4usize..14,
+        seed in 0u64..1_000_000,
+        width in 4u16..48,
+        power in proptest::bool::ANY,
+        no_preempt in proptest::bool::ANY,
+    ) {
+        let mut synth = SynthConfig::new(cores).with_constraints().with_preemption(2);
+        synth.bist_prob = 0.6;
+        let soc = Arc::new(synth.generate(seed));
+        let mut resolver = |_: &str| Ok(Arc::clone(&soc));
+        let mut flow = quick_flow();
+        let mut flags = String::new();
+        if power {
+            flow = flow.with_power(PowerPolicy::MaxCorePower);
+            flags.push_str(" --power");
+        }
+        if no_preempt {
+            flow = flow.without_preemption();
+            flags.push_str(" --no-preempt");
+        }
+        let (name, widths) = (soc.name(), vec![width, width + 1, width + 2]);
+        let cases = [
+            (
+                format!("schedule {name} --width {width}{flags}"),
+                EngineOp::Schedule { width },
+            ),
+            (
+                format!("sweep {name} --from {width} --to {}{flags}", width + 2),
+                EngineOp::Sweep { widths: widths.clone() },
+            ),
+            (
+                format!("bounds {name} --widths {width},{},{}{flags}", width + 1, width + 2),
+                EngineOp::Bounds { widths },
+            ),
+        ];
+
+        let cached = Engine::new().with_solution_cache(16, None);
+        for (line, op) in &cases {
+            let req = protocol::parse_request(line, &mut resolver).expect("parses");
+            let miss = protocol::render_result(&req, &cached.serve_one(&req));
+            let hit = protocol::render_result(&req, &cached.serve_one(&req));
+            let fresh = protocol::render_result(&req, &Engine::new().serve_one(&req));
+            prop_assert_eq!(&miss, &hit);
+            prop_assert_eq!(&miss, &fresh);
+            let response = Json::parse(&miss).unwrap_or_else(|e| panic!("{e}: {miss}"));
+            prop_assert_eq!(&response["ok"], &Json::Bool(true), "{}", miss);
+            prop_assert_eq!(
+                served_numbers(&response),
+                reference_numbers(&soc, &flow, op),
+                "{}",
+                line
+            );
+        }
+        let stats = cached.solution_stats().expect("cache enabled");
+        prop_assert_eq!((stats.misses, stats.hits), (3, 3));
+    }
 }

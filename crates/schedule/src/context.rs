@@ -117,11 +117,6 @@ impl CompiledSoc {
         &self.soc
     }
 
-    /// Shared handle on the owned SOC model; cloning it is refcount-cheap.
-    pub fn soc_arc(&self) -> &Arc<Soc> {
-        &self.soc
-    }
-
     /// The per-core width cap the context was compiled for.
     pub fn w_max(&self) -> TamWidth {
         self.w_max
@@ -206,7 +201,7 @@ mod tests {
     fn compile_arc_shares_the_model() {
         let soc = Arc::new(benchmarks::d695());
         let ctx = CompiledSoc::compile_arc(Arc::clone(&soc), 64);
-        assert!(Arc::ptr_eq(ctx.soc_arc(), &soc));
+        assert!(std::ptr::eq(ctx.soc(), Arc::as_ptr(&soc)));
         assert_eq!(ctx.soc(), &*soc);
     }
 

@@ -52,9 +52,9 @@
 //! ([`CompiledSoc::effective_cap`]).
 //!
 //! One tier above the registry, a second [`SolutionCache`] memoizes whole
-//! solved *results* (sharded, LRU+TTL-bounded, with in-flight request
-//! coalescing), so a repeat request skips the solver entirely. Both take
-//! an optional TTL ([`ContextRegistry::with_ttl`]) for long-lived daemons.
+//! solved *results* (sharded, LRU-bounded, with in-flight request
+//! coalescing), so a repeat request skips the solver entirely. Nothing in
+//! either expires: a cached value is a function of its key.
 //!
 //! # Example
 //!

@@ -104,10 +104,6 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    fn depth(&self) -> usize {
-        1 + self.children.iter().map(SpanNode::depth).max().unwrap_or(0)
-    }
-
     fn json_into(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -159,16 +155,6 @@ pub struct TraceTree {
 }
 
 impl TraceTree {
-    /// An empty tree (no spans, zero total) — what layers that never
-    /// armed a recorder report.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            total_micros: 0,
-            spans: Vec::new(),
-        }
-    }
-
     /// Exclusive (self-time) microseconds per phase, in [`Phase::ALL`]
     /// order. Because each span's children are subtracted from it, the
     /// phase totals sum to at most [`TraceTree::total_micros`]'s wall
@@ -193,12 +179,6 @@ impl TraceTree {
             .iter()
             .find(|(p, _)| *p == phase)
             .map_or(0, |(_, micros)| *micros)
-    }
-
-    /// Deepest nesting among the recorded spans (0 for an empty tree).
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.spans.iter().map(SpanNode::depth).max().unwrap_or(0)
     }
 
     /// The span forest as a JSON array of
@@ -523,7 +503,6 @@ mod tests {
         );
         assert_eq!(tree.spans[1].phase, Phase::Render);
         assert!(tree.spans[1].children.is_empty());
-        assert_eq!(tree.max_depth(), 2);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! # Caching
 //!
-//! The registry is a typed key over a [`SolutionCache`]: sharding, LRU and
-//! TTL bounds, in-flight coalescing (concurrent same-key requests wait on
+//! The registry is a typed key over a [`SolutionCache`]: sharding, the LRU
+//! bound, in-flight coalescing (concurrent same-key requests wait on
 //! one compile), and panic teardown are the cache's. Hits, misses, and
 //! evictions are counted on the registry ([`ContextRegistry::stats`]);
 //! whole-process compile counts are in
@@ -33,7 +33,6 @@
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Duration;
 
 use soctam_soc::Soc;
 use soctam_wrapper::TamWidth;
@@ -109,9 +108,6 @@ pub struct RegistryStats {
     pub misses: u64,
     /// Entries dropped by the bounded-size LRU policy.
     pub evictions: u64,
-    /// Entries dropped because their TTL elapsed (see
-    /// [`ContextRegistry::with_ttl`]).
-    pub expiries: u64,
     /// Compiles that panicked (caught, torn down, and re-raised in the
     /// panicking thread; waiting requests retried instead of hanging).
     pub panics: u64,
@@ -164,25 +160,8 @@ impl ContextRegistry {
     /// least 1.
     pub fn new(shards: usize, capacity: usize) -> Self {
         Self {
-            cache: SolutionCache::new(shards, capacity, None),
+            cache: SolutionCache::new(shards, capacity),
         }
-    }
-
-    /// Bounds entry *lifetime* in addition to entry count: a context older
-    /// than `ttl` is evicted lazily on the next request for its key (which
-    /// then recompiles) or in bulk by [`ContextRegistry::purge_expired`].
-    /// Long-lived daemons use this so a cached compilation for an SOC that
-    /// stopped receiving traffic does not stay resident forever.
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.cache.set_ttl(Some(ttl));
-        self
-    }
-
-    /// Drops every cached context whose TTL has elapsed (compiles still in
-    /// flight are spared), returning how many were dropped. Expiries are
-    /// counted in [`ContextRegistry::stats`].
-    pub fn purge_expired(&self) -> usize {
-        self.cache.purge_expired()
     }
 
     /// The context for `(soc, w_max, power_budget)`: served from the cache
@@ -260,7 +239,6 @@ impl ContextRegistry {
             hits: s.hits + s.coalesced,
             misses: s.misses,
             evictions: s.evictions,
-            expiries: s.expiries,
             panics: s.panics,
         }
     }
@@ -455,41 +433,6 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(RegistryStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn ttl_expires_contexts_lazily_and_in_bulk() {
-        let reg = ContextRegistry::new(1, 4).with_ttl(std::time::Duration::from_millis(40));
-        let soc = Arc::new(benchmarks::d695());
-        let fresh = reg.get_or_compile(&soc, 8, None);
-        assert!(reg.peek(&soc, 8, None).is_some(), "fresh context servable");
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        assert!(
-            reg.peek(&soc, 8, None).is_none(),
-            "expired context not servable"
-        );
-        // Lazy eviction on access recompiles into a new context.
-        let recompiled = reg.get_or_compile(&soc, 8, None);
-        assert!(!Arc::ptr_eq(&fresh, &recompiled));
-        let stats = reg.stats();
-        assert_eq!(stats.expiries, 1);
-        assert_eq!(stats.misses, 2, "the expired key recompiled");
-        assert_eq!(stats.hits, 0);
-        // Bulk purge drops the recompiled context once it too expires.
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        assert_eq!(reg.purge_expired(), 1);
-        assert!(reg.is_empty());
-        assert_eq!(reg.stats().expiries, 2);
-    }
-
-    #[test]
-    fn no_ttl_means_no_expiry() {
-        let reg = ContextRegistry::new(1, 4);
-        let soc = Arc::new(benchmarks::d695());
-        reg.get_or_compile(&soc, 8, None);
-        assert_eq!(reg.purge_expired(), 0);
-        assert!(reg.peek(&soc, 8, None).is_some());
-        assert_eq!(reg.stats().expiries, 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A sharded, bounded, TTL-aware cache with in-flight coalescing.
+//! A sharded, bounded cache with in-flight coalescing.
 //!
 //! [`SolutionCache`] is the crate's one cache. A serving tier memoizes
 //! whole request *outcomes* in it, keyed by whatever identifies a request
@@ -44,18 +44,16 @@
 //!
 //! Entry *count* is bounded per shard with LRU eviction that never picks
 //! an in-flight entry; a shard whose slots are all in flight admits one
-//! more and gives the room back when a solve completes. Entry *lifetime*
-//! is optionally bounded by a TTL: every insertion is stamped with a
-//! deadline, expired entries are evicted lazily on access, and
-//! [`SolutionCache::purge_expired`] sweeps the whole cache for long-lived
-//! daemons that want bounded staleness even on cold keys.
+//! more and gives the room back when a solve completes. Nothing expires:
+//! a cached value is a function of its key, so it cannot go stale, and
+//! the capacity is the cache's only bound.
 //!
 //! # Example
 //!
 //! ```
 //! use soctam_schedule::SolutionCache;
 //!
-//! let cache: SolutionCache<u32, u64, String> = SolutionCache::new(4, 64, None);
+//! let cache: SolutionCache<u32, u64, String> = SolutionCache::new(4, 64);
 //! let a = cache.get_or_compute(7, || Ok(7 * 7)).unwrap();
 //! let b = cache.get_or_compute(7, || panic!("never re-solved")).unwrap();
 //! assert_eq!((a, b), (49, 49));
@@ -69,33 +67,8 @@ use std::hash::{BuildHasher, Hash};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use crate::sync::{lock_unpoisoned, panic_message};
-
-/// How long a cache entry stays servable after insertion. `None` means
-/// entries never expire (the default).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TtlPolicy {
-    ttl: Option<Duration>,
-}
-
-impl TtlPolicy {
-    fn new(ttl: Option<Duration>) -> Self {
-        Self { ttl }
-    }
-
-    /// The deadline a fresh entry inserted *now* carries.
-    fn deadline(&self) -> Option<Instant> {
-        self.ttl.map(|ttl| Instant::now() + ttl)
-    }
-
-    /// Whether an entry stamped with `deadline` is expired at `now`.
-    /// Entries without a deadline never expire.
-    fn expired(deadline: Option<Instant>, now: Instant) -> bool {
-        deadline.is_some_and(|d| now >= d)
-    }
-}
 
 /// What a rendezvous cell ends up holding: the solve's result, or the
 /// rendered payload of the panic that killed it. Publishing the panic
@@ -112,7 +85,6 @@ enum SlotOutcome<V, E> {
 struct Slot<V, E> {
     cell: Arc<OnceLock<SlotOutcome<V, E>>>,
     last_used: u64,
-    deadline: Option<Instant>,
 }
 
 /// How one [`SolutionCache::get_or_compute_traced`] request was disposed
@@ -155,8 +127,6 @@ pub struct SolutionCacheStats {
     pub coalesced: u64,
     /// Entries dropped by the bounded-size LRU policy.
     pub evictions: u64,
-    /// Entries dropped because their TTL elapsed.
-    pub expiries: u64,
     /// Solves that returned an error (the entry is removed, not cached).
     pub failures: u64,
     /// Solves that panicked (caught, torn down, and re-raised in the
@@ -178,21 +148,19 @@ impl SolutionCacheStats {
     }
 }
 
-/// Sharded, LRU+TTL-bounded, thread-safe cache of solved results with
+/// Sharded, LRU-bounded, thread-safe cache of solved results with
 /// in-flight request coalescing: concurrent same-key requests wait on one
 /// solve, errors are not cached, and a panicking solve is torn down
 /// without poisoning a shard.
 pub struct SolutionCache<K, V, E> {
     shards: Vec<Mutex<HashMap<K, Slot<V, E>>>>,
     per_shard_capacity: usize,
-    ttl: TtlPolicy,
     hasher: RandomState,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
     evictions: AtomicU64,
-    expiries: AtomicU64,
     failures: AtomicU64,
     panics: AtomicU64,
 }
@@ -209,29 +177,22 @@ where
     /// Creates a cache with `shards` independently locked shards, room for
     /// `capacity` results in total (each shard holds at most
     /// `capacity / shards`, minimum one; both arguments clamp to at least
-    /// 1), and an optional entry TTL.
-    pub fn new(shards: usize, capacity: usize, ttl: Option<Duration>) -> Self {
+    /// 1).
+    pub fn new(shards: usize, capacity: usize) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.max(1).div_ceil(shards).max(1);
         Self {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_capacity,
-            ttl: TtlPolicy::new(ttl),
             hasher: RandomState::new(),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expiries: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the entry TTL for later insertions (`None`: never expire).
-    pub(crate) fn set_ttl(&mut self, ttl: Option<Duration>) {
-        self.ttl = TtlPolicy::new(ttl);
     }
 
     /// The cached result for `key`, solving (and caching) via `solve` on a
@@ -272,25 +233,14 @@ where
             let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
             let (cell, lookup) = {
                 let mut map = lock_unpoisoned(shard);
-                // An entry past its deadline is dead even if resident;
-                // treat the access as a miss. In-flight entries (cell not
-                // yet set) are never expired out from under their solver —
-                // the deadline clock starts at insertion but a slow first
-                // solve still coalesces correctly. An entry whose solve
-                // panicked is dead too: its publisher tears it down, but a
-                // racing probe may see it first and must not serve it.
+                // An entry whose solve panicked is dead: its publisher
+                // tears it down, but a racing probe may see it first and
+                // must not serve it; treat the access as a miss.
                 let mut resident = None;
                 if let Some(slot) = map.get_mut(&key) {
                     let completed = slot.cell.get();
-                    let panicked = matches!(completed, Some(SlotOutcome::Panicked(_)));
-                    if panicked
-                        || (completed.is_some()
-                            && TtlPolicy::expired(slot.deadline, Instant::now()))
-                    {
+                    if matches!(completed, Some(SlotOutcome::Panicked(_))) {
                         map.remove(&key);
-                        if !panicked {
-                            self.expiries.fetch_add(1, Ordering::Relaxed);
-                        }
                     } else {
                         slot.last_used = stamp;
                         let lookup = if completed.is_some() {
@@ -319,7 +269,6 @@ where
                             Slot {
                                 cell: Arc::clone(&cell),
                                 last_used: stamp,
-                                deadline: self.ttl.deadline(),
                             },
                         );
                         (cell, CacheLookup::Miss)
@@ -392,41 +341,18 @@ where
         }
     }
 
-    /// Only returns a completed, unexpired cached result; never solves,
-    /// never blocks on an in-flight solve, counts neither hit nor miss.
+    /// Only returns a completed cached result; never solves, never blocks
+    /// on an in-flight solve, counts neither hit nor miss.
     pub fn peek(&self, key: &K) -> Option<V> {
-        let now = Instant::now();
         let map = lock_unpoisoned(&self.shards[self.shard_of(key)]);
-        let slot = map.get(key)?;
-        if TtlPolicy::expired(slot.deadline, now) {
-            return None;
-        }
-        match slot.cell.get()? {
+        match map.get(key)?.cell.get()? {
             SlotOutcome::Done(r) => r.as_ref().ok().cloned(),
             SlotOutcome::Panicked(_) => None,
         }
     }
 
-    /// Drops every entry whose TTL has elapsed (in-flight solves are
-    /// spared), returning how many were dropped. Expiries are counted in
-    /// [`SolutionCache::stats`].
-    pub fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut map = lock_unpoisoned(shard);
-            let before = map.len();
-            map.retain(|_, slot| {
-                slot.cell.get().is_none() || !TtlPolicy::expired(slot.deadline, now)
-            });
-            dropped += before - map.len();
-        }
-        self.expiries.fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
-    }
-
-    /// Number of results currently resident (including expired entries not
-    /// yet lazily evicted and solves still in flight).
+    /// Number of results currently resident (including solves still in
+    /// flight).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
     }
@@ -455,7 +381,6 @@ where
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            expiries: self.expiries.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
         }
@@ -490,7 +415,6 @@ impl<K, V, E> std::fmt::Debug for SolutionCache<K, V, E> {
         f.debug_struct("SolutionCache")
             .field("shards", &self.shards.len())
             .field("per_shard_capacity", &self.per_shard_capacity)
-            .field("ttl", &self.ttl)
             .finish_non_exhaustive()
     }
 }
@@ -500,12 +424,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     type Cache = SolutionCache<u32, u64, String>;
 
     #[test]
     fn repeat_requests_solve_once() {
-        let cache = Cache::new(4, 16, None);
+        let cache = Cache::new(4, 16);
         let solves = AtomicUsize::new(0);
         for _ in 0..5 {
             let got = cache
@@ -525,7 +450,7 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_coalesce_onto_one_solve() {
         const THREADS: usize = 8;
-        let cache = Cache::new(1, 16, None);
+        let cache = Cache::new(1, 16);
         let solves = AtomicUsize::new(0);
         let barrier = Barrier::new(THREADS);
         std::thread::scope(|scope| {
@@ -562,7 +487,7 @@ mod tests {
 
     #[test]
     fn errors_are_returned_but_not_cached() {
-        let cache = Cache::new(2, 8, None);
+        let cache = Cache::new(2, 8);
         let solves = AtomicUsize::new(0);
         let err = cache.get_or_compute(5, || {
             solves.fetch_add(1, Ordering::Relaxed);
@@ -583,7 +508,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_drops_the_coldest_entry() {
-        let cache = Cache::new(1, 2, None);
+        let cache = Cache::new(1, 2);
         cache.get_or_compute(1, || Ok(10)).unwrap(); // stamp 0
         cache.get_or_compute(2, || Ok(20)).unwrap(); // stamp 1
         cache.get_or_compute(1, || Ok(10)).unwrap(); // touch 1 → stamp 2
@@ -601,7 +526,7 @@ mod tests {
         // for key 2 is at capacity and must over-admit rather than evict
         // the in-flight slot — evicting it would discard the solve in
         // progress and break same-key coalescing under capacity pressure.
-        let cache = Cache::new(1, 1, None);
+        let cache = Cache::new(1, 1);
         let solves_of_1 = AtomicUsize::new(0);
         // Two rendezvous points with the in-flight solver: `entered` proves
         // the solve is in flight before the pressure request runs;
@@ -657,7 +582,7 @@ mod tests {
         // with the cell unset — waiters blocked on it were stuck forever
         // (or killed by `Once` poisoning).
         const WAITERS: usize = 4;
-        let cache = Cache::new(1, 16, None);
+        let cache = Cache::new(1, 16);
         let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|scope| {
@@ -693,7 +618,7 @@ mod tests {
 
     #[test]
     fn panicked_entry_is_removed_and_next_request_resolves() {
-        let cache = Cache::new(2, 8, None);
+        let cache = Cache::new(2, 8);
         let died = std::panic::catch_unwind(AssertUnwindSafe(|| {
             cache.get_or_compute(5, || -> Result<u64, String> { panic!("boom") })
         }));
@@ -706,7 +631,7 @@ mod tests {
 
     #[test]
     fn traced_lookups_label_every_disposition() {
-        let cache = Cache::new(1, 4, None);
+        let cache = Cache::new(1, 4);
         let (_, first) = cache.get_or_compute_traced(1, || Ok(10));
         let (_, second) = cache.get_or_compute_traced(1, || Ok(10));
         assert_eq!(first, CacheLookup::Miss);
@@ -717,42 +642,8 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_lazily_and_in_bulk() {
-        let cache = Cache::new(2, 8, Some(Duration::from_millis(40)));
-        cache.get_or_compute(1, || Ok(10)).unwrap();
-        cache.get_or_compute(2, || Ok(20)).unwrap();
-        assert_eq!(cache.peek(&1), Some(10), "fresh entry servable");
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(cache.peek(&1), None, "expired entry not servable");
-        // Lazy eviction on access re-solves.
-        let solves = AtomicUsize::new(0);
-        cache
-            .get_or_compute(1, || {
-                solves.fetch_add(1, Ordering::Relaxed);
-                Ok(11)
-            })
-            .unwrap();
-        assert_eq!(solves.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.stats().expiries, 1);
-        // Bulk purge drops the remaining expired entry but keeps the
-        // freshly re-solved one.
-        assert_eq!(cache.purge_expired(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().expiries, 2);
-        assert_eq!(cache.peek(&1), Some(11));
-    }
-
-    #[test]
-    fn no_ttl_means_no_expiry() {
-        let cache = Cache::new(1, 4, None);
-        cache.get_or_compute(1, || Ok(10)).unwrap();
-        assert_eq!(cache.purge_expired(), 0);
-        assert_eq!(cache.peek(&1), Some(10));
-    }
-
-    #[test]
     fn clear_and_capacity() {
-        let cache = Cache::new(0, 0, None);
+        let cache = Cache::new(0, 0);
         assert_eq!(cache.capacity(), 1);
         cache.get_or_compute(1, || Ok(1)).unwrap();
         cache.get_or_compute(2, || Ok(2)).unwrap();
@@ -776,27 +667,8 @@ mod tests {
     }
 
     #[test]
-    fn no_ttl_never_expires() {
-        let policy = TtlPolicy::new(None);
-        assert_eq!(policy.deadline(), None);
-        assert!(!TtlPolicy::expired(None, Instant::now()));
-    }
-
-    #[test]
-    fn deadline_expires_after_the_ttl() {
-        let policy = TtlPolicy::new(Some(Duration::from_millis(1)));
-        let deadline = policy.deadline();
-        assert!(deadline.is_some());
-        assert!(!TtlPolicy::expired(deadline, Instant::now()));
-        assert!(TtlPolicy::expired(
-            deadline,
-            Instant::now() + Duration::from_millis(5)
-        ));
-    }
-
-    #[test]
     fn cache_is_send_sync_static() {
         fn takes<T: Send + Sync + 'static>(_: &T) {}
-        takes(&Cache::new(2, 8, None));
+        takes(&Cache::new(2, 8));
     }
 }

@@ -170,9 +170,9 @@
 //! budget, operation, scheduling mode, parameter grid)` — the
 //! [`soctam_core::schedule::ContextRegistry`] key plus width, mode, and grid —
 //! so a repeat request returns without invoking the solver, and
-//! concurrent identical requests coalesce onto one solve. An optional TTL
-//! bounds the staleness of both cached solutions and compiled contexts
-//! ([`soctam_core::schedule::ContextRegistry::with_ttl`]).
+//! concurrent identical requests coalesce onto one solve. Nothing cached
+//! expires: a solution or a compiled context is a function of its key, and
+//! each cache is bounded by its LRU capacity alone.
 //!
 //! # Example
 //!
@@ -223,9 +223,6 @@ pub struct ServerConfig {
     /// Total solution-cache capacity in results; 0 disables result
     /// caching (every request re-solves).
     pub cache_capacity: usize,
-    /// Optional time-to-live applied to both cached solutions and
-    /// compiled contexts; `None` means entries never expire.
-    pub ttl: Option<Duration>,
     /// Per-connection read/write deadline (`set_read_timeout` /
     /// `set_write_timeout`): a peer idle (or unwriteable) for this long is
     /// reaped, freeing its pool worker. `None` trusts peers to hang up —
@@ -262,14 +259,13 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Four workers, a 1024-result cache, no expiry; 30-second peer
+    /// Four workers, a 1024-result cache; 30-second peer
     /// deadlines, unlimited requests per connection, 64 KiB line cap, no
     /// log; a 64-connection pending queue, no fault injection.
     fn default() -> Self {
         Self {
             threads: 4,
             cache_capacity: 1024,
-            ttl: None,
             idle_timeout: Some(Duration::from_secs(30)),
             max_requests: None,
             max_line_bytes: 64 * 1024,
@@ -547,12 +543,8 @@ impl Server {
         cfg.max_line_bytes = cfg.max_line_bytes.max(64);
         cfg.max_pending = cfg.max_pending.max(1);
 
-        let mut registry = ContextRegistry::default();
-        if let Some(ttl) = cfg.ttl {
-            registry = registry.with_ttl(ttl);
-        }
-        let mut engine = Engine::with_registry(Arc::new(registry))
-            .with_solution_cache(cfg.cache_capacity, cfg.ttl);
+        let mut engine = Engine::with_registry(Arc::new(ContextRegistry::default()))
+            .with_solution_cache(cfg.cache_capacity, None);
         if let Some(plan) = &cfg.fault_plan {
             engine = engine.with_fault_plan(Arc::clone(plan));
         }
@@ -874,7 +866,6 @@ fn metrics_text(shared: &Shared) -> String {
         ("soctam_solution_cache_misses_total", sol.misses),
         ("soctam_solution_cache_coalesced_total", sol.coalesced),
         ("soctam_solution_cache_evictions_total", sol.evictions),
-        ("soctam_solution_cache_expiries_total", sol.expiries),
         ("soctam_solution_cache_failures_total", sol.failures),
         (
             "soctam_solution_cache_resident",
@@ -883,7 +874,6 @@ fn metrics_text(shared: &Shared) -> String {
         ("soctam_context_registry_hits_total", reg.hits),
         ("soctam_context_registry_misses_total", reg.misses),
         ("soctam_context_registry_evictions_total", reg.evictions),
-        ("soctam_context_registry_expiries_total", reg.expiries),
         ("soctam_context_registry_resident", registry.len() as u64),
         (
             "soctam_process_schedule_runs_total",

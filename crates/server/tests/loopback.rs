@@ -111,42 +111,6 @@ fn warm_cache_pass_performs_zero_solver_invocations() {
 }
 
 #[test]
-fn ttl_expiry_evicts_solutions_and_contexts() {
-    let _guard = serialize();
-    let server = server(ServerConfig {
-        ttl: Some(Duration::from_millis(150)),
-        ..ServerConfig::default()
-    });
-    let addr = server.local_addr();
-    let request = ["bounds d695 --widths 16,32"];
-
-    let cold = client::roundtrip(addr, &request).expect("cold pass");
-    let warm = client::roundtrip(addr, &request).expect("warm pass");
-    assert_eq!(server.engine().solution_stats().unwrap().hits, 1);
-
-    std::thread::sleep(Duration::from_millis(450));
-    let reheated = client::roundtrip(addr, &request).expect("post-expiry pass");
-    assert_eq!(cold, warm);
-    assert_eq!(cold, reheated, "expiry changes freshness, not results");
-
-    let stats = server.engine().solution_stats().unwrap();
-    assert_eq!(stats.expiries, 1, "the cached solution expired");
-    assert_eq!(stats.misses, 2, "the post-expiry request re-solved");
-    assert_eq!(
-        server.engine().registry().stats().expiries,
-        1,
-        "the compiled context expired alongside the solution"
-    );
-
-    // purge_expired sweeps both tiers once the reheated entries age out.
-    std::thread::sleep(Duration::from_millis(450));
-    assert_eq!(server.engine().purge_expired(), (1, 1));
-    assert_eq!(server.engine().solutions_len(), 0);
-    assert!(server.engine().registry().is_empty());
-    server.shutdown();
-}
-
-#[test]
 fn http_surface_serves_healthz_metrics_and_404() {
     let _guard = serialize();
     let server = server(ServerConfig::default());

@@ -211,29 +211,6 @@ impl WireAssignment {
         }
         Ok(())
     }
-
-    /// Fraction of slices that kept every wire across a preemption
-    /// (stability of the fork-and-merge wiring); 1.0 when there are no
-    /// resumed slices.
-    pub fn resume_stability(&self) -> f64 {
-        let mut seen: HashMap<CoreIdx, &Vec<WireId>> = HashMap::new();
-        let mut resumed = 0usize;
-        let mut stable = 0usize;
-        for a in &self.assignments {
-            if let Some(prev) = seen.get(&a.slice.core) {
-                resumed += 1;
-                if *prev == &a.wires {
-                    stable += 1;
-                }
-            }
-            seen.insert(a.slice.core, &a.wires);
-        }
-        if resumed == 0 {
-            1.0
-        } else {
-            stable as f64 / resumed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +276,6 @@ mod tests {
             .find(|a| a.slice.core == 0 && a.slice.start == 20)
             .unwrap();
         assert_eq!(first.wires, resumed.wires);
-        assert!((wa.resume_stability() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Run with: `cargo run --release --example batch_serving`
 
-use std::io::{self, Write};
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -10,21 +11,13 @@ use soctam::engine::{Engine, EngineOutput, EngineRequest};
 use soctam::flow::{FlowConfig, PowerPolicy};
 use soctam::soc::benchmarks;
 
+mod common;
+
 fn main() -> ExitCode {
-    let mut out = io::stdout().lock();
-    match run(&mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        // A reader that closes stdout early (`| head -1`) ends the
-        // example; it is not an error.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    common::main(run)
 }
 
-fn run(out: &mut impl Write) -> io::Result<()> {
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     // One engine serves mixed SOCs, widths, modes, and op kinds; each
     // distinct (SOC, w_max, power budget) key compiles exactly once.
     let engine = Engine::new();
@@ -75,5 +68,6 @@ fn run(out: &mut impl Write) -> io::Result<()> {
         stats.misses,
         stats.hit_rate(),
         engine.registry().len()
-    )
+    )?;
+    Ok(())
 }

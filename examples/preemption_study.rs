@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example preemption_study`
 
 use std::error::Error;
-use std::io::{self, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 use soctam::flow::{FlowConfig, TestFlow};
@@ -13,26 +13,13 @@ use soctam::schedule::validate::validate;
 use soctam::soc::benchmarks;
 use soctam::wrapper::RectangleSet;
 
+mod common;
+
 fn main() -> ExitCode {
-    let mut out = io::stdout().lock();
-    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
-        Ok(()) => ExitCode::SUCCESS,
-        // A reader that closes stdout early (`| head -1`) ends the
-        // example; it is not an error.
-        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    common::main(run)
 }
 
-fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
-    e.downcast_ref::<io::Error>()
-        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
-}
-
-fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut soc = benchmarks::p93791();
     // The paper sets max_preempts = 2 for the larger cores.
     benchmarks::grant_preemption_to_large_cores(&mut soc, 2);
