@@ -24,7 +24,7 @@ fn bench_design_wrapper(c: &mut Criterion) {
 }
 
 /// Every core's full-cap menu, built by the time-only evaluator and by the
-/// materializing reference it replaced.
+/// brute-force reference (the full design at every width).
 fn bench_rectangle_sets(c: &mut Criterion) {
     bench_soc_menus(c, "rectangle_set_soc", RectangleSet::build);
     bench_soc_menus(

@@ -6,6 +6,9 @@
 //! Run with: `cargo run --release -p soctam-bench --bin ablation_heuristics`
 //! Options:  none.
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use soctam_core::protocol::check_known_args;
@@ -28,14 +31,22 @@ fn best_with(ctx: &CompiledSoc, w: u16, toggles: HeuristicToggles) -> u64 {
         .makespan()
 }
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &[], &[])?;
-    println!("Heuristic ablation (testing time in cycles; best over m/d sweep)");
-    println!(
+    writeln!(
+        out,
+        "Heuristic ablation (testing time in cycles; best over m/d sweep)"
+    )?;
+    writeln!(
+        out,
         "{:<8} {:>3} {:>10} {:>12} {:>12} {:>14} {:>10}",
         "SOC", "W", "all on", "no bump", "no idlefill", "no widthincr", "none"
-    );
+    )?;
     for name in benchmarks::NAMES {
         let soc = Arc::new(benchmarks::by_name(name).expect("known benchmark"));
         for w in benchmarks::table1_widths(name) {
@@ -69,13 +80,17 @@ fn main() -> Result<(), String> {
                 },
             );
             let none = best_with(&ctx, w, HeuristicToggles::none());
-            println!(
+            writeln!(
+                out,
                 "{:<8} {:>3} {:>10} {:>12} {:>12} {:>14} {:>10}",
                 name, w, all, no_bump, no_fill, no_incr, none
-            );
+            )?;
         }
     }
-    println!();
-    println!("columns >= 'all on' show how much each disabled heuristic was contributing");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "columns >= 'all on' show how much each disabled heuristic was contributing"
+    )?;
     Ok(())
 }

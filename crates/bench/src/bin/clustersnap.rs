@@ -31,8 +31,11 @@
 //!           `--iters <n>` warm iterations per client (default 12, quick 4);
 //!           `--out <file>` changes the output path.
 
+use std::error::Error;
 use std::fmt::Write as _;
+use std::io::Write;
 use std::net::SocketAddr;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -258,7 +261,11 @@ fn run_chaos_pass(rounds: usize) -> ChaosOutcome {
     }
 }
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--clients", "--iters", "--out"], &["--quick"])?;
     let quick = flag(&args, "--quick");
@@ -268,15 +275,17 @@ fn main() -> Result<(), String> {
         .max(1);
     let out_path = opt_value(&args, "--out")?.unwrap_or("BENCH_cluster.json");
 
-    println!(
+    writeln!(
+        out,
         "clustersnap: {KEY_COUNT} keys, {clients} clients x {iters} warm iterations, \
          backends at {SERVICE_FLOOR}"
-    );
+    )?;
 
     let mut points = Vec::new();
     for n in [1usize, 2, 4] {
         let point = run_scale_point(n, clients, iters);
-        println!(
+        writeln!(
+            out,
             "backends={}: {:.0} req/s warm, p50 {:.2} ms, p99 {:.2} ms, \
              shard misses {:?}, shard hits {:?}",
             point.backends,
@@ -285,16 +294,17 @@ fn main() -> Result<(), String> {
             point.warm.p99_ms,
             point.shard_misses,
             point.shard_hits
-        );
+        )?;
         points.push(point);
     }
 
     let chaos_rounds = if quick { 10 } else { 30 };
     let chaos = run_chaos_pass(chaos_rounds);
-    println!(
+    writeln!(
+        out,
         "chaos: {} replayed through a mid-replay backend kill, {} failed, {} failovers",
         chaos.replayed, chaos.failed, chaos.failovers
-    );
+    )?;
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"clustersnap\",\n");
@@ -334,48 +344,47 @@ fn main() -> Result<(), String> {
     );
     json.push_str("}\n");
 
-    write_report(out_path, &json);
+    write_report(out, out_path, &json)?;
 
     // The CI gates.
     for p in &points {
         let total: u64 = p.shard_misses.iter().sum();
         if total != KEY_COUNT as u64 {
-            eprintln!(
-                "error: {} backends solved {} keys for {} distinct requests — \
+            return Err(format!(
+                "{} backends solved {} keys for {} distinct requests — \
                  shard caches are not disjoint",
                 p.backends, total, KEY_COUNT
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
         if p.backends > 1 && p.shard_hits.contains(&0) {
-            eprintln!(
-                "error: a shard in the {}-backend cluster served zero warm hits — \
+            return Err(format!(
+                "a shard in the {}-backend cluster served zero warm hits — \
                  the ring is not spreading keys: {:?}",
                 p.backends, p.shard_hits
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
     }
     let rps_1 = points[0].warm_rps;
     let rps_2 = points[1].warm_rps;
     if rps_2 < 1.5 * rps_1 {
-        eprintln!(
-            "error: two backends delivered {rps_2:.0} req/s vs {rps_1:.0} req/s on one — \
+        return Err(format!(
+            "two backends delivered {rps_2:.0} req/s vs {rps_1:.0} req/s on one — \
              under the 1.5x scaling gate"
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
     if chaos.failed > 0 {
-        eprintln!(
-            "error: {} of {} replayed requests failed through a backend kill — \
+        return Err(format!(
+            "{} of {} replayed requests failed through a backend kill — \
              failover regressed",
             chaos.failed, chaos.replayed
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
     if chaos.failovers == 0 {
-        eprintln!("error: the chaos pass booked zero failovers — the kill was not exercised");
-        std::process::exit(1);
+        return Err("the chaos pass booked zero failovers — the kill was not exercised".into());
     }
     Ok(())
 }

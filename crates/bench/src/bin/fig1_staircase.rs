@@ -5,11 +5,19 @@
 //! Run with: `cargo run --release -p soctam-bench --bin fig1_staircase`
 //! Options:  `--soc <name> --core <core-name>` for any other core.
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
+
 use soctam_core::protocol::{check_known_args, opt_value};
 use soctam_core::report::{render_plot, staircase};
 use soctam_core::soc::benchmarks;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--soc", "--core"], &[])?;
     let soc_name = opt_value(&args, "--soc")?.unwrap_or("p93791");
@@ -21,25 +29,28 @@ fn main() -> Result<(), String> {
 
     let s = staircase(soc.core(idx).test(), 64);
 
-    println!("Figure 1: testing time vs TAM width for {core_name} of {soc_name}");
-    println!();
+    writeln!(
+        out,
+        "Figure 1: testing time vs TAM width for {core_name} of {soc_name}"
+    )?;
+    writeln!(out)?;
     let series: Vec<(f64, f64)> = s
         .points
         .iter()
         .map(|p| (p.width as f64, p.time as f64))
         .collect();
-    println!("{}", render_plot("T(w) [cycles]", &series, 16, 64));
+    writeln!(out, "{}", render_plot("T(w) [cycles]", &series, 16, 64))?;
 
-    println!("Pareto-optimal widths: {:?}", s.pareto_widths);
-    println!();
-    println!("{:>4} {:>12} {:>8}", "w", "T(w)", "Pareto");
+    writeln!(out, "Pareto-optimal widths: {:?}", s.pareto_widths)?;
+    writeln!(out)?;
+    writeln!(out, "{:>4} {:>12} {:>8}", "w", "T(w)", "Pareto")?;
     for p in &s.points {
         let mark = if s.pareto_widths.contains(&p.width) {
             "*"
         } else {
             ""
         };
-        println!("{:>4} {:>12} {:>8}", p.width, p.time, mark);
+        writeln!(out, "{:>4} {:>12} {:>8}", p.width, p.time, mark)?;
     }
 
     // The paper's observation on this core: a width of 46 and a width of
@@ -47,10 +58,11 @@ fn main() -> Result<(), String> {
     let t46 = s.points[45].time;
     let t47 = s.points[46].time;
     let t64 = s.points[63].time;
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "T(46) = {t46}, T(47) = {t47}, T(48..64) = {t64} (flat: {})",
         t47 == t64
-    );
+    )?;
     Ok(())
 }

@@ -14,6 +14,10 @@
 //! the serial-TAM minimum and the paper's non-monotonic structure (local
 //! V minima at the Pareto points of the T curve) is swamped.
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
+
 use soctam_bench::sweep_config;
 use soctam_core::flow::TestFlow;
 use soctam_core::protocol::{check_known_args, opt_num, opt_value};
@@ -21,7 +25,11 @@ use soctam_core::report::render_plot;
 use soctam_core::soc::benchmarks;
 use soctam_core::volume::CostCurve;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(
         &args,
@@ -47,7 +55,8 @@ fn main() -> Result<(), String> {
             .iter()
             .map(|p| (p.width as f64, p.time as f64 / 1000.0))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             render_plot(
                 &format!("Figure 9(a): testing time T (x1000 cycles) vs W, {soc_name}"),
@@ -55,14 +64,15 @@ fn main() -> Result<(), String> {
                 16,
                 70
             )
-        );
+        )?;
     }
     if want("b") {
         let series: Vec<(f64, f64)> = points
             .iter()
             .map(|p| (p.width as f64, p.volume as f64 / 10_000.0))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             render_plot(
                 &format!("Figure 9(b): tester memory depth V (x10000 bits) vs W, {soc_name}"),
@@ -70,7 +80,7 @@ fn main() -> Result<(), String> {
                 16,
                 70
             )
-        );
+        )?;
         // The paper's headline observation: the global V minimum does not
         // sit at the width of minimum testing time.
         let v_min = points
@@ -81,11 +91,12 @@ fn main() -> Result<(), String> {
             .iter()
             .min_by_key(|p| (p.time, p.width))
             .expect("points");
-        println!(
+        writeln!(
+            out,
             "global V minimum at W = {} (V = {}), while T minimum at W = {} (T = {})",
             v_min.width, v_min.volume, t_min.width, t_min.time
-        );
-        println!();
+        )?;
+        writeln!(out)?;
     }
     for (p, alpha) in [("c", 0.5), ("d", 0.75)] {
         if !want(p) {
@@ -97,7 +108,8 @@ fn main() -> Result<(), String> {
             .iter()
             .map(|q| (q.width as f64, q.cost))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             render_plot(
                 &format!("Figure 9({p}): cost function C(W), alpha = {alpha}, {soc_name}"),
@@ -105,13 +117,14 @@ fn main() -> Result<(), String> {
                 16,
                 70
             )
-        );
+        )?;
         let eff = curve.effective_point();
-        println!(
+        writeln!(
+            out,
             "W_eff = {} (C_min = {:.3}, T = {}, V = {})",
             eff.width, eff.cost, eff.time, eff.volume
-        );
-        println!();
+        )?;
+        writeln!(out)?;
     }
     Ok(())
 }

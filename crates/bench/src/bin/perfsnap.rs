@@ -30,7 +30,10 @@
 //!           `--soc <name>` restricts to one SOC;
 //!           `--out <file>` changes the output path.
 
+use std::error::Error;
 use std::fmt::Write as _;
+use std::io::Write;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -146,7 +149,11 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     }
 }
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--soc", "--out"], &["--quick"])?;
     let only = opt_value(&args, "--soc")?;
@@ -185,7 +192,8 @@ fn main() -> Result<(), String> {
             ));
         }
         for t in &timings {
-            println!(
+            writeln!(
+                out,
                 "{name} W={width} {:>8}: {:.3}s ({:.3}s compile + {:.3}s solve), \
                  T = {} (m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut, {} stopped)",
                 t.sweep,
@@ -201,7 +209,7 @@ fn main() -> Result<(), String> {
                 t.stats.runs_skipped,
                 t.stats.runs_cut,
                 t.stats.runs_aborted,
-            );
+            )?;
         }
         soc_blocks.push((name, width, timings));
     }
@@ -219,7 +227,8 @@ fn main() -> Result<(), String> {
         }
         let width = *benchmarks::table1_widths(name).last().expect("four widths");
         let t = time_cold(name, width);
-        println!(
+        writeln!(
+            out,
             "{name} W={width}     cold: {:.3}s ({:.3}s compile + {:.3}s solve), \
              T = {} (LB {}, m={}, d={}, slack={}), {} of {} runs ({} deduped, {} cut, \
              {} stopped), {} menu builds",
@@ -237,7 +246,7 @@ fn main() -> Result<(), String> {
             t.stats.runs_cut,
             t.stats.runs_aborted,
             t.menu_builds,
-        );
+        )?;
         cold_blocks.push(t);
     }
 
@@ -247,14 +256,15 @@ fn main() -> Result<(), String> {
     // nothing in the process compiles outside the registry.
     let stats = registry.stats();
     let distinct_keys = soc_blocks.len() as u64; // one (SOC, unlimited-power) key each
-    println!(
+    writeln!(
+        out,
         "registry: {} hits, {} misses, {} contexts compiled ({} distinct keys, hit rate {:.2})",
         stats.hits,
         stats.misses,
         context_compiles,
         distinct_keys,
         stats.hit_rate()
-    );
+    )?;
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"perfsnap\",\n");
@@ -344,14 +354,14 @@ fn main() -> Result<(), String> {
     }
     json.push_str("  ]\n}\n");
 
-    write_report(out_path, &json);
+    write_report(out, out_path, &json)?;
 
     if context_compiles > distinct_keys {
-        eprintln!(
-            "error: {context_compiles} context compiles for {distinct_keys} distinct \
+        return Err(format!(
+            "{context_compiles} context compiles for {distinct_keys} distinct \
              (SOC, budget) keys — cross-request caching regressed"
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
 
     // Cold-path gates. (i) A cold solve builds rectangle menus exactly
@@ -360,12 +370,12 @@ fn main() -> Result<(), String> {
     // the counter went dead.
     for t in &cold_blocks {
         if t.menu_builds != 1 {
-            eprintln!(
-                "error: {} cold solve built rectangle menus {} times, not once — \
+            return Err(format!(
+                "{} cold solve built rectangle menus {} times, not once — \
                  menu reuse regressed",
                 t.name, t.menu_builds
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
     }
     // (ii) The bound-gated cutoff must actually prune somewhere: p34392
@@ -373,16 +383,14 @@ fn main() -> Result<(), String> {
     // zero cut grid points means the gate went dead. (Skipped under
     // `--soc`, which may select only non-saturating SOCs.)
     if only.is_none() && !cold_blocks.iter().any(|t| t.stats.runs_cut > 0) {
-        eprintln!("error: no benchmark cut any sweep grid points — the bound gate went dead");
-        std::process::exit(1);
+        return Err("no benchmark cut any sweep grid points — the bound gate went dead".into());
     }
     // (iii) Runs that cannot beat the incumbent must actually stop early:
     // p93791 stops most of its runs at its widest Table 1 width, so a
     // full benchmark run in which no cold solve stopped one means the
     // stop test went dead.
     if only.is_none() && !cold_blocks.iter().any(|t| t.stats.runs_aborted > 0) {
-        eprintln!("error: no cold solve stopped a run early — the incumbent limit went dead");
-        std::process::exit(1);
+        return Err("no cold solve stopped a run early — the incumbent limit went dead".into());
     }
     Ok(())
 }

@@ -34,7 +34,10 @@
 //!           `--iters <n>` warm iterations per client (default 20, quick 5);
 //!           `--out <file>` changes the output path.
 
+use std::error::Error;
 use std::fmt::Write as _;
+use std::io::Write;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,7 +71,11 @@ fn strip_trace(response: &str) -> String {
     }
 }
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--clients", "--iters", "--out"], &["--quick"])?;
     let quick = flag(&args, "--quick");
@@ -92,7 +99,10 @@ fn main() -> Result<(), String> {
     )
     .expect("ephemeral loopback bind");
     let addr = server.local_addr();
-    println!("servesnap: daemon on {addr}, {clients} clients x {iters} warm iterations");
+    writeln!(
+        out,
+        "servesnap: daemon on {addr}, {clients} clients x {iters} warm iterations"
+    )?;
 
     // Cold pass: every distinct request pays its solve exactly once — and
     // runs `--trace`d, so the daemon reports where the cold time went
@@ -190,19 +200,23 @@ fn main() -> Result<(), String> {
     let sol = server.engine().solution_stats().expect("cache enabled");
     let reg = server.engine().registry().stats();
 
-    println!(
+    writeln!(
+        out,
         "cold:  {} requests, mean {:.2} ms, p50 {:.2} ms, max {:.2} ms",
         cold.count, cold.mean_ms, cold.p50_ms, cold.max_ms
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "warm:  {} requests, mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms ({:.0} req/s)",
         warm.count, warm.mean_ms, warm.p50_ms, warm.p99_ms, throughput
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "replay: {} logged requests, mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms",
         replay_latency.count, replay_latency.mean_ms, replay_latency.p50_ms, replay_latency.p99_ms
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cache: {} misses, {} hits, {} coalesced (hit rate {:.4}); \
          registry: {} misses, {} hits",
         sol.misses,
@@ -211,7 +225,7 @@ fn main() -> Result<(), String> {
         sol.hit_rate(),
         reg.misses,
         reg.hits
-    );
+    )?;
 
     // Overload pass: a second, deliberately under-provisioned daemon (one
     // worker, a two-slot pending queue, 5 ms of injected latency per
@@ -287,11 +301,12 @@ fn main() -> Result<(), String> {
     let overload_latency =
         LatencySummary::of_millis(overload_latencies).expect("overload pass has samples");
 
-    println!(
+    writeln!(
+        out,
         "overload: {} clients x {} requests at capacity 1 worker + 2 pending: \
          {} sheds, {} retries, {:.0} req/s goodput, p99 {:.1} ms",
         overload_clients, overload_iters, sheds, overload_retried, goodput, overload_latency.p99_ms
-    );
+    )?;
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"servesnap\",\n");
@@ -357,7 +372,7 @@ fn main() -> Result<(), String> {
     );
     json.push_str("}\n");
 
-    write_report(out_path, &json);
+    write_report(out, out_path, &json)?;
     server.shutdown();
     std::fs::remove_file(&log_path).ok();
 
@@ -367,21 +382,21 @@ fn main() -> Result<(), String> {
     // that never succeeded despite its retry budget means the resilience
     // loop regressed.
     if sol.hits == 0 {
-        eprintln!("error: warm pass recorded zero solution-cache hits — result caching regressed");
-        std::process::exit(1);
+        return Err(
+            "warm pass recorded zero solution-cache hits — result caching regressed".into(),
+        );
     }
     if sheds == 0 {
-        eprintln!(
-            "error: over-capacity offered load recorded zero sheds — admission control regressed"
+        return Err(
+            "over-capacity offered load recorded zero sheds — admission control regressed".into(),
         );
-        std::process::exit(1);
     }
     if overload_failed > 0 {
-        eprintln!(
-            "error: {overload_failed} overload requests never succeeded despite retries — \
+        return Err(format!(
+            "{overload_failed} overload requests never succeeded despite retries — \
              client resilience regressed"
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
     Ok(())
 }

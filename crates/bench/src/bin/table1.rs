@@ -7,6 +7,9 @@
 //! parameter sweep; `--json` emits the rows as a JSON document instead of
 //! the text table.
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use soctam_bench::{headline_config, json_escape};
@@ -38,7 +41,11 @@ fn json_table1(sweep: &str, rows: &[Table1Row]) -> String {
     out
 }
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--soc"], &["--quick", "--json"])?;
     let only = opt_value(&args, "--soc")?;
@@ -54,9 +61,15 @@ fn main() -> Result<(), String> {
     };
 
     if !json {
-        println!("Table 1: wrapper/TAM co-optimization and test scheduling");
-        println!("(testing time in cycles; best over m/d/slack parameter sweep)");
-        println!();
+        writeln!(
+            out,
+            "Table 1: wrapper/TAM co-optimization and test scheduling"
+        )?;
+        writeln!(
+            out,
+            "(testing time in cycles; best over m/d/slack parameter sweep)"
+        )?;
+        writeln!(out)?;
     }
 
     let mut rows = Vec::new();
@@ -76,9 +89,9 @@ fn main() -> Result<(), String> {
     }
     if json {
         let sweep = if quick { "quick" } else { "headline" };
-        println!("{}", json_table1(sweep, &rows));
+        writeln!(out, "{}", json_table1(sweep, &rows))?;
     } else {
-        println!("{}", render_table1(&rows));
+        writeln!(out, "{}", render_table1(&rows))?;
     }
     Ok(())
 }

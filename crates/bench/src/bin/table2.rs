@@ -10,6 +10,9 @@
 //! by a serial one-wire TAM; the paper's Table 2 minima (W = 22..44)
 //! only emerge over practical width ranges.
 
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use soctam_bench::sweep_config;
@@ -17,7 +20,11 @@ use soctam_core::protocol::{check_known_args, opt_num, opt_value};
 use soctam_core::report::{paper_alphas, render_table2, table2};
 use soctam_core::soc::benchmarks;
 
-fn main() -> Result<(), String> {
+fn main() -> ExitCode {
+    soctam_bench::main(run)
+}
+
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_known_args(&args, &["--soc", "--min-width", "--max-width"], &[])?;
     let only = opt_value(&args, "--soc")?;
@@ -25,9 +32,9 @@ fn main() -> Result<(), String> {
     let max_width: u16 = opt_num(&args, "--max-width")?.unwrap_or(64);
     let cfg = sweep_config();
 
-    println!("Table 2: TAM widths for tester data volume reduction");
-    println!("(sweep over W = {min_width}..={max_width}; V = W*T)");
-    println!();
+    writeln!(out, "Table 2: TAM widths for tester data volume reduction")?;
+    writeln!(out, "(sweep over W = {min_width}..={max_width}; V = W*T)")?;
+    writeln!(out)?;
 
     for name in benchmarks::NAMES {
         if only.is_some_and(|o| o != name) {
@@ -39,7 +46,7 @@ fn main() -> Result<(), String> {
         match table2(&soc, min_width..=max_width, &alphas, &cfg) {
             Ok(t) => {
                 eprintln!("{name}: {:.1}s", t0.elapsed().as_secs_f32());
-                println!("{}", render_table2(&t));
+                writeln!(out, "{}", render_table2(&t))?;
             }
             Err(e) => eprintln!("{name}: failed: {e}"),
         }

@@ -164,11 +164,18 @@ impl SocResolver for BenchmarkCatalog {
 }
 
 /// The [`BenchmarkCatalog`]: the daemon's and the balancer's resolver.
+///
+/// Each model's content hash is memoized as the catalog is built, so a
+/// fresh daemon's first request keys its caches without hashing the SOC.
 pub fn benchmark_resolver() -> BenchmarkCatalog {
     BenchmarkCatalog {
         socs: benchmarks::NAMES
             .iter()
-            .filter_map(|name| benchmarks::by_name(name).map(|soc| (*name, Arc::new(soc))))
+            .filter_map(|name| {
+                let soc = benchmarks::by_name(name)?;
+                soc.content_hash();
+                Some((*name, Arc::new(soc)))
+            })
             .collect(),
     }
 }

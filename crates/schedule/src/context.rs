@@ -49,17 +49,18 @@
 use std::fmt;
 use std::sync::Arc;
 
-use soctam_soc::Soc;
-use soctam_wrapper::{Cycles, RectangleSet, TamWidth};
+use soctam_soc::{Soc, SocError};
+use soctam_wrapper::{Cycles, TamWidth};
 
 use crate::bounds;
 use crate::constraints::ConstraintSet;
 use crate::menus::RectangleMenus;
 
 /// Precompiled, shareable schedule context for one SOC: the owned SOC
-/// model, compiled constraint tables, per-core Pareto rectangle menus
-/// built at the context's cap `w_max`, and the cached lower-bound
-/// ingredients.
+/// model and its validation result, compiled constraint tables, per-core
+/// Pareto rectangle menus built at the context's cap `w_max`, and the
+/// per-core time and area floors that the bound and a run's early stop
+/// read.
 ///
 /// Build one per SOC with [`CompiledSoc::compile`] (or
 /// [`CompiledSoc::compile_arc`] to share an existing `Arc<Soc>` without
@@ -75,8 +76,12 @@ pub struct CompiledSoc {
     w_max: TamWidth,
     constraints: ConstraintSet,
     menus: RectangleMenus,
+    /// Per core: its menu's `(min_time, min_area)` at the cap `w_max`.
+    floors: Vec<(Cycles, u128)>,
     /// The summed per-core minimum areas: the work term of the bound.
     total_min_area: u128,
+    /// The SOC model's own validation, run once.
+    validation: Result<(), SocError>,
 }
 
 impl CompiledSoc {
@@ -102,13 +107,21 @@ impl CompiledSoc {
             let _span = crate::obs::span(crate::obs::Phase::MenuBuild);
             RectangleMenus::build(&soc, w_max)
         };
-        let total_min_area = menus.menus().iter().map(RectangleSet::min_area).sum();
+        let floors: Vec<(Cycles, u128)> = menus
+            .menus()
+            .iter()
+            .map(|rects| (rects.min_time(), rects.min_area()))
+            .collect();
+        let total_min_area = floors.iter().map(|&(_, area)| area).sum();
+        let validation = soc.validate();
         Self {
             soc,
             w_max,
             constraints,
             menus,
+            floors,
             total_min_area,
+            validation,
         }
     }
 
@@ -142,6 +155,22 @@ impl CompiledSoc {
     /// width `w` reads it under [`CompiledSoc::effective_cap`]`(w)`.
     pub fn full_menus(&self) -> &RectangleMenus {
         &self.menus
+    }
+
+    /// Per core, the least time and the least wire·cycle area its menu
+    /// offers at the cap `w_max`: `(min_time(), min_area())`.
+    pub(crate) fn floors(&self) -> &[(Cycles, u128)] {
+        &self.floors
+    }
+
+    /// The SOC model's [`Soc::validate`] result, computed when the context
+    /// compiled.
+    ///
+    /// # Errors
+    ///
+    /// The model's validation error.
+    pub(crate) fn validation(&self) -> Result<(), SocError> {
+        self.validation.clone()
     }
 
     /// The effective per-core cap a run at SOC width `w` uses — the same

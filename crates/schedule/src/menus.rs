@@ -10,7 +10,7 @@
 //! at once.
 
 use soctam_soc::{CoreIdx, Soc};
-use soctam_wrapper::{RectangleSet, TamWidth};
+use soctam_wrapper::{pareto_bump, RectangleSet, TamWidth};
 
 use crate::SchedulerConfig;
 
@@ -107,6 +107,50 @@ impl RectangleMenus {
             })
             .collect()
     }
+
+    /// [`RectangleMenus::preferred_widths`] for every `(m, d)` of a sweep
+    /// grid, `m`-major, under `base`'s cap and bump toggle (`base`'s own
+    /// `m` and `d` are ignored). The plain preferred width depends on `m`
+    /// alone and the bump target on the cap alone, so each is read once
+    /// per core and every `d` only compares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's cap exceeds the build's `w_max`.
+    pub fn preferred_width_grid(
+        &self,
+        base: &SchedulerConfig,
+        percents: &[u32],
+        bumps: &[TamWidth],
+    ) -> Vec<((u32, TamWidth), Vec<TamWidth>)> {
+        let cap = base.effective_w_max();
+        let highest: Vec<TamWidth> = self
+            .menus
+            .iter()
+            .map(|rects| rects.highest_pareto_width_at_most(cap).unwrap_or(1))
+            .collect();
+        let mut grid = Vec::with_capacity(percents.len() * bumps.len());
+        for &m in percents {
+            let plain: Vec<TamWidth> = self
+                .menus
+                .iter()
+                .map(|rects| rects.preferred_width(m, cap))
+                .collect();
+            for &d in bumps {
+                let prefs = if base.toggles.pareto_bump {
+                    plain
+                        .iter()
+                        .zip(&highest)
+                        .map(|(&pref, &hi)| pareto_bump(pref, hi, d))
+                        .collect()
+                } else {
+                    plain.clone()
+                };
+                grid.push(((m, d), prefs));
+            }
+        }
+        grid
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +183,31 @@ mod tests {
         let plain = menus.preferred_widths(&plain_cfg);
         for (i, &w) in plain.iter().enumerate() {
             assert_eq!(w, menus.menu(i).preferred_width(7, 32));
+        }
+    }
+
+    #[test]
+    fn the_grid_reads_what_each_point_reads() {
+        let percents = [1, 5, 10, 25, 45];
+        let bumps = [0, 1, 3];
+        for soc in benchmarks::all() {
+            let menus = RectangleMenus::build(&soc, 64);
+            for w in [1, 7, 16, 32, 64] {
+                for bump_on in [true, false] {
+                    let mut base = SchedulerConfig::new(w);
+                    base.toggles.pareto_bump = bump_on;
+                    let grid = menus.preferred_width_grid(&base, &percents, &bumps);
+                    let points = percents
+                        .iter()
+                        .flat_map(|&m| bumps.iter().map(move |&d| (m, d)));
+                    assert_eq!(grid.len(), percents.len() * bumps.len());
+                    for (((m, d), prefs), want) in grid.into_iter().zip(points) {
+                        assert_eq!((m, d), want);
+                        let cfg = base.clone().with_percent(m).with_bump(d);
+                        assert_eq!(prefs, menus.preferred_widths(&cfg), "{} W={w}", soc.name());
+                    }
+                }
+            }
         }
     }
 

@@ -770,16 +770,12 @@ pub fn best_of(
             ),
         });
     }
-    soc.validate()?;
+    ctx.validation()?;
 
     let menus = ctx.full_menus();
     let bound = ctx.lower_bound(base.tam_width);
     let constraints = ctx.constraints();
-    let floors: Vec<(Cycles, u128)> = menus
-        .menus()
-        .iter()
-        .map(|rects| (rects.min_time(), rects.min_area()))
-        .collect();
+    let floors = ctx.floors();
     let point = |m, d, slack| {
         let mut cfg = base.clone().with_percent(m).with_bump(d);
         cfg.idle_fill_slack = slack;
@@ -787,12 +783,7 @@ pub fn best_of(
     };
     // Preferred widths are the only way (m, d) enter a run, and slack
     // never changes them: one vector per (m, d), shared across slacks.
-    let mut md_prefs = Vec::with_capacity(grid.percents.len() * grid.bumps.len());
-    for &m in &grid.percents {
-        for &d in &grid.bumps {
-            md_prefs.push(((m, d), menus.preferred_widths(&point(m, d, 0))));
-        }
-    }
+    let md_prefs = menus.preferred_width_grid(base, &grid.percents, &grid.bumps);
     let mut seen = HashSet::new();
     let mut scratch = PackScratch::for_soc(soc.len(), constraints.num_bist_engines());
     // The incumbent's makespan and parameters; its raw slices swap places
@@ -816,10 +807,7 @@ pub fn best_of(
             crate::instrument::note_schedule_run();
             let cfg = point(*m, *d, slack);
             scratch.reset(soc, &cfg, menus, prefs);
-            let limit = best.map(|(makespan, _)| Limit {
-                makespan,
-                floors: &floors,
-            });
+            let limit = best.map(|(makespan, _)| Limit { makespan, floors });
             match scratch.pack(&cfg, constraints, limit) {
                 // A run that finishes under a limit finished below it.
                 Ok(Some(makespan)) => {

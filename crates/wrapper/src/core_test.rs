@@ -122,18 +122,6 @@ impl CoreTest {
     pub fn test_data_bits(&self) -> u64 {
         self.patterns * (self.scan_in_bits() + self.scan_out_bits())
     }
-
-    /// The widest TAM this core can exploit: one wire per wrapper chain,
-    /// where each chain must hold at least one cell or scan chain.
-    ///
-    /// Beyond this width extra wires are guaranteed idle; the Pareto
-    /// machinery would discard them anyway, this is just a cheap cap.
-    pub fn max_useful_width(&self) -> u64 {
-        (self.scan_chains.len() as u64)
-            .max(u64::from(self.inputs) + u64::from(self.bidirs))
-            .max(u64::from(self.outputs) + u64::from(self.bidirs))
-            .max(1)
-    }
 }
 
 /// Builder for [`CoreTest`], convenient when not all fields are known at
@@ -255,7 +243,6 @@ mod tests {
         let c = CoreTest::new(32, 32, 0, vec![], 12).unwrap();
         assert!(!c.is_sequential());
         assert_eq!(c.scan_flops(), 0);
-        assert_eq!(c.max_useful_width(), 32);
     }
 
     #[test]
@@ -272,7 +259,6 @@ mod tests {
         let c = CoreTest::new(10, 20, 5, vec![7], 3).unwrap();
         assert_eq!(c.scan_in_bits(), 10 + 5 + 7);
         assert_eq!(c.scan_out_bits(), 20 + 5 + 7);
-        assert_eq!(c.max_useful_width(), 25);
     }
 
     #[test]

@@ -167,8 +167,10 @@ pub(crate) fn test_time(scan_in: u64, scan_out: u64, patterns: u64) -> Cycles {
 /// ([`place_decreasing`]) for the wrapper chains' flop loads alone, in
 /// buffers reused across widths. Without bidirectional cells, both paths
 /// follow from the longest load in closed form ([`filled_max`]), so no
-/// per-chain cell tally is built; bidirectional cells are placed on the
-/// per-chain lengths, so those cores run [`ChainCells`]. Bit-identical to
+/// per-chain cell tally is built, and at a width with a wrapper chain for
+/// every scan chain the longest load is the longest scan chain, so no
+/// placement runs either; bidirectional cells are placed on the per-chain
+/// lengths, so those cores run [`ChainCells`]. Bit-identical to
 /// [`WrapperDesign::design`]'s `scan_in` and `scan_out`.
 pub(crate) struct ScanPaths<'a> {
     core: &'a CoreTest,
@@ -198,6 +200,14 @@ impl<'a> ScanPaths<'a> {
     /// `(scan_in, scan_out)` of the design at `width >= 1` wires.
     pub(crate) fn at(&mut self, width: TamWidth) -> (u64, u64) {
         let k = usize::from(width);
+        if self.core.bidirs() == 0 && k >= self.chains.len() {
+            // BFD gives every scan chain a wrapper chain of its own.
+            let longest = self.chains.first().copied().unwrap_or(0);
+            return (
+                filled_max(longest, self.flops, k, self.core.inputs()),
+                filled_max(longest, self.flops, k, self.core.outputs()),
+            );
+        }
         self.loads.resize(k, 0);
         place_decreasing(
             self.chains.iter().copied(),

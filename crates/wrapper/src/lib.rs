@@ -56,7 +56,7 @@ pub use design::WrapperDesign;
 pub use error::WrapperError;
 pub use layout::{WrapperChainLayout, WrapperLayout};
 pub use pareto::{ParetoPoint, StaircasePoint};
-pub use rect::{Rectangle, RectangleSet};
+pub use rect::{pareto_bump, Rectangle, RectangleSet};
 
 /// Number of TAM wires (equivalently, wrapper scan chains) given to a core.
 ///

@@ -49,10 +49,12 @@ impl Rectangle {
 
 /// The full rectangle menu for one core, for widths `1..=w_max`.
 ///
-/// Construction evaluates `Design_wrapper`'s testing time at every width
-/// and monotonizes the resulting staircase: `time_at(w)` is the best time
+/// The staircase is the running minimum of `Design_wrapper`'s testing
+/// time over every width `1..=w_max`: `time_at(w)` is the best time
 /// achievable with *at most* `w` wires, and `rect_at(w).effective_width`
 /// records how many wires that best design actually needs.
+/// [`RectangleSet::build`] evaluates the design only at the widths that
+/// can still lower that minimum.
 ///
 /// A set read under a smaller cap `c` answers exactly as a set built at
 /// `c`: the rectangle at width `w` depends only on the designs at widths
@@ -95,69 +97,108 @@ impl RectangleSet {
     /// Only each width's longest scan-in and scan-out paths reach the
     /// menu, so the design at each width is evaluated for those alone: the
     /// scan chains are sorted once, and no wrapper chain is materialized.
-    /// Bit-identical to [`RectangleSet::build_reference`].
+    /// A width runs `Design_wrapper` only while a closed-form floor on its
+    /// testing time still lies below the best time of the narrower widths;
+    /// every other width copies that best rectangle. Bit-identical to
+    /// [`RectangleSet::build_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `w_max == 0`.
     pub fn build(core: &CoreTest, w_max: TamWidth) -> Self {
         crate::instrument::note_rectangle_set_build();
+        assert!(w_max > 0, "w_max must be at least one wire");
+        let patterns = core.patterns();
+        let longest = core
+            .scan_chains()
+            .iter()
+            .copied()
+            .max()
+            .map_or(0, u64::from);
+        let (in_cells, out_cells) = (core.scan_in_bits(), core.scan_out_bits());
+        // The floor is exact by construction. At width `w` some wrapper
+        // chain holds the longest scan chain, and `w` chains hold all the
+        // cells on each side, so the design's paths are at least
+        // `max(longest, ceil(cells / w))`; `test_time` never decreases as
+        // either path grows, so `floor(w) <= T(w)`. A width whose floor
+        // reaches the best time so far cannot be strictly better, and the
+        // staircase keeps only strict drops, so skipping it changes no
+        // rectangle. As `w` grows without limit the floor falls to `stop`
+        // (a path holding any cell is at least 1 long); once the best time
+        // reaches it, every later width is skipped without a division.
+        let floor_at = |w: u64| {
+            test_time(
+                longest.max(in_cells.div_ceil(w)),
+                longest.max(out_cells.div_ceil(w)),
+                patterns,
+            )
+        };
+        let stop = test_time(
+            longest.max(u64::from(in_cells > 0)),
+            longest.max(u64::from(out_cells > 0)),
+            patterns,
+        );
+
         let mut paths = ScanPaths::new(core);
-        Self::from_scan_paths(core, w_max, |w| paths.at(w))
+        let mut rects: Vec<Rectangle> = Vec::with_capacity(usize::from(w_max));
+        let mut best = Rectangle {
+            width: 0,
+            effective_width: 0,
+            time: Cycles::MAX,
+            scan_in: 0,
+            scan_out: 0,
+        };
+        for w in 1..=w_max {
+            if best.time > stop && floor_at(u64::from(w)) < best.time {
+                let (scan_in, scan_out) = paths.at(w);
+                let time = test_time(scan_in, scan_out, patterns);
+                if time < best.time {
+                    best = Rectangle {
+                        width: w,
+                        effective_width: w,
+                        time,
+                        scan_in,
+                        scan_out,
+                    };
+                }
+            }
+            rects.push(Rectangle { width: w, ..best });
+        }
+        Self::from_staircase(core, rects)
     }
 
-    /// The materializing reference for [`RectangleSet::build`]: runs the
-    /// full [`WrapperDesign::design`] at every width. Same result, several
-    /// times slower; kept to pin the fast path in tests.
+    /// The brute-force reference for [`RectangleSet::build`]: runs the full
+    /// [`WrapperDesign::design`] at every width `1..=w_max` and keeps the
+    /// running minimum, with no floor and no closed form. Several times
+    /// slower; kept to pin the fast path in tests.
     ///
     /// # Panics
     ///
     /// Panics if `w_max == 0`.
     pub fn build_reference(core: &CoreTest, w_max: TamWidth) -> Self {
-        Self::from_scan_paths(core, w_max, |w| {
+        assert!(w_max > 0, "w_max must be at least one wire");
+        let mut rects: Vec<Rectangle> = Vec::with_capacity(usize::from(w_max));
+        for w in 1..=w_max {
             // Design_wrapper never fails for w >= 1 on a valid core.
             let d = WrapperDesign::design(core, w).expect("width >= 1");
-            (d.scan_in(), d.scan_out())
-        })
-    }
-
-    /// The monotonized staircase over the `(scan_in, scan_out)` that
-    /// `paths_at` reports for each width `1..=min(max_useful_width, w_max)`.
-    fn from_scan_paths(
-        core: &CoreTest,
-        w_max: TamWidth,
-        mut paths_at: impl FnMut(TamWidth) -> (u64, u64),
-    ) -> Self {
-        assert!(w_max > 0, "w_max must be at least one wire");
-        let useful = core.max_useful_width().min(u64::from(w_max)) as TamWidth;
-
-        let mut rects: Vec<Rectangle> = Vec::with_capacity(usize::from(w_max));
-        let mut best_time = Cycles::MAX;
-        let mut best: Option<Rectangle> = None;
-        for w in 1..=useful {
-            let (scan_in, scan_out) = paths_at(w);
-            let t = test_time(scan_in, scan_out, core.patterns());
-            if t < best_time {
-                best_time = t;
-                best = Some(Rectangle {
+            let rect = match rects.last() {
+                Some(best) if best.time <= d.test_time() => Rectangle { width: w, ..*best },
+                _ => Rectangle {
                     width: w,
                     effective_width: w,
-                    time: t,
-                    scan_in,
-                    scan_out,
-                });
-            }
-            let mut r = best.expect("set on first iteration");
-            r.width = w;
-            rects.push(r);
+                    time: d.test_time(),
+                    scan_in: d.scan_in(),
+                    scan_out: d.scan_out(),
+                },
+            };
+            rects.push(rect);
         }
-        // Widths past the useful cap reuse the best design.
-        for w in useful + 1..=w_max {
-            let mut r = *rects.last().expect("useful >= 1");
-            r.width = w;
-            rects.push(r);
-        }
+        Self::from_staircase(core, rects)
+    }
 
+    /// The set over a monotonized staircase: `rects[w - 1]` is the best
+    /// rectangle with at most `w` wires.
+    fn from_staircase(core: &CoreTest, rects: Vec<Rectangle>) -> Self {
         let pareto = pareto_points(rects.iter().map(|r| r.time));
         Self {
             rects,
@@ -238,10 +279,13 @@ impl RectangleSet {
     /// Panics if `cap == 0` or `cap > w_max`.
     pub fn preferred_width(&self, percent: u32, cap: TamWidth) -> TamWidth {
         let target = u128::from(self.time_at(cap)) * (100 + u128::from(percent));
-        self.rects[..usize::from(cap)]
+        // The first qualifying width is width 1 or a strict drop, so it is
+        // a Pareto width.
+        self.pareto
             .iter()
-            .find(|r| u128::from(r.time) * 100 <= target)
-            .map_or(cap, |r| r.width)
+            .take_while(|p| p.width <= cap)
+            .find(|p| u128::from(p.time) * 100 <= target)
+            .map_or(cap, |p| p.width)
     }
 
     /// The paper's full preferred-width rule (Figure 5) under the per-core
@@ -253,13 +297,11 @@ impl RectangleSet {
     ///
     /// Panics if `cap == 0` or `cap > w_max`.
     pub fn preferred_width_bumped(&self, percent: u32, bump: TamWidth, cap: TamWidth) -> TamWidth {
-        let pref = self.preferred_width(percent, cap);
-        let hi = self.highest_pareto_width_at_most(cap).unwrap_or(1);
-        if hi > pref && hi - pref <= bump {
-            hi
-        } else {
-            pref
-        }
+        pareto_bump(
+            self.preferred_width(percent, cap),
+            self.highest_pareto_width_at_most(cap).unwrap_or(1),
+            bump,
+        )
     }
 
     /// The full staircase as plot-ready points.
@@ -302,6 +344,17 @@ impl RectangleSet {
             .map(Rectangle::area)
             .min()
             .expect("at least one rectangle")
+    }
+}
+
+/// The Pareto bump of the paper's preferred-width rule (Figure 5): the
+/// preferred width `pref` moves up to `highest`, the highest Pareto-optimal
+/// width within the run's cap, when that costs at most `bump` extra wires.
+pub fn pareto_bump(pref: TamWidth, highest: TamWidth, bump: TamWidth) -> TamWidth {
+    if highest > pref && highest - pref <= bump {
+        highest
+    } else {
+        pref
     }
 }
 
@@ -425,6 +478,18 @@ mod tests {
     }
 
     #[test]
+    fn a_wire_past_one_per_scan_chain_can_still_win() {
+        // At w = 4 each scan chain fills its own wrapper chain and the
+        // cells lengthen one of them to 101; at w = 5 the cells get a
+        // wrapper chain of their own: (1 + 100) * 10 + 100.
+        let s = set(4, 4, vec![100; 4], 10, 8);
+        assert_eq!(s.time_at(4), 1_121);
+        assert_eq!(s.time_at(5), 1_110);
+        assert_eq!(s.time_at(8), 1_110);
+        assert_eq!(s.highest_pareto_width(), 5);
+    }
+
+    #[test]
     #[should_panic(expected = "outside")]
     fn rect_at_zero_panics() {
         let s = set(2, 2, vec![5], 3, 8);
@@ -462,7 +527,7 @@ mod tests {
                 "cap {cap}"
             );
         }
-        // Including cores whose useful width is below the cap.
+        // Including a core whose staircase goes flat well below the cap.
         let flat = set(2, 2, vec![50], 10, 64);
         assert_eq!(
             read_under(&flat, 16),
@@ -499,9 +564,9 @@ mod tests {
             prop_assert!(s.min_area() > 0);
         }
 
-        /// The time-only build equals the set built from the full
-        /// `Design_wrapper` design at every width, bidirectional cells and
-        /// caps past `max_useful_width` included.
+        /// The time-only build equals the running minimum of the full
+        /// `Design_wrapper` design over every width, bidirectional cells
+        /// included.
         #[test]
         fn build_matches_design_reference(
             inputs in 0u32..300,
@@ -513,6 +578,47 @@ mod tests {
         ) {
             prop_assume!(inputs + outputs + bidirs > 0 || !chains.is_empty());
             let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            prop_assert_eq!(
+                RectangleSet::build(&c, w_max),
+                RectangleSet::build_reference(&c, w_max)
+            );
+        }
+
+        /// The same on cores with few wrapper cells per scan chain and
+        /// chains of nearly equal length, where a design wider than
+        /// `max(chains, inputs + bidirs, outputs + bidirs)` can still be
+        /// faster: one more wire takes the cells off the scan chains.
+        #[test]
+        fn build_matches_design_reference_past_one_wire_per_chain(
+            chains in (1u32..60, proptest::collection::vec(0u32..3, 1..12))
+                .prop_map(|(base, jitter)| jitter.into_iter().map(|j| base + j).collect::<Vec<_>>()),
+            inputs in 0u32..12,
+            outputs in 0u32..12,
+            bidirs in (0u32..4, 1u32..4).prop_map(|(on, n)| u32::from(on == 0) * n),
+            patterns in 1u64..300,
+            w_max in 1u16..40,
+        ) {
+            let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            prop_assert_eq!(
+                RectangleSet::build(&c, w_max),
+                RectangleSet::build_reference(&c, w_max)
+            );
+        }
+
+        /// The same on cores without scan chains, where the floor's cell
+        /// term `ceil(cells / w)` is exactly the design's path whenever `w`
+        /// divides the cells, so a floor that overshoots by one skips a
+        /// width that wins.
+        #[test]
+        fn build_matches_design_reference_without_scan_chains(
+            inputs in 0u32..200,
+            outputs in 0u32..200,
+            bidirs in (0u32..4, 1u32..40).prop_map(|(on, n)| u32::from(on == 0) * n),
+            patterns in 1u64..300,
+            w_max in 1u16..81,
+        ) {
+            prop_assume!(inputs + outputs + bidirs > 0);
+            let c = CoreTest::new(inputs, outputs, bidirs, vec![], patterns).unwrap();
             prop_assert_eq!(
                 RectangleSet::build(&c, w_max),
                 RectangleSet::build_reference(&c, w_max)
