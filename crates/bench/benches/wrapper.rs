@@ -1,8 +1,11 @@
 //! Criterion benches for wrapper design and rectangle construction — the
-//! per-core cost behind Figure 1 and `Initialize`.
+//! per-core cost behind Figure 1 and `Initialize` — and for the wire
+//! assignment that maps a finished schedule onto physical TAM wires.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use soctam_core::flow::{FlowConfig, TestFlow};
 use soctam_core::soc::benchmarks;
+use soctam_core::tam::WireAssignment;
 use soctam_core::wrapper::{CoreTest, RectangleSet, TamWidth, WrapperDesign};
 
 fn bench_design_wrapper(c: &mut Criterion) {
@@ -50,5 +53,31 @@ fn bench_soc_menus(c: &mut Criterion, group: &str, build: fn(&CoreTest, TamWidth
     group.finish();
 }
 
-criterion_group!(benches, bench_design_wrapper, bench_rectangle_sets);
+/// `WireAssignment::assign` + `verify` on each SOC's W = 64 quick-grid
+/// winner, the wire mapping a `schedule` request runs after its sweep.
+fn bench_wire_assignment(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_assignment");
+    for name in benchmarks::NAMES {
+        let soc = benchmarks::by_name(name).expect("known benchmark");
+        let schedule = TestFlow::new(&soc, FlowConfig::quick())
+            .run(64)
+            .expect("schedulable")
+            .schedule;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let wires = WireAssignment::assign(&schedule).expect("within the budget");
+                wires.verify().expect("a legal assignment");
+                wires.assignments().len()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_design_wrapper,
+    bench_rectangle_sets,
+    bench_wire_assignment
+);
 criterion_main!(benches);

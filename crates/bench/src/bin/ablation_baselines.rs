@@ -18,7 +18,7 @@ use soctam_core::protocol::{check_known_args, opt_value};
 use soctam_core::soc::benchmarks;
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -32,7 +32,7 @@ fn best_with(ctx: &CompiledSoc, w: u16, toggles: HeuristicToggles) -> u64 {
 }
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

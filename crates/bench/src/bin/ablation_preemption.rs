@@ -21,7 +21,7 @@ use soctam_core::schedule::ContextRegistry;
 use soctam_core::soc::benchmarks;
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -262,7 +262,7 @@ fn run_chaos_pass(rounds: usize) -> ChaosOutcome {
 }
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -14,7 +14,7 @@ use soctam_core::report::{render_plot, staircase};
 use soctam_core::soc::benchmarks;
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

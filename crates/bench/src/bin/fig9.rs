@@ -26,7 +26,7 @@ use soctam_core::soc::benchmarks;
 use soctam_core::volume::CostCurve;
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -150,7 +150,7 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
 }
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

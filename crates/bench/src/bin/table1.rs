@@ -42,7 +42,7 @@ fn json_table1(sweep: &str, rows: &[Table1Row]) -> String {
 }
 
 fn main() -> ExitCode {
-    soctam_bench::main(run)
+    soctam_core::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

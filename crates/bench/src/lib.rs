@@ -5,12 +5,11 @@
 //! rejects any word its module doc's `Options:` line does not list
 //! (`check_known_args`), then reads those options with `opt_value`,
 //! `opt_num`, and `flag`. A bad command line exits 1 before any work.
-//! Every bin prints through the shared [`main`], so a reader that closes
-//! stdout early ends it with exit 0 rather than a panic.
+//! Every bin prints through [`soctam_core::run_on_stdout`], so a reader
+//! that closes stdout early ends it with exit 0 rather than a panic.
 
 use std::error::Error;
-use std::io::{self, Write};
-use std::process::ExitCode;
+use std::io::Write;
 
 use soctam_core::flow::{FlowConfig, ParamSweep};
 use soctam_core::protocol::Json;
@@ -42,27 +41,6 @@ pub fn sweep_config() -> FlowConfig {
 /// JSON by hand; the workspace is vendored-only, so no serde). One
 /// implementation for the whole workspace: the shared protocol module's.
 pub use soctam_core::protocol::json_escape;
-
-/// The `main` every bin shares: it runs the bin on one locked stdout and
-/// turns the outcome into an exit code. A reader that closes stdout early
-/// (`table1 --quick | head -1`) ends the bin with exit 0; any other error
-/// prints `error: …` and exits 1.
-pub fn main(run: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>) -> ExitCode {
-    let mut out = io::stdout().lock();
-    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
-    e.downcast_ref::<io::Error>()
-        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
-}
 
 /// Writes a snapshot bin's JSON report to `path` and prints `wrote
 /// <path>` on `out`, once the workspace's strict reader ([`Json::parse`])

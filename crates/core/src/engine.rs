@@ -5,7 +5,7 @@
 //! TAM widths, scheduling modes, and operation kinds (best-of schedule,
 //! width sweep, lower bounds) — and executes them on scoped worker
 //! threads. Every request draws its
-//! [`CompiledSoc`](soctam_schedule::CompiledSoc) from a shared
+//! [`CompiledSoc`] from a shared
 //! [`ContextRegistry`], so a batch (and any later batch over the same
 //! engine) compiles each distinct `(SOC, w_max, power budget)` key exactly
 //! once, no matter how many requests or threads touch it.
@@ -53,8 +53,8 @@ use std::time::Duration;
 
 use soctam_schedule::obs;
 use soctam_schedule::{
-    panic_message, CacheLookup, ContextKey, ContextRegistry, Cycles, ScheduleError, SolutionCache,
-    SolutionCacheStats, TamWidth,
+    panic_message, CacheLookup, CompiledSoc, ContextKey, ContextRegistry, Cycles, ScheduleError,
+    SolutionCache, SolutionCacheStats, TamWidth,
 };
 use soctam_soc::Soc;
 use soctam_volume::SweepPoint;
@@ -499,17 +499,20 @@ impl Engine {
     }
 
     /// The solve body proper: context from the registry, then the
-    /// requested operation over it.
+    /// requested operation over it. Bounds read the context alone; the
+    /// packer runs through a [`TestFlow`] over it.
     fn solve_unguarded(&self, request: &EngineRequest, context: ContextKey) -> EngineResult {
         let ctx = self.registry.get_or_compile_key(context);
-        let mut cfg = request.flow.clone();
-        cfg.w_max = ctx.w_max(); // the registry clamps w_max to >= 1
-        let flow = TestFlow::with_context(ctx, cfg);
+        let flow = |ctx: Arc<CompiledSoc>| {
+            let mut cfg = request.flow.clone();
+            cfg.w_max = ctx.w_max(); // the registry clamps w_max to >= 1
+            TestFlow::with_context(ctx, cfg)
+        };
         match &request.op {
-            EngineOp::Schedule { width } => flow
+            EngineOp::Schedule { width } => flow(ctx)
                 .run(*width)
                 .map(|run| EngineOutput::Schedule(Box::new(run))),
-            EngineOp::Sweep { widths } => flow
+            EngineOp::Sweep { widths } => flow(ctx)
                 .sweep_widths(widths.iter().copied())
                 .map(EngineOutput::Sweep),
             EngineOp::Bounds { widths } => {
@@ -518,7 +521,7 @@ impl Engine {
                         reason: "lower bounds need at least one wire".to_owned(),
                     });
                 }
-                Ok(EngineOutput::Bounds(flow.context().lower_bounds(widths)))
+                Ok(EngineOutput::Bounds(ctx.lower_bounds(widths)))
             }
         }
     }

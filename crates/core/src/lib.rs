@@ -52,6 +52,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::error::Error;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 pub mod engine;
 pub mod fault;
 pub mod flow;
@@ -72,3 +76,33 @@ pub use soctam_tam as tam;
 pub use soctam_volume as volume;
 /// Re-export of the wrapper-design crate.
 pub use soctam_wrapper as wrapper;
+
+/// The `main` of every example and table/figure regenerator: runs `run` on
+/// one locked stdout, flushes it, and turns the outcome into an exit code.
+/// A reader that closes stdout early (`| head -1`) ends the program with
+/// exit 0 and nothing on stderr; any other error prints `error: …` and
+/// exits 1.
+///
+/// ```no_run
+/// use std::io::Write;
+///
+/// fn main() -> std::process::ExitCode {
+///     soctam_core::run_on_stdout(|out| Ok(writeln!(out, "hello")?))
+/// }
+/// ```
+pub fn run_on_stdout(run: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+}

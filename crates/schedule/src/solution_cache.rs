@@ -15,12 +15,13 @@
 //! # Concurrency discipline
 //!
 //! Entries live in independently locked shards selected by key hash; the
-//! shard lock covers only the map probe, never a solve. A miss publishes
-//! an empty per-entry cell and releases the shard; concurrent requests
-//! for the *same* key rendezvous on that cell — exactly one runs the
-//! solver, the rest block until the result is published
-//! ([`SolutionCacheStats::coalesced`] counts them) — while requests for
-//! other keys proceed immediately.
+//! shard lock covers only the map probe, never a solve. A request hashes
+//! its key once: that hash picks the shard and indexes the shard's map.
+//! A miss publishes an empty per-entry cell and releases the shard;
+//! concurrent requests for the *same* key rendezvous on that cell —
+//! exactly one runs the solver, the rest block until the result is
+//! published ([`SolutionCacheStats::coalesced`] counts them) — while
+//! requests for other keys proceed immediately.
 //!
 //! # Errors are not cached
 //!
@@ -63,7 +64,7 @@
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -86,6 +87,53 @@ struct Slot<V, E> {
     cell: Arc<OnceLock<SlotOutcome<V, E>>>,
     last_used: u64,
 }
+
+/// A key with its hash under the cache's hasher, computed once per
+/// request: the hash picks the shard and is also the shard map's hash
+/// ([`PassThrough`]), so a probe, an insert and a removal hash nothing
+/// more.
+#[derive(Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard maps' hasher: it hands on the [`Hashed::hash`] it is given.
+/// That hash is the cache's keyed `RandomState` hash, so keys crafted to
+/// collide in a shard fare no better than under the maps' own hasher.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps hash only `Hashed` keys, through `write_u64`")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One shard: its keys, already hashed, and their slots.
+type Shard<K, V, E> = HashMap<Hashed<K>, Slot<V, E>, BuildHasherDefault<PassThrough>>;
 
 /// How one [`SolutionCache::get_or_compute_traced`] request was disposed
 /// of — the per-request counterpart of the cumulative
@@ -153,7 +201,7 @@ impl SolutionCacheStats {
 /// solve, errors are not cached, and a panicking solve is torn down
 /// without poisoning a shard.
 pub struct SolutionCache<K, V, E> {
-    shards: Vec<Mutex<HashMap<K, Slot<V, E>>>>,
+    shards: Vec<Mutex<Shard<K, V, E>>>,
     per_shard_capacity: usize,
     hasher: RandomState,
     clock: AtomicU64,
@@ -182,7 +230,7 @@ where
         let shards = shards.max(1);
         let per_shard_capacity = capacity.max(1).div_ceil(shards).max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity,
             hasher: RandomState::new(),
             clock: AtomicU64::new(0),
@@ -223,6 +271,7 @@ where
         key: K,
         solve: impl FnOnce() -> Result<V, E>,
     ) -> (Result<V, E>, CacheLookup) {
+        let key = self.hashed(key);
         let shard = &self.shards[self.shard_of(&key)];
         // `solve` is consumed only by the request that actually runs it;
         // a waiter whose in-flight solver panicked still holds its own
@@ -344,8 +393,9 @@ where
     /// Only returns a completed cached result; never solves, never blocks
     /// on an in-flight solve, counts neither hit nor miss.
     pub fn peek(&self, key: &K) -> Option<V> {
-        let map = lock_unpoisoned(&self.shards[self.shard_of(key)]);
-        match map.get(key)?.cell.get()? {
+        let key = self.hashed(key.clone());
+        let map = lock_unpoisoned(&self.shards[self.shard_of(&key)]);
+        match map.get(&key)?.cell.get()? {
             SlotOutcome::Done(r) => r.as_ref().ok().cloned(),
             SlotOutcome::Panicked(_) => None,
         }
@@ -391,7 +441,7 @@ where
     /// never victims: evicting a slot whose cell is unset would discard
     /// the solve in progress and detach later same-key requests from it
     /// (re-solving instead of coalescing).
-    fn evict_lru(&self, map: &mut HashMap<K, Slot<V, E>>, spare: Option<&K>) -> bool {
+    fn evict_lru(&self, map: &mut Shard<K, V, E>, spare: Option<&Hashed<K>>) -> bool {
         let lru = map
             .iter()
             .filter(|(k, slot)| slot.cell.get().is_some() && Some(*k) != spare)
@@ -405,8 +455,18 @@ where
         true
     }
 
-    fn shard_of(&self, key: &K) -> usize {
-        (self.hasher.hash_one(key) % self.shards.len() as u64) as usize
+    fn hashed(&self, key: K) -> Hashed<K> {
+        Hashed {
+            hash: self.hasher.hash_one(&key),
+            key,
+        }
+    }
+
+    /// The hash's high half picks the shard. The shard map indexes its
+    /// buckets by the low bits and tags them with the top seven, so all
+    /// three stay independent.
+    fn shard_of(&self, key: &Hashed<K>) -> usize {
+        ((key.hash >> 32) % self.shards.len() as u64) as usize
     }
 }
 

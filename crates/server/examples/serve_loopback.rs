@@ -10,22 +10,7 @@ use std::process::ExitCode;
 use soctam_server::{client, Server, ServerConfig};
 
 fn main() -> ExitCode {
-    let mut out = io::stdout().lock();
-    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
-        Ok(()) => ExitCode::SUCCESS,
-        // A reader that closes stdout early (`| head -1`) ends the
-        // example; it is not an error.
-        Err(e) if broken_pipe(&*e) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn broken_pipe(e: &(dyn Error + 'static)) -> bool {
-    e.downcast_ref::<io::Error>()
-        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+    soctam_core::run_on_stdout(run)
 }
 
 /// Socket errors are reported with the step that failed, so the only
@@ -34,7 +19,7 @@ fn daemon(step: &'static str) -> impl Fn(io::Error) -> String {
     move |e| format!("{step}: {e}")
 }
 
-fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     // Port 0: the OS picks a free port; production deployments pass a
     // fixed address (`soctam serve --addr 0.0.0.0:3777`).
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).map_err(daemon("bind"))?;

@@ -1,8 +1,8 @@
 //! Greedy wire allocation for schedule slices.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use soctam_schedule::{Schedule, Slice};
 use soctam_soc::CoreIdx;
@@ -78,11 +78,14 @@ impl SliceWires {
 }
 
 /// A complete mapping from schedule slices to physical TAM wires.
+///
+/// The slices are shared, so a clone (a served answer's copy out of a
+/// cache, say) costs no allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireAssignment {
     tam_width: u16,
     makespan: u64,
-    assignments: Vec<SliceWires>,
+    assignments: Arc<[SliceWires]>,
 }
 
 impl WireAssignment {
@@ -94,11 +97,147 @@ impl WireAssignment {
     /// free wires. Because the scheduler never exceeds the width budget,
     /// this always succeeds for valid schedules.
     ///
+    /// The bookkeeping is plain arrays indexed by wire and by core, so a
+    /// schedule of `S` slices on `W` wires costs O(S × W) after the sort.
+    ///
     /// # Errors
     ///
     /// [`WireError::Overcommitted`] if the schedule itself demands more
     /// than `W` concurrent wires (i.e. the input is invalid).
     pub fn assign(schedule: &Schedule) -> Result<Self, WireError> {
+        let w = usize::from(schedule.tam_width());
+        // busy_until[wire] = end of the last slice on that wire.
+        let mut busy_until = vec![0u64; w];
+        // taken[wire]: the slice being placed already holds the wire.
+        let mut taken = vec![false; w];
+
+        let mut slices: Vec<Slice> = schedule.slices().to_vec();
+        slices.sort_by_key(|s| (s.start, s.core));
+        // previous[core] = index in `assignments` of the core's last slice.
+        let cores = slices.iter().map(|s| s.core + 1).max().unwrap_or(0);
+        let mut previous: Vec<Option<usize>> = vec![None; cores];
+
+        let mut assignments: Vec<SliceWires> = Vec::with_capacity(slices.len());
+        for slice in slices {
+            let need = usize::from(slice.width);
+            let mut chosen: Vec<WireId> = Vec::with_capacity(need);
+
+            // First choice: the core's previous wires, if still free.
+            if let Some(prev) = previous[slice.core] {
+                for &wire in &assignments[prev].wires {
+                    if chosen.len() == need {
+                        break;
+                    }
+                    if busy_until[usize::from(wire)] <= slice.start {
+                        chosen.push(wire);
+                        taken[usize::from(wire)] = true;
+                    }
+                }
+            }
+            // Then: lowest-numbered free wires.
+            for wire in 0..w {
+                if chosen.len() == need {
+                    break;
+                }
+                if busy_until[wire] <= slice.start && !taken[wire] {
+                    chosen.push(wire as WireId);
+                }
+            }
+            for &wire in &chosen {
+                taken[usize::from(wire)] = false;
+            }
+            if chosen.len() < need {
+                return Err(WireError::Overcommitted {
+                    at_time: slice.start,
+                });
+            }
+            chosen.sort_unstable();
+            for &wire in &chosen {
+                busy_until[usize::from(wire)] = slice.end;
+            }
+            previous[slice.core] = Some(assignments.len());
+            assignments.push(SliceWires {
+                slice,
+                wires: chosen,
+            });
+        }
+        Ok(Self {
+            tam_width: schedule.tam_width(),
+            makespan: schedule.makespan(),
+            assignments: assignments.into(),
+        })
+    }
+
+    /// The TAM width the assignment targets.
+    pub fn tam_width(&self) -> u16 {
+        self.tam_width
+    }
+
+    /// Schedule makespan carried over for utilization accounting.
+    pub fn makespan(&self) -> u64 {
+        self.makespan
+    }
+
+    /// All per-slice wire assignments, in start-time order.
+    pub fn assignments(&self) -> &[SliceWires] {
+        &self.assignments
+    }
+
+    /// Independently verifies the assignment: each slice holds exactly its
+    /// width in distinct wires, every wire id is in range, and no wire
+    /// serves two overlapping slices.
+    ///
+    /// The overlap check walks the slices once in `(start, end)` order,
+    /// keeping the end of the last slice seen on each wire: a wire clashes
+    /// when a slice starts before the previous slice on that wire ended.
+    /// O(S log S + S × W) for `S` slices on `W` wires.
+    ///
+    /// # Errors
+    ///
+    /// The first [`WireError`] found; a [`WireError::WireClash`] names the
+    /// wire of the first clash in `(start, end)` order.
+    pub fn verify(&self) -> Result<(), WireError> {
+        for a in self.assignments.iter() {
+            if a.wires.len() != usize::from(a.slice.width) {
+                return Err(WireError::WidthMismatch { core: a.slice.core });
+            }
+            for pair in a.wires.windows(2) {
+                if pair[0] >= pair[1] {
+                    return Err(WireError::WidthMismatch { core: a.slice.core });
+                }
+            }
+            if a.wires.iter().any(|&wire| wire >= self.tam_width) {
+                return Err(WireError::WidthMismatch { core: a.slice.core });
+            }
+        }
+        let mut order: Vec<&SliceWires> = self.assignments.iter().collect();
+        order.sort_by_key(|a| (a.slice.start, a.slice.end));
+        // last_end[wire] = end of the last slice seen on that wire.
+        let mut last_end = vec![0u64; usize::from(self.tam_width)];
+        for a in order {
+            for &wire in &a.wires {
+                let end = &mut last_end[usize::from(wire)];
+                if a.slice.start < *end {
+                    return Err(WireError::WireClash { wire });
+                }
+                *end = a.slice.end;
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use soctam_schedule::{ScheduleBuilder, SchedulerConfig};
+    use soctam_soc::{benchmarks, synth::SynthConfig};
+    use std::collections::HashMap;
+
+    /// The hash-map [`WireAssignment::assign`] the array version is pinned
+    /// against.
+    fn assign_reference(schedule: &Schedule) -> Result<WireAssignment, WireError> {
         let w = usize::from(schedule.tam_width());
         // busy_until[wire] = end of the last slice on that wire.
         let mut busy_until = vec![0u64; w];
@@ -147,37 +286,18 @@ impl WireAssignment {
                 wires: chosen,
             });
         }
-        Ok(Self {
+        Ok(WireAssignment {
             tam_width: schedule.tam_width(),
             makespan: schedule.makespan(),
-            assignments,
+            assignments: assignments.into(),
         })
     }
 
-    /// The TAM width the assignment targets.
-    pub fn tam_width(&self) -> u16 {
-        self.tam_width
-    }
-
-    /// Schedule makespan carried over for utilization accounting.
-    pub fn makespan(&self) -> u64 {
-        self.makespan
-    }
-
-    /// All per-slice wire assignments, in start-time order.
-    pub fn assignments(&self) -> &[SliceWires] {
-        &self.assignments
-    }
-
-    /// Independently verifies the assignment: each slice holds exactly its
-    /// width in distinct wires, every wire id is in range, and no wire
-    /// serves two overlapping slices.
-    ///
-    /// # Errors
-    ///
-    /// The first [`WireError`] found.
-    pub fn verify(&self) -> Result<(), WireError> {
-        for a in &self.assignments {
+    /// The hash-map [`WireAssignment::verify`] the array version is pinned
+    /// against: which wire its `WireClash` names follows the map's
+    /// iteration order.
+    fn verify_reference(wa: &WireAssignment) -> Result<(), WireError> {
+        for a in wa.assignments.iter() {
             if a.wires.len() != usize::from(a.slice.width) {
                 return Err(WireError::WidthMismatch { core: a.slice.core });
             }
@@ -186,13 +306,13 @@ impl WireAssignment {
                     return Err(WireError::WidthMismatch { core: a.slice.core });
                 }
             }
-            if a.wires.iter().any(|&wire| wire >= self.tam_width) {
+            if a.wires.iter().any(|&wire| wire >= wa.tam_width) {
                 return Err(WireError::WidthMismatch { core: a.slice.core });
             }
         }
         // Per-wire overlap check.
         let mut per_wire: HashMap<WireId, Vec<&SliceWires>> = HashMap::new();
-        for a in &self.assignments {
+        for a in wa.assignments.iter() {
             for &wire in &a.wires {
                 per_wire.entry(wire).or_default().push(a);
             }
@@ -211,13 +331,41 @@ impl WireAssignment {
         }
         Ok(())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use soctam_schedule::{ScheduleBuilder, SchedulerConfig};
-    use soctam_soc::{benchmarks, synth::SynthConfig};
+    /// Both verifiers on one assignment: the same error variant, and the
+    /// same error exactly unless it is a clash (the reference names
+    /// whichever clashing wire its map yields first).
+    fn same_verdict(wa: &WireAssignment) -> Result<(), WireError> {
+        let got = wa.verify();
+        let want = verify_reference(wa);
+        match (&got, &want) {
+            (Err(WireError::WireClash { .. }), Err(WireError::WireClash { .. })) => {}
+            _ => assert_eq!(got, want),
+        }
+        got
+    }
+
+    fn synth_schedule(cores: usize, seed: u64, width: u16) -> Schedule {
+        let soc = SynthConfig::new(cores)
+            .with_constraints()
+            .with_preemption(2)
+            .generate(seed);
+        ScheduleBuilder::new(&soc, SchedulerConfig::new(width))
+            .run()
+            .unwrap()
+    }
+
+    /// An assignment whose slices hold exactly the given wires, in order.
+    fn holding(tam_width: u16, slices: Vec<(Slice, Vec<WireId>)>) -> WireAssignment {
+        WireAssignment {
+            tam_width,
+            makespan: slices.iter().map(|(s, _)| s.end).max().unwrap_or(0),
+            assignments: slices
+                .into_iter()
+                .map(|(slice, wires)| SliceWires { slice, wires })
+                .collect(),
+        }
+    }
 
     fn manual(width: u16, slices: Vec<Slice>) -> Schedule {
         Schedule::from_slices("t", width, slices)
@@ -333,6 +481,157 @@ mod tests {
                 .unwrap();
             let wa = WireAssignment::assign(&s).unwrap();
             wa.verify().unwrap();
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_wrong_wire_count() {
+        let wa = holding(8, vec![(sl(0, 3, 0, 10), vec![0, 1])]);
+        assert_eq!(wa.verify(), Err(WireError::WidthMismatch { core: 0 }));
+    }
+
+    #[test]
+    fn verify_rejects_a_duplicate_wire() {
+        let wa = holding(8, vec![(sl(2, 3, 0, 10), vec![0, 4, 4])]);
+        assert_eq!(wa.verify(), Err(WireError::WidthMismatch { core: 2 }));
+    }
+
+    #[test]
+    fn verify_rejects_unsorted_wires() {
+        let wa = holding(8, vec![(sl(1, 3, 0, 10), vec![0, 5, 3])]);
+        assert_eq!(wa.verify(), Err(WireError::WidthMismatch { core: 1 }));
+    }
+
+    #[test]
+    fn verify_rejects_an_out_of_range_wire() {
+        let wa = holding(4, vec![(sl(3, 2, 0, 10), vec![1, 4])]);
+        assert_eq!(wa.verify(), Err(WireError::WidthMismatch { core: 3 }));
+    }
+
+    #[test]
+    fn verify_rejects_an_overlapping_reuse() {
+        let wa = holding(
+            4,
+            vec![(sl(0, 2, 0, 10), vec![0, 1]), (sl(1, 2, 9, 20), vec![1, 2])],
+        );
+        assert_eq!(wa.verify(), Err(WireError::WireClash { wire: 1 }));
+        // Touching slices share a wire legally.
+        let wa = holding(
+            4,
+            vec![
+                (sl(0, 2, 0, 10), vec![0, 1]),
+                (sl(1, 2, 10, 20), vec![1, 2]),
+            ],
+        );
+        assert_eq!(wa.verify(), Ok(()));
+    }
+
+    #[test]
+    fn a_slice_of_no_cycles_overlaps_nothing() {
+        // Both slices start at cycle 5 on wire 1; the empty one ends there.
+        let wa = holding(
+            2,
+            vec![(sl(0, 1, 5, 15), vec![1]), (sl(1, 1, 5, 5), vec![1])],
+        );
+        assert_eq!(wa.verify(), Ok(()));
+        assert_eq!(verify_reference(&wa), Ok(()));
+    }
+
+    #[test]
+    fn a_clash_names_the_first_wire_in_start_order() {
+        // Wire 3 clashes from cycle 5 and wire 0 only from cycle 20; the
+        // slices are listed out of start order.
+        let wa = holding(
+            4,
+            vec![
+                (sl(2, 1, 20, 30), vec![0]),
+                (sl(0, 2, 0, 25), vec![0, 3]),
+                (sl(1, 1, 5, 8), vec![3]),
+            ],
+        );
+        assert_eq!(wa.verify(), Err(WireError::WireClash { wire: 3 }));
+    }
+
+    #[test]
+    fn benchmark_assignments_match_the_reference() {
+        for soc in benchmarks::all() {
+            for w in [8u16, 16, 24, 32, 48, 64] {
+                let s = ScheduleBuilder::new(&soc, SchedulerConfig::new(w))
+                    .run()
+                    .unwrap();
+                let wa = WireAssignment::assign(&s);
+                assert_eq!(wa, assign_reference(&s), "{} W={w}", soc.name());
+                assert_eq!(same_verdict(&wa.unwrap()), Ok(()));
+            }
+        }
+    }
+
+    proptest! {
+        /// On constraint-heavy, preemptive synthetic schedules the array
+        /// bookkeeping assigns exactly the reference's wires, and both
+        /// verifiers accept them.
+        #[test]
+        fn assignments_match_the_reference_on_synthetic_schedules(
+            cores in 2usize..30,
+            seed in 0u64..1_000_000,
+            width in 1u16..65,
+        ) {
+            let s = synth_schedule(cores, seed, width);
+            let wa = WireAssignment::assign(&s);
+            prop_assert_eq!(&wa, &assign_reference(&s));
+            prop_assert_eq!(same_verdict(&wa.unwrap()), Ok(()));
+        }
+
+        /// A corrupted assignment (a duplicate wire, an out-of-range wire,
+        /// unsorted ids, a wrong count, or a wire reused by an overlapping
+        /// slice) draws the same error variant from both verifiers.
+        #[test]
+        fn corrupted_assignments_draw_the_reference_verdict(
+            cores in 2usize..20,
+            seed in 0u64..1_000_000,
+            width in 2u16..40,
+            corruption in 0usize..5,
+            pick in 0usize..1_000,
+        ) {
+            let s = synth_schedule(cores, seed, width);
+            let wa = WireAssignment::assign(&s).unwrap();
+            let mut slices = wa.assignments().to_vec();
+            let victim = pick % slices.len();
+            let a = &mut slices[victim];
+            match corruption {
+                0 => a.wires.push(*a.wires.last().unwrap()),
+                1 => *a.wires.last_mut().unwrap() = width + (pick % 3) as u16,
+                2 => {
+                    prop_assume!(a.wires.len() >= 2);
+                    a.wires.reverse();
+                }
+                3 => {
+                    a.wires.pop();
+                }
+                _ => {
+                    // Reuse a wire of a slice that overlaps the victim.
+                    let slice = a.slice;
+                    let other = slices.iter().position(|b| {
+                        b.slice.start < slice.end
+                            && slice.start < b.slice.end
+                            && b.wires.iter().any(|w| !slices[victim].wires.contains(w))
+                    });
+                    let Some(other) = other else { return; };
+                    let stolen = *slices[other]
+                        .wires
+                        .iter()
+                        .find(|w| !slices[victim].wires.contains(w))
+                        .unwrap();
+                    let a = &mut slices[victim];
+                    a.wires[0] = stolen;
+                    a.wires.sort_unstable();
+                }
+            }
+            let wa = WireAssignment {
+                assignments: slices.into(),
+                ..wa
+            };
+            prop_assert!(same_verdict(&wa).is_err(), "corruption {} accepted", corruption);
         }
     }
 

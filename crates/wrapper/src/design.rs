@@ -170,7 +170,14 @@ pub(crate) fn test_time(scan_in: u64, scan_out: u64, patterns: u64) -> Cycles {
 /// per-chain cell tally is built, and at a width with a wrapper chain for
 /// every scan chain the longest load is the longest scan chain, so no
 /// placement runs either; bidirectional cells are placed on the per-chain
-/// lengths, so those cores run [`ChainCells`]. Bit-identical to
+/// lengths, so those cores run [`ChainCells`].
+///
+/// Balanced cores, whose scan chains all have one length `s`, run no
+/// placement at any width. BFD puts the first `k` of the `n` chains on
+/// wrapper chains `0..k`, one each; from then on every wrapper chain ties
+/// with the others at each round, so the lowest-index tie-break deals the
+/// rest round-robin, and wrapper chain `b` holds `s · ⌈(n − b) / k⌉`
+/// flops (none when `b >= n`). Bit-identical to
 /// [`WrapperDesign::design`]'s `scan_in` and `scan_out`.
 pub(crate) struct ScanPaths<'a> {
     core: &'a CoreTest,
@@ -197,24 +204,53 @@ impl<'a> ScanPaths<'a> {
         }
     }
 
+    /// The least flops a wrapper chain holding two of the `width + 1`
+    /// longest scan chains can carry: the two shortest of them, summed.
+    /// With fewer wrapper chains than scan chains, some wrapper chain holds
+    /// two of them (pigeonhole), so every design at `width >= 1` has a
+    /// scan-in and a scan-out path at least this long. `0` when
+    /// `width` wires give every scan chain a wrapper chain of its own.
+    pub(crate) fn shared_pair(&self, width: TamWidth) -> u64 {
+        let w = usize::from(width);
+        match self.chains.get(w) {
+            Some(&next) => self.chains[w - 1] + next,
+            None => 0,
+        }
+    }
+
     /// `(scan_in, scan_out)` of the design at `width >= 1` wires.
     pub(crate) fn at(&mut self, width: TamWidth) -> (u64, u64) {
         let k = usize::from(width);
-        if self.core.bidirs() == 0 && k >= self.chains.len() {
-            // BFD gives every scan chain a wrapper chain of its own.
-            let longest = self.chains.first().copied().unwrap_or(0);
+        let n = self.chains.len();
+        // Compared as `Some`: with no chains at all `first() == last()`
+        // holds too, and such a core takes the placement path.
+        let balanced = self
+            .chains
+            .first()
+            .is_some_and(|first| self.chains.last() == Some(first));
+        if self.core.bidirs() == 0 && (k >= n || balanced) {
+            // BFD gives every scan chain a wrapper chain of its own, or
+            // deals `ceil(n / k)` balanced chains to wrapper chain 0.
+            let longest = self.chains.first().map_or(0, |&s| s * n.div_ceil(k) as u64);
             return (
                 filled_max(longest, self.flops, k, self.core.inputs()),
                 filled_max(longest, self.flops, k, self.core.outputs()),
             );
         }
-        self.loads.resize(k, 0);
-        place_decreasing(
-            self.chains.iter().copied(),
-            &mut self.loads,
-            &mut self.heap,
-            |_, _| {},
-        );
+        if balanced {
+            let s = self.chains[0];
+            self.loads.clear();
+            self.loads
+                .extend((0..k).map(|bin| s * n.saturating_sub(bin).div_ceil(k) as u64));
+        } else {
+            self.loads.resize(k, 0);
+            place_decreasing(
+                self.chains.iter().copied(),
+                &mut self.loads,
+                &mut self.heap,
+                |_, _| {},
+            );
+        }
         if self.core.bidirs() > 0 {
             self.cells.place(self.core, &self.loads);
             return (self.cells.scan_in(), self.cells.scan_out());
@@ -527,6 +563,33 @@ mod tests {
         assert_eq!(d.chain_outputs().iter().sum::<u64>(), 7 + 3);
     }
 
+    #[test]
+    fn scan_paths_without_scan_chains_place_bidirectional_cells() {
+        // No chains at all: `first() == last()` holds vacuously, and the
+        // balanced deal must not run (its first load would be out of range).
+        let c = CoreTest::new(3, 2, 5, vec![], 10).unwrap();
+        let mut paths = ScanPaths::new(&c);
+        for w in [1, 2, 3, 7, 16] {
+            let d = WrapperDesign::design(&c, w).unwrap();
+            assert_eq!(paths.at(w), (d.scan_in(), d.scan_out()), "width {w}");
+        }
+        assert_eq!(paths.shared_pair(1), 0);
+    }
+
+    #[test]
+    fn balanced_chains_deal_round_robin() {
+        // Seven chains of 10 on three wrapper chains: 3, 2, 2 chains.
+        let c = CoreTest::new(0, 0, 1, vec![10; 7], 4).unwrap();
+        let d = WrapperDesign::design(&c, 3).unwrap();
+        assert_eq!(d.chain_flops(), &[30, 20, 20]);
+        let mut paths = ScanPaths::new(&c);
+        assert_eq!(paths.at(3), (d.scan_in(), d.scan_out()));
+        assert_eq!(paths.loads, [30, 20, 20]);
+        // Two of the four longest share a wrapper chain at width 3.
+        assert_eq!(paths.shared_pair(3), 20);
+        assert_eq!(paths.shared_pair(7), 0);
+    }
+
     proptest! {
         /// scan_in/scan_out never drop below the trivial lower bounds and
         /// test time matches the formula recomputed from parts.
@@ -607,6 +670,49 @@ mod tests {
                 let d = WrapperDesign::design(&c, w).unwrap();
                 prop_assert_eq!(paths.at(w), (d.scan_in(), d.scan_out()), "width {}", w);
             }
+        }
+
+        /// The same on balanced cores, whose `n` scan chains all have one
+        /// length, so BFD's loads come from the round-robin deal: every
+        /// width up to `n` plus up to 30 more covers widths below, at and
+        /// above the chain count, with and without bidirectional cells.
+        #[test]
+        fn scan_paths_match_design_on_balanced_chains(
+            inputs in 0u32..300,
+            outputs in 0u32..300,
+            bidirs in (0u32..2, 1u32..80).prop_map(|(on, n)| on * n),
+            len in 1u32..60,
+            n in 1usize..50,
+            extra in 0u16..30,
+            patterns in 1u64..500,
+        ) {
+            let c = CoreTest::new(inputs, outputs, bidirs, vec![len; n], patterns).unwrap();
+            let mut paths = ScanPaths::new(&c);
+            let w_max = n as u16 + extra;
+            for w in (1..=w_max).chain((1..w_max).rev()) {
+                let d = WrapperDesign::design(&c, w).unwrap();
+                prop_assert_eq!(paths.at(w), (d.scan_in(), d.scan_out()), "width {}", w);
+            }
+        }
+
+        /// Two of the `w + 1` longest scan chains share a wrapper chain at
+        /// width `w`, so the pair is a floor on both longest paths.
+        #[test]
+        fn shared_pair_is_a_floor_on_both_paths(
+            inputs in 0u32..100,
+            outputs in 0u32..100,
+            bidirs in (0u32..2, 1u32..40).prop_map(|(on, n)| on * n),
+            chains in proptest::collection::vec(1u32..60, 0..30),
+            patterns in 1u64..100,
+            width in 1u16..40,
+        ) {
+            prop_assume!(inputs + outputs + bidirs > 0 || !chains.is_empty());
+            let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            let pair = ScanPaths::new(&c).shared_pair(width);
+            let d = WrapperDesign::design(&c, width).unwrap();
+            let fullest = d.chain_flops().iter().copied().max().unwrap_or(0);
+            prop_assert!(pair <= fullest, "pair {} over the fullest chain {}", pair, fullest);
+            prop_assert!(pair <= d.scan_in().min(d.scan_out()));
         }
 
         /// Monotonicity: test time is non-increasing in TAM width.

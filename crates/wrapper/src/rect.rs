@@ -117,19 +117,23 @@ impl RectangleSet {
             .map_or(0, u64::from);
         let (in_cells, out_cells) = (core.scan_in_bits(), core.scan_out_bits());
         // The floor is exact by construction. At width `w` some wrapper
-        // chain holds the longest scan chain, and `w` chains hold all the
-        // cells on each side, so the design's paths are at least
-        // `max(longest, ceil(cells / w))`; `test_time` never decreases as
-        // either path grows, so `floor(w) <= T(w)`. A width whose floor
-        // reaches the best time so far cannot be strictly better, and the
-        // staircase keeps only strict drops, so skipping it changes no
-        // rectangle. As `w` grows without limit the floor falls to `stop`
-        // (a path holding any cell is at least 1 long); once the best time
-        // reaches it, every later width is skipped without a division.
-        let floor_at = |w: u64| {
+        // chain holds the longest scan chain; with fewer wrapper chains
+        // than scan chains, some wrapper chain holds two of the `w + 1`
+        // longest (pigeonhole), so at least the two shortest of them
+        // (`ScanPaths::shared_pair`); and `w` chains hold all the cells on
+        // each side. So the design's paths are at least
+        // `max(longest, pair, ceil(cells / w))`; `test_time` never
+        // decreases as either path grows, so `floor(w) <= T(w)`. A width
+        // whose floor reaches the best time so far cannot be strictly
+        // better, and the staircase keeps only strict drops, so skipping it
+        // changes no rectangle. As `w` grows without limit the pair term
+        // vanishes and the floor falls to `stop` (a path holding any cell
+        // is at least 1 long); once the best time reaches it, every later
+        // width is skipped without a division.
+        let floor_at = |w: u64, flops: u64| {
             test_time(
-                longest.max(in_cells.div_ceil(w)),
-                longest.max(out_cells.div_ceil(w)),
+                flops.max(in_cells.div_ceil(w)),
+                flops.max(out_cells.div_ceil(w)),
                 patterns,
             )
         };
@@ -149,7 +153,9 @@ impl RectangleSet {
             scan_out: 0,
         };
         for w in 1..=w_max {
-            if best.time > stop && floor_at(u64::from(w)) < best.time {
+            if best.time > stop
+                && floor_at(u64::from(w), longest.max(paths.shared_pair(w))) < best.time
+            {
                 let (scan_in, scan_out) = paths.at(w);
                 let time = test_time(scan_in, scan_out, patterns);
                 if time < best.time {
@@ -490,6 +496,15 @@ mod tests {
     }
 
     #[test]
+    fn bidirectional_cells_without_scan_chains_match_the_reference() {
+        let c = CoreTest::new(3, 2, 5, vec![], 10).unwrap();
+        assert_eq!(
+            RectangleSet::build(&c, 16),
+            RectangleSet::build_reference(&c, 16)
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "outside")]
     fn rect_at_zero_panics() {
         let s = set(2, 2, vec![5], 3, 8);
@@ -619,6 +634,27 @@ mod tests {
         ) {
             prop_assume!(inputs + outputs + bidirs > 0);
             let c = CoreTest::new(inputs, outputs, bidirs, vec![], patterns).unwrap();
+            prop_assert_eq!(
+                RectangleSet::build(&c, w_max),
+                RectangleSet::build_reference(&c, w_max)
+            );
+        }
+
+        /// The same on balanced cores, whose `n` scan chains all have one
+        /// length, with `w_max` below, at and above `n` and with and without
+        /// bidirectional cells: random chain vectors almost never have
+        /// equal lengths.
+        #[test]
+        fn build_matches_design_reference_on_balanced_chains(
+            inputs in 0u32..300,
+            outputs in 0u32..300,
+            bidirs in (0u32..2, 1u32..80).prop_map(|(on, n)| on * n),
+            len in 1u32..60,
+            n in 1usize..50,
+            w_max in 1u16..81,
+            patterns in 1u64..500,
+        ) {
+            let c = CoreTest::new(inputs, outputs, bidirs, vec![len; n], patterns).unwrap();
             prop_assert_eq!(
                 RectangleSet::build(&c, w_max),
                 RectangleSet::build_reference(&c, w_max)

@@ -11,10 +11,8 @@ use soctam::engine::{Engine, EngineOutput, EngineRequest};
 use soctam::flow::{FlowConfig, PowerPolicy};
 use soctam::soc::benchmarks;
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -13,10 +13,8 @@ use soctam::schedule::validate::validate;
 use soctam::soc::{itc02, Core, Soc};
 use soctam::wrapper::CoreTest;
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -13,10 +13,8 @@ use soctam::report::render_plot;
 use soctam::soc::benchmarks;
 use soctam::volume::{CostCurve, TesterMemoryModel};
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -12,10 +12,8 @@ use soctam::flow::{FlowConfig, PowerPolicy, TestFlow};
 use soctam::schedule::validate::{validate, validate_power};
 use soctam::soc::benchmarks;
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

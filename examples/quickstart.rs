@@ -11,10 +11,8 @@ use soctam::flow::{FlowConfig, TestFlow};
 use soctam::schedule::validate::validate;
 use soctam::soc::benchmarks;
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

@@ -14,10 +14,8 @@ use soctam::sim::{ScanTestSim, TesterSim};
 use soctam::soc::benchmarks;
 use soctam::wrapper::{WrapperDesign, WrapperLayout};
 
-mod common;
-
 fn main() -> ExitCode {
-    common::main(run)
+    soctam::run_on_stdout(run)
 }
 
 fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {

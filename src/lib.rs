@@ -39,4 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use soctam_core::{baseline, engine, flow, report, schedule, sim, soc, tam, volume, wrapper};
+pub use soctam_core::{
+    baseline, engine, flow, report, run_on_stdout, schedule, sim, soc, tam, volume, wrapper,
+};
