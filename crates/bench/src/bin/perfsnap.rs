@@ -6,8 +6,8 @@
 //! `BENCH_sweep.json`, seeding the repo's perf trajectory. A cold section
 //! then serves the same width as a fresh daemon would: a new `Engine`, a
 //! schedule request with the protocol's flow configuration. Every block
-//! records `schedule_runs`, the solver invocations it cost, and the sweep
-//! tally: runs executed, deduplicated, cut, and stopped early
+//! records `schedule_runs`, the solver invocations its own trace counted,
+//! and the sweep tally: runs executed, deduplicated, cut, and stopped early
 //! (`runs_aborted`).
 //!
 //! Each timing is split into *compile* (obtaining the `CompiledSoc`
@@ -41,8 +41,8 @@ use soctam_bench::{headline_config, json_escape, write_report};
 use soctam_core::engine::{Engine, EngineOutput, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, SweepParams, SweepStats, TestFlow};
 use soctam_core::protocol::{check_known_args, flag, opt_value, request_flow};
-use soctam_core::schedule::obs;
-use soctam_core::schedule::{instrument, ContextRegistry};
+use soctam_core::schedule::obs::{self, Work};
+use soctam_core::schedule::ContextRegistry;
 use soctam_core::soc::benchmarks;
 
 struct Timing {
@@ -72,19 +72,21 @@ fn time_sweep(
     let ctx = registry.get_or_compile(soc, cfg.w_max, cfg.power.resolve(soc));
     let flow = TestFlow::with_context(ctx, cfg.clone());
     let compile_seconds = t0.elapsed().as_secs_f64();
-    let runs_before = instrument::schedule_runs();
+    obs::trace_begin();
     let t1 = Instant::now();
     let (schedule, params, stats) = flow
         .best_schedule_detailed(width)
         .expect("benchmark SOCs are schedulable");
+    let solve_seconds = t1.elapsed().as_secs_f64();
+    let trace = obs::trace_end().expect("the recorder armed above");
     Timing {
         sweep,
         compile_seconds,
-        solve_seconds: t1.elapsed().as_secs_f64(),
+        solve_seconds,
         makespan: schedule.makespan(),
         params,
         stats,
-        schedule_runs: instrument::schedule_runs() - runs_before,
+        schedule_runs: trace.count(Work::ScheduleRun),
     }
 }
 
@@ -118,8 +120,6 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
     let soc = Arc::new(benchmarks::by_name(name).expect("known benchmark"));
     let request = EngineRequest::schedule(soc, request_flow(false, false), width);
     let engine = Engine::new();
-    let builds_before = instrument::menu_builds();
-    let runs_before = instrument::schedule_runs();
 
     obs::trace_begin();
     let t0 = Instant::now();
@@ -144,8 +144,8 @@ fn time_cold(name: &'static str, width: u16) -> ColdTiming {
         lower_bound: run.lower_bound,
         params: run.params,
         stats: run.sweep,
-        menu_builds: instrument::menu_builds() - builds_before,
-        schedule_runs: instrument::schedule_runs() - runs_before,
+        menu_builds: trace.count(Work::MenuBuild),
+        schedule_runs: trace.count(Work::ScheduleRun),
     }
 }
 
@@ -162,7 +162,7 @@ fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let registry = ContextRegistry::default();
-    let compiles_before = instrument::context_compiles();
+    let compiles_before = obs::total(Work::ContextCompile);
 
     let mut soc_blocks = Vec::new();
     for name in benchmarks::NAMES {
@@ -216,7 +216,7 @@ fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 
     // Snapshot the warm section's compile count before the cold section
     // deliberately compiles one fresh context per SOC.
-    let context_compiles = instrument::context_compiles() - compiles_before;
+    let context_compiles = obs::total(Work::ContextCompile) - compiles_before;
 
     // Cold path: a fresh engine's very first request per SOC, the
     // latency a daemon pays before any cache is warm.

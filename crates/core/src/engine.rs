@@ -85,6 +85,21 @@ pub enum EngineOp {
     },
 }
 
+impl EngineOp {
+    /// Every request kind's label (a response's `op`), indexed by [`EngineOp::kind`].
+    pub const KINDS: [&'static str; 3] = ["schedule", "sweep", "bounds"];
+
+    /// This op's index into [`EngineOp::KINDS`].
+    #[must_use]
+    pub fn kind(&self) -> usize {
+        match self {
+            Self::Schedule { .. } => 0,
+            Self::Sweep { .. } => 1,
+            Self::Bounds { .. } => 2,
+        }
+    }
+}
+
 /// One unit of engine work: an SOC, a flow configuration (width cap,
 /// parameter sweep, power policy, preemption mode), and an operation.
 #[derive(Debug, Clone)]
@@ -167,6 +182,9 @@ pub enum CacheDisposition {
 }
 
 impl CacheDisposition {
+    /// Every disposition, in declaration order: `d as usize` indexes it.
+    pub const ALL: [CacheDisposition; 4] = [Self::Hit, Self::Miss, Self::Coalesced, Self::Uncached];
+
     /// The disposition as a lowercase label
     /// (`hit`/`miss`/`coalesced`/`uncached`), the form request logs use.
     pub fn label(self) -> &'static str {

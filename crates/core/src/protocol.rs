@@ -23,7 +23,7 @@
 //!
 //! `--trace` (or the spelling `trace=1`) asks the serving daemon to embed
 //! the request's phase trace — per-phase microseconds, the span tree, the
-//! cache disposition, and solver-counter deltas — in the JSON response.
+//! cache disposition, and its exact work counts — in the JSON response.
 //! It never affects the computed result, and it is *excluded* from
 //! [`route_key`]/the solution-cache identity, so a traced request and its
 //! untraced twin share one cache entry and one balancer shard.
@@ -795,30 +795,25 @@ pub fn replay_lines(text: &str) -> Vec<String> {
 /// response line.
 pub fn render_result(req: &EngineRequest, result: &EngineResult) -> String {
     let mut out = String::new();
-    let (kind, detail) = match &req.op {
-        EngineOp::Schedule { width } => ("schedule", format!("\"width\": {width}")),
-        EngineOp::Sweep { widths } => (
-            "sweep",
-            format!(
-                "\"from\": {}, \"to\": {}",
-                widths.first().copied().unwrap_or(0),
-                widths.last().copied().unwrap_or(0)
-            ),
+    let detail = match &req.op {
+        EngineOp::Schedule { width } => format!("\"width\": {width}"),
+        EngineOp::Sweep { widths } => format!(
+            "\"from\": {}, \"to\": {}",
+            widths.first().copied().unwrap_or(0),
+            widths.last().copied().unwrap_or(0)
         ),
-        EngineOp::Bounds { widths } => (
-            "bounds",
-            format!(
-                "\"widths\": [{}]",
-                widths
-                    .iter()
-                    .map(u16::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+        EngineOp::Bounds { widths } => format!(
+            "\"widths\": [{}]",
+            widths
+                .iter()
+                .map(u16::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
     };
     out.push_str(&format!(
-        "{{\"op\": \"{kind}\", \"soc\": \"{}\", {detail}, ",
+        "{{\"op\": \"{}\", \"soc\": \"{}\", {detail}, ",
+        EngineOp::KINDS[req.op.kind()],
         json_escape(req.soc.name())
     ));
     match result {

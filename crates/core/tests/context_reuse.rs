@@ -2,8 +2,8 @@
 //!
 //! Two kinds of pins:
 //!
-//! * **Amortization** — instrumentation counters
-//!   (`soctam_schedule::instrument`, `soctam_wrapper::instrument`) prove
+//! * **Amortization** — work totals (`soctam_schedule::obs::total`,
+//!   `soctam_wrapper::instrument`) prove
 //!   that a whole `(m, d, slack)` sweep builds `RectangleMenus` and
 //!   compiles `ConstraintSet` exactly once per SOC, that width sweeps —
 //!   served or direct — build menus once, when the context compiles, and
@@ -27,7 +27,8 @@ use soctam_core::engine::{Engine, EngineRequest};
 use soctam_core::flow::{FlowConfig, ParamSweep, TestFlow};
 use soctam_core::protocol::{benchmark_resolver, parse_request};
 use soctam_core::report::{preemption_sweep, preemption_sweep_with};
-use soctam_core::schedule::{instrument, CompiledSoc, ContextRegistry};
+use soctam_core::schedule::obs::{total, Work};
+use soctam_core::schedule::{CompiledSoc, ContextRegistry};
 use soctam_core::soc::benchmarks;
 use soctam_core::wrapper::instrument as wrapper_instrument;
 
@@ -55,9 +56,9 @@ struct Counters {
 
 fn counters() -> Counters {
     Counters {
-        menus: instrument::menu_builds(),
-        constraints: instrument::constraint_compiles(),
-        contexts: instrument::context_compiles(),
+        menus: total(Work::MenuBuild),
+        constraints: total(Work::ConstraintCompile),
+        contexts: total(Work::ContextCompile),
         rects: wrapper_instrument::rectangle_set_builds(),
     }
 }

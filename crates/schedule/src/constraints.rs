@@ -31,7 +31,7 @@ pub struct ConstraintSet {
 impl ConstraintSet {
     /// Compiles the constraint tables from an SOC model.
     pub fn compile(soc: &Soc) -> Self {
-        crate::instrument::note_constraint_compile();
+        crate::obs::count(crate::obs::Work::ConstraintCompile);
         let n = soc.len();
         let mut predecessors = vec![Vec::new(); n];
         for &(before, after) in soc.precedence() {

@@ -99,7 +99,7 @@ impl CompiledSoc {
     /// avoiding the model clone. The menu build is a `menu_build` span
     /// nested in this call's `context_compile` span.
     pub fn compile_arc(soc: Arc<Soc>, w_max: TamWidth) -> Self {
-        crate::instrument::note_context_compile();
+        crate::obs::count(crate::obs::Work::ContextCompile);
         let _span = crate::obs::span(crate::obs::Phase::ContextCompile);
         let w_max = w_max.max(1);
         let constraints = ConstraintSet::compile(&soc);

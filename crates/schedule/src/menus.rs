@@ -49,7 +49,7 @@ impl RectangleMenus {
     /// Panics if `w_max == 0`.
     pub fn build(soc: &Soc, w_max: TamWidth) -> Self {
         assert!(w_max > 0, "w_max must be at least one wire");
-        crate::instrument::note_menu_build();
+        crate::obs::count(crate::obs::Work::MenuBuild);
         Self {
             w_max,
             menus: soc

@@ -1,6 +1,6 @@
-//! Phase-level tracing and latency histograms for the serving stack.
+//! Phase tracing, work counts, and latency histograms for the serving stack.
 //!
-//! Two std-only primitives, shared by every layer from the packer to the
+//! Three std-only primitives, shared by every layer from the packer to the
 //! balancer front:
 //!
 //! * **Span recording.** A request thread arms a thread-local recorder
@@ -16,6 +16,12 @@
 //!   cached menu read opens no `menu_build` span, so a warm request's
 //!   trace reports exactly zero time in both (pinned by the trace suite).
 //!
+//! * **Work counts.** Each unit of costly [`Work`] makes one [`count`]
+//!   call where it happens, which adds to a process total ([`total`]) and,
+//!   when the thread has armed a recorder, to that trace's tally
+//!   ([`TraceTree::count`]). A served request works on its own thread, so
+//!   its tally is exact: another thread's work never shows in it.
+//!
 //! * **Latency histograms.** A fixed-boundary log₂ [`Histogram`] (powers
 //!   of two from 1 µs to ~2.1 s, plus overflow) over lock-striped atomic
 //!   counters. Recording is wait-free; [`Histogram::snapshot`] folds the
@@ -25,9 +31,9 @@
 //!   plain series, so the balancer's roll-up merges backend histograms
 //!   by summing their scraped series.
 //!
-//! The daemon uses both: per-request traces feed the `trace=1` response
-//! field, the request log's `phases` object, the `--slow-log` stream, and
-//! the per-phase cumulative counters; wire latencies feed
+//! The daemon uses all three: per-request traces feed the `trace=1`
+//! response field, the request log's `phases` object, the `--slow-log`
+//! stream, and the per-phase cumulative counters; wire latencies feed
 //! `soctam_request_latency_seconds{kind,cache}` histograms on `/metrics`.
 
 use std::cell::RefCell;
@@ -91,6 +97,60 @@ impl Phase {
     }
 }
 
+/// The costly units of work a request can do, one per counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// A whole-SOC [`RectangleMenus::build`](crate::RectangleMenus::build).
+    MenuBuild,
+    /// A [`ConstraintSet::compile`](crate::ConstraintSet::compile).
+    ConstraintCompile,
+    /// A whole [`CompiledSoc`](crate::CompiledSoc) compilation.
+    ContextCompile,
+    /// One packer run that [`best_of`](crate::best_of) executed.
+    ScheduleRun,
+}
+
+impl Work {
+    /// Every kind of work, in declaration order, which `work as usize` indexes.
+    pub const ALL: [Work; 4] = [
+        Work::MenuBuild,
+        Work::ConstraintCompile,
+        Work::ContextCompile,
+        Work::ScheduleRun,
+    ];
+
+    /// The snake_case counter name used in JSON.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Work::MenuBuild => "menu_builds",
+            Work::ConstraintCompile => "constraint_compiles",
+            Work::ContextCompile => "context_compiles",
+            Work::ScheduleRun => "schedule_runs",
+        }
+    }
+}
+
+/// Process-wide work totals, indexed like [`Work::ALL`].
+static TOTALS: [AtomicU64; Work::ALL.len()] = [const { AtomicU64::new(0) }; Work::ALL.len()];
+
+/// Counts one unit of `work`: into the process total and, when this
+/// thread has armed a recorder, into that trace's tally.
+pub fn count(work: Work) {
+    TOTALS[work as usize].fetch_add(1, Ordering::Relaxed);
+    RECORDER.with(|r| {
+        if let Some(recorder) = r.borrow_mut().as_mut() {
+            recorder.counts[work as usize] += 1;
+        }
+    });
+}
+
+/// Units of `work` counted by every thread since process start.
+#[must_use]
+pub fn total(work: Work) -> u64 {
+    TOTALS[work as usize].load(Ordering::Relaxed)
+}
+
 /// One finished span: a phase, its inclusive wall time, and the spans
 /// that nested inside it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +204,25 @@ fn spans_json_into(spans: &[SpanNode], out: &mut String) {
     out.push(']');
 }
 
-/// A whole request's recorded spans, collected by [`trace_end`].
+/// Renders `(label, value)` pairs as one JSON object, skipping zero
+/// values unless `include_zero`.
+fn json_object(pairs: impl IntoIterator<Item = (&'static str, u64)>, include_zero: bool) -> String {
+    let mut out = String::from("{");
+    for (label, value) in pairs {
+        if value == 0 && !include_zero {
+            continue;
+        }
+        if out.len() > 1 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "\"{label}\": {value}");
+    }
+    out.push('}');
+    out
+}
+
+/// A whole request's recorded spans and work tally, collected by
+/// [`trace_end`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTree {
     /// Wall time from [`trace_begin`] to [`trace_end`], which bounds the
@@ -152,6 +230,9 @@ pub struct TraceTree {
     pub total_micros: u64,
     /// Top-level spans in completion order.
     pub spans: Vec<SpanNode>,
+    /// Work this thread counted while the recorder was armed, indexed
+    /// like [`Work::ALL`].
+    counts: [u64; Work::ALL.len()],
 }
 
 impl TraceTree {
@@ -197,20 +278,26 @@ impl TraceTree {
     /// `phases` shape).
     #[must_use]
     pub fn phases_json(&self, include_zero: bool) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (phase, micros) in self.phase_micros() {
-            if micros == 0 && !include_zero {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "\"{}\": {}", phase.label(), micros);
-        }
-        out.push('}');
-        out
+        json_object(
+            self.phase_micros()
+                .map(|(phase, micros)| (phase.label(), micros)),
+            include_zero,
+        )
+    }
+
+    /// Units of `work` counted on this thread while the recorder was
+    /// armed.
+    #[must_use]
+    pub fn count(&self, work: Work) -> u64 {
+        self.counts[work as usize]
+    }
+
+    /// The work tally as one JSON object with every [`Work`] label, zeros
+    /// included, in [`Work::ALL`] order: the `trace=1` response's
+    /// `counters` shape.
+    #[must_use]
+    pub fn counters_json(&self) -> String {
+        json_object(Work::ALL.map(|work| (work.label(), self.count(work))), true)
     }
 }
 
@@ -225,6 +312,7 @@ struct Recorder {
     started: Instant,
     stack: Vec<OpenSpan>,
     roots: Vec<SpanNode>,
+    counts: [u64; Work::ALL.len()],
 }
 
 thread_local! {
@@ -240,6 +328,7 @@ pub fn trace_begin() {
             started: Instant::now(),
             stack: Vec::new(),
             roots: Vec::new(),
+            counts: [0; Work::ALL.len()],
         });
     });
 }
@@ -264,6 +353,7 @@ pub fn trace_end() -> Option<TraceTree> {
         Some(TraceTree {
             total_micros: recorder.started.elapsed().as_micros() as u64,
             spans: recorder.roots,
+            counts: recorder.counts,
         })
     })
 }
@@ -547,6 +637,83 @@ mod tests {
         assert!(!compact.contains("\"sweep\""), "{compact}");
         let spans = tree.spans_json();
         assert!(spans.starts_with("[{\"phase\": \"render\""), "{spans}");
+    }
+
+    // Other tests in this binary run packers and compile contexts on
+    // their own threads, so a total only ever grows by at least what a
+    // test counted; a trace's tally is exact.
+
+    #[test]
+    fn counts_land_in_the_armed_trace_and_in_the_total() {
+        let before = total(Work::ScheduleRun);
+        trace_begin();
+        for _ in 0..3 {
+            count(Work::ScheduleRun);
+        }
+        count(Work::MenuBuild);
+        let tree = trace_end().expect("armed");
+        assert_eq!(tree.count(Work::ScheduleRun), 3);
+        assert_eq!(tree.count(Work::MenuBuild), 1);
+        assert_eq!(tree.count(Work::ConstraintCompile), 0);
+        assert_eq!(tree.count(Work::ContextCompile), 0);
+        assert!(total(Work::ScheduleRun) >= before + 3);
+    }
+
+    #[test]
+    fn unarmed_counts_reach_only_the_total() {
+        let before = total(Work::ContextCompile);
+        count(Work::ContextCompile);
+        assert!(total(Work::ContextCompile) > before);
+        assert!(trace_end().is_none());
+        // A recorder armed afterwards starts from zero.
+        trace_begin();
+        let tree = trace_end().expect("armed");
+        assert_eq!(tree.count(Work::ContextCompile), 0);
+    }
+
+    #[test]
+    fn another_threads_work_stays_out_of_this_threads_trace() {
+        let before = total(Work::ConstraintCompile);
+        trace_begin();
+        count(Work::ConstraintCompile);
+        let theirs = std::thread::scope(|scope| {
+            let armed = scope.spawn(|| {
+                trace_begin();
+                for _ in 0..5 {
+                    count(Work::ConstraintCompile);
+                }
+                trace_end().expect("armed on that thread")
+            });
+            scope.spawn(|| count(Work::ConstraintCompile));
+            armed.join().expect("counting thread")
+        });
+        let ours = trace_end().expect("armed");
+        assert_eq!(ours.count(Work::ConstraintCompile), 1);
+        assert_eq!(theirs.count(Work::ConstraintCompile), 5);
+        assert!(total(Work::ConstraintCompile) >= before + 7);
+    }
+
+    #[test]
+    fn counters_json_lists_every_kind_in_order() {
+        trace_begin();
+        count(Work::ContextCompile);
+        count(Work::ScheduleRun);
+        count(Work::ScheduleRun);
+        let tree = trace_end().expect("armed");
+        assert_eq!(
+            tree.counters_json(),
+            "{\"menu_builds\": 0, \"constraint_compiles\": 0, \
+             \"context_compiles\": 1, \"schedule_runs\": 2}"
+        );
+        assert_eq!(
+            Work::ALL.map(Work::label),
+            [
+                "menu_builds",
+                "constraint_compiles",
+                "context_compiles",
+                "schedule_runs"
+            ]
+        );
     }
 
     #[test]

@@ -804,7 +804,7 @@ pub fn best_of(
                 continue;
             }
             stats.runs_executed += 1;
-            crate::instrument::note_schedule_run();
+            crate::obs::count(crate::obs::Work::ScheduleRun);
             let cfg = point(*m, *d, slack);
             scratch.reset(soc, &cfg, menus, prefs);
             let limit = best.map(|(makespan, _)| Limit { makespan, floors });

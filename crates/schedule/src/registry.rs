@@ -27,8 +27,8 @@
 //! bound, in-flight coalescing (concurrent same-key requests wait on
 //! one compile), and panic teardown are the cache's. Hits, misses, and
 //! evictions are counted on the registry ([`ContextRegistry::stats`]);
-//! whole-process compile counts are in
-//! [`instrument::context_compiles`](crate::instrument::context_compiles).
+//! whole-process compile counts are
+//! [`obs::total`](crate::obs::total)`(Work::ContextCompile)`.
 
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};

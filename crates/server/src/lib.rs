@@ -42,9 +42,9 @@
 //!
 //! * `--trace` (or `trace=1`) on a request line embeds a `"trace"` object
 //!   in that response: total and per-phase exclusive microseconds, the
-//!   span tree, the cache disposition, and the process-wide solver
-//!   counter deltas observed across the solve (concurrent traffic can
-//!   inflate the deltas — they are process counters, not request ones).
+//!   span tree, the cache disposition, and the work the request did,
+//!   counted on its own thread: concurrent traffic never shows in it, and
+//!   a request that coalesced onto another's solve reports zeros.
 //!   The flag is presentation-only and never part of the cache identity;
 //! * each JSONL request-log record carries a `"phases"` object of the
 //!   non-zero exclusive phase micros;
@@ -204,8 +204,8 @@ use std::time::{Duration, Instant, SystemTime};
 use soctam_core::engine::{CacheDisposition, Engine, EngineOp};
 use soctam_core::fault::{FaultAction, FaultPlan, FaultSite};
 use soctam_core::protocol;
-use soctam_core::schedule::obs;
-use soctam_core::schedule::{instrument, lock_unpoisoned, ContextRegistry};
+use soctam_core::schedule::obs::{self, Work};
+use soctam_core::schedule::{lock_unpoisoned, ContextRegistry};
 
 use front::{Conn, Front, FrontStats, Handler, Limits};
 
@@ -278,36 +278,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request-kind labels, indexed like [`Shared::latency`]'s outer axis.
-const KIND_LABELS: [&str; 3] = ["schedule", "sweep", "bounds"];
-
-/// Cache-disposition labels, indexed like [`Shared::latency`]'s inner
-/// axis (matching [`kind_and_cache_indices`]).
-const CACHE_LABELS: [&str; 4] = ["hit", "miss", "coalesced", "uncached"];
-
-/// Maps an op and a disposition onto [`Shared::latency`] indices.
-fn kind_and_cache_indices(op: &EngineOp, disposition: CacheDisposition) -> (usize, usize) {
-    let kind = match op {
-        EngineOp::Schedule { .. } => 0,
-        EngineOp::Sweep { .. } => 1,
-        EngineOp::Bounds { .. } => 2,
-    };
-    let cache = match disposition {
-        CacheDisposition::Hit => 0,
-        CacheDisposition::Miss => 1,
-        CacheDisposition::Coalesced => 2,
-        CacheDisposition::Uncached => 3,
-    };
-    (kind, cache)
-}
-
 /// Request/response traffic counters, exported through `/metrics` next to
 /// the front's connection counters.
 #[derive(Debug, Default)]
 struct Counters {
-    schedule_requests: AtomicU64,
-    sweep_requests: AtomicU64,
-    bounds_requests: AtomicU64,
+    /// Requests that parsed, indexed by [`EngineOp::kind`].
+    requests: [AtomicU64; EngineOp::KINDS.len()],
     parse_errors: AtomicU64,
     responses_ok: AtomicU64,
     responses_err: AtomicU64,
@@ -328,10 +304,10 @@ struct Shared {
     /// The slow-request trace log file, when a path is configured
     /// (threshold set with no path falls back to stderr).
     slow_log: Option<Mutex<std::fs::File>>,
-    /// Request-latency histograms: kind ([`KIND_LABELS`]) × cache
-    /// disposition ([`CACHE_LABELS`]). Only lines that reached the engine
-    /// are recorded — parse errors have no kind or disposition.
-    latency: [[obs::Histogram; CACHE_LABELS.len()]; KIND_LABELS.len()],
+    /// Request-latency histograms: kind ([`EngineOp::KINDS`]) × cache
+    /// disposition ([`CacheDisposition::ALL`]). Only lines that reached
+    /// the engine are recorded — parse errors have no kind or disposition.
+    latency: [[obs::Histogram; CacheDisposition::ALL.len()]; EngineOp::KINDS.len()],
     /// Cumulative exclusive per-phase time in microseconds, indexed like
     /// [`obs::Phase::ALL`].
     phase_micros: [AtomicU64; obs::Phase::ALL.len()],
@@ -705,45 +681,11 @@ struct ServedLine {
     trace: Option<obs::TraceTree>,
 }
 
-/// Snapshot of the process-wide solver counters, for the `--trace`
-/// response's deltas.
-#[derive(Clone, Copy)]
-struct SolverCounters {
-    menu_builds: u64,
-    constraint_compiles: u64,
-    context_compiles: u64,
-    schedule_runs: u64,
-}
-
-impl SolverCounters {
-    fn now() -> Self {
-        Self {
-            menu_builds: instrument::menu_builds(),
-            constraint_compiles: instrument::constraint_compiles(),
-            context_compiles: instrument::context_compiles(),
-            schedule_runs: instrument::schedule_runs(),
-        }
-    }
-
-    /// Renders `self - before` as a JSON object. Process counters, not
-    /// request ones: concurrent traffic can inflate the deltas.
-    fn delta_json(&self, before: &Self) -> String {
-        format!(
-            "{{\"menu_builds\": {}, \"constraint_compiles\": {}, \
-             \"context_compiles\": {}, \"schedule_runs\": {}}}",
-            self.menu_builds - before.menu_builds,
-            self.constraint_compiles - before.constraint_compiles,
-            self.context_compiles - before.context_compiles,
-            self.schedule_runs - before.schedule_runs,
-        )
-    }
-}
-
 /// Parses and serves one protocol request line under an armed span
 /// recorder. For a `--trace` request the response gains a `"trace"`
 /// member: total and per-phase exclusive micros (zeros explicit, so a
 /// warm request visibly reports `"context_compile": 0`), the span tree,
-/// the cache disposition, and the solver-counter deltas.
+/// the cache disposition, and the request's work counts.
 fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
     obs::trace_begin();
     let parsed = {
@@ -766,13 +708,8 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
             }
         }
         Ok(req) => {
-            let kind_counter = match &req.op {
-                EngineOp::Schedule { .. } => &shared.counters.schedule_requests,
-                EngineOp::Sweep { .. } => &shared.counters.sweep_requests,
-                EngineOp::Bounds { .. } => &shared.counters.bounds_requests,
-            };
-            kind_counter.fetch_add(1, Ordering::Relaxed);
-            let before = req.trace.then(SolverCounters::now);
+            let kind = req.op.kind();
+            shared.counters.requests[kind].fetch_add(1, Ordering::Relaxed);
             let (result, disposition) = shared.engine.serve_one_traced(&req);
             let (outcome_counter, outcome) = if result.is_ok() {
                 (&shared.counters.responses_ok, "ok")
@@ -786,7 +723,7 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
                 protocol::render_result(&req, &result)
             };
             let trace = obs::trace_end();
-            if let (Some(before), Some(tree)) = (before, trace.as_ref()) {
+            if let Some(tree) = trace.as_ref().filter(|_| req.trace) {
                 if response.ends_with('}') {
                     response.pop();
                     let _ = write!(
@@ -796,7 +733,7 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
                         tree.total_micros,
                         tree.phases_json(true),
                         tree.spans_json(),
-                        SolverCounters::now().delta_json(&before),
+                        tree.counters_json(),
                     );
                 }
             }
@@ -804,7 +741,7 @@ fn serve_request_line(shared: &Shared, request: &str) -> ServedLine {
                 response,
                 outcome,
                 cache,
-                indices: Some(kind_and_cache_indices(&req.op, disposition)),
+                indices: Some((kind, disposition as usize)),
                 trace,
             }
         }
@@ -828,16 +765,12 @@ fn metrics_text(shared: &Shared) -> String {
     w.scalar("soctam_connections_total", load(&front.connections));
     w.scalar("soctam_http_requests_total", load(&front.http_requests));
     w.family("soctam_requests_total", exposition::Kind::Counter);
-    for (kind, counter) in [
-        ("schedule", &c.schedule_requests),
-        ("sweep", &c.sweep_requests),
-        ("bounds", &c.bounds_requests),
-    ] {
+    for (kind, counter) in EngineOp::KINDS.iter().zip(&c.requests) {
         w.sample("soctam_requests_total", &[("kind", kind)], load(counter));
     }
     // The family table: one unlabelled sample per family, counters named
     // `_total`, gauges not. The `process_` counters cover every engine in
-    // the process (the instrument counters are process-wide).
+    // the process (the work totals are process-wide).
     for (name, value) in [
         ("soctam_request_parse_errors_total", load(&c.parse_errors)),
         ("soctam_responses_ok_total", load(&c.responses_ok)),
@@ -877,11 +810,11 @@ fn metrics_text(shared: &Shared) -> String {
         ("soctam_context_registry_resident", registry.len() as u64),
         (
             "soctam_process_schedule_runs_total",
-            instrument::schedule_runs(),
+            obs::total(Work::ScheduleRun),
         ),
         (
             "soctam_process_context_compiles_total",
-            instrument::context_compiles(),
+            obs::total(Work::ContextCompile),
         ),
     ] {
         w.scalar(name, value);
@@ -907,11 +840,12 @@ fn metrics_text(shared: &Shared) -> String {
     // unconditional so scrapers and smoke tests can gate on the family.
     let latency = "soctam_request_latency_seconds";
     w.family(latency, exposition::Kind::Histogram);
-    for (kind, row) in KIND_LABELS.iter().zip(&shared.latency) {
-        for (cache, histogram) in CACHE_LABELS.iter().zip(row) {
+    for (kind, row) in EngineOp::KINDS.iter().zip(&shared.latency) {
+        for (cache, histogram) in CacheDisposition::ALL.iter().zip(row) {
             let snapshot = histogram.snapshot();
             if snapshot.count > 0 {
-                w.histogram(latency, &[("kind", kind), ("cache", cache)], &snapshot);
+                let labels = [("kind", *kind), ("cache", cache.label())];
+                w.histogram(latency, &labels, &snapshot);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Loopback integration suite: live daemon on 127.0.0.1, real TCP
 //! clients, responses pinned bit-identical to direct `Engine` calls.
 //!
-//! Tests in this binary share the process-wide instrumentation counters
-//! (`soctam_core::schedule::instrument`), so every test serializes on one
+//! Tests in this binary share the process-wide work totals
+//! (`soctam_core::schedule::obs::total`), so every test serializes on one
 //! mutex — counter deltas measured inside a test are then attributable to
 //! that test alone.
 
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use soctam_core::engine::Engine;
 use soctam_core::protocol::{self, benchmark_resolver};
-use soctam_core::schedule::instrument;
+use soctam_core::schedule::obs::{total, Work};
 use soctam_server::{client, Server, ServerConfig, WarmReport};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -89,16 +89,16 @@ fn warm_cache_pass_performs_zero_solver_invocations() {
 
     // Warm pass: counter-pinned to perform no solver work at all — no
     // scheduler invocations, no context compilations.
-    let runs_before = instrument::schedule_runs();
-    let compiles_before = instrument::context_compiles();
+    let runs_before = total(Work::ScheduleRun);
+    let compiles_before = total(Work::ContextCompile);
     let warm = client::roundtrip(addr, &REQUESTS).expect("warm pass");
     assert_eq!(
-        instrument::schedule_runs(),
+        total(Work::ScheduleRun),
         runs_before,
         "a warm repeat request must never invoke the scheduler"
     );
     assert_eq!(
-        instrument::context_compiles(),
+        total(Work::ContextCompile),
         compiles_before,
         "a warm repeat request must never compile a context"
     );

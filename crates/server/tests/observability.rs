@@ -8,7 +8,11 @@
 //!   the client-measured wall latency;
 //! * **warm-phase zeroing** — a repeat request reports exactly zero
 //!   `context_compile` and `menu_build` time, counter-pinned against the
-//!   process-wide solver instrumentation;
+//!   process-wide work totals;
+//! * **exact work counts** — a traced response's `counters` are the work
+//!   that request did: a cold request's compiles and packer runs match a
+//!   direct `Engine` call, a warm repeat reports zeros, and packer runs
+//!   another connection does at the same time never show in it;
 //! * **presentation-only tracing** — stripping the `"trace"` member off a
 //!   traced response yields byte-for-byte the untraced response, and the
 //!   traced cold pass warms the cache for untraced repeats;
@@ -20,14 +24,15 @@
 //!   trace record (`"phases"` plus `"spans"`).
 //!
 //! Tests serialize on one mutex (shared convention with the loopback,
-//! chaos, and cluster suites) because the instrument counters are
-//! process-wide.
+//! chaos, and cluster suites) because the work totals are process-wide.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use soctam_core::protocol::Json;
-use soctam_core::schedule::instrument;
+use soctam_core::engine::{Engine, EngineOutput};
+use soctam_core::protocol::{benchmark_resolver, parse_request, Json};
+use soctam_core::schedule::obs::{self, Work};
 use soctam_server::{client, Server, ServerConfig};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -120,13 +125,13 @@ fn traced_responses_carry_a_phase_tree_and_warm_repeats_report_zero_compiles() {
 
     // Warm traced repeat: counter-pinned to zero solver work, and the
     // trace itself reports zero compile and menu phases.
-    let compiles_before = instrument::context_compiles();
-    let menus_before = instrument::menu_builds();
+    let compiles_before = obs::total(Work::ContextCompile);
+    let menus_before = obs::total(Work::MenuBuild);
     let warm = conn
         .request("schedule d695 --width 16 --trace")
         .expect("warm traced");
-    assert_eq!(instrument::context_compiles(), compiles_before);
-    assert_eq!(instrument::menu_builds(), menus_before);
+    assert_eq!(obs::total(Work::ContextCompile), compiles_before);
+    assert_eq!(obs::total(Work::MenuBuild), menus_before);
     assert!(warm.contains("\"cache\": \"hit\""), "{warm}");
     assert!(warm.contains("\"context_compile\": 0"), "{warm}");
     assert!(warm.contains("\"menu_build\": 0"), "{warm}");
@@ -316,4 +321,122 @@ fn cold_traced_requests_bill_their_time_to_the_phases_that_ran() {
         );
         server.shutdown();
     }
+}
+
+/// A traced response's `counters`, in [`Work::ALL`] order.
+fn counters(response: &str) -> [u64; 4] {
+    let counters = &json(response)["trace"]["counters"];
+    Work::ALL.map(|work| {
+        counters[work.label()]
+            .as_u64()
+            .unwrap_or_else(|| panic!("`{}` counter:\n{response}", work.label()))
+    })
+}
+
+/// The packer runs a direct, uncached `Engine` executes for a schedule
+/// request.
+fn direct_runs(request: &str) -> u64 {
+    let req = parse_request(request, &mut benchmark_resolver()).expect("a valid request");
+    match Engine::new().serve_one(&req) {
+        Ok(EngineOutput::Schedule(run)) => run.sweep.runs_executed as u64,
+        other => panic!("`{request}`: {other:?}"),
+    }
+}
+
+#[test]
+fn traced_counters_are_the_work_the_request_did() {
+    let _guard = serialize();
+    let server = server(ServerConfig::default());
+    let mut conn = client::Connection::connect(server.local_addr()).expect("connect");
+
+    // A fresh daemon's first request compiles its context once and runs
+    // the packer exactly as often as a direct solve does.
+    let cold = conn
+        .request("schedule d695 --width 16 --trace")
+        .expect("cold schedule");
+    assert!(client::response_ok(&cold), "{cold}");
+    let runs = direct_runs("schedule d695 --width 16");
+    assert!(runs > 0);
+    assert_eq!(counters(&cold), [1, 1, 1, runs], "{cold}");
+
+    // A cold sweep over the compiled context runs each width's packer
+    // runs and compiles nothing.
+    let sweep = conn
+        .request("sweep d695 --from 16 --to 18 --trace")
+        .expect("cold sweep");
+    assert!(sweep.contains("\"cache\": \"miss\""), "{sweep}");
+    let sweep_runs: u64 = (16..=18)
+        .map(|w| direct_runs(&format!("schedule d695 --width {w}")))
+        .sum();
+    assert_eq!(counters(&sweep), [0, 0, 0, sweep_runs], "{sweep}");
+
+    // Warm repeats did no work at all.
+    for request in [
+        "schedule d695 --width 16 --trace",
+        "sweep d695 --from 16 --to 18 --trace",
+    ] {
+        let warm = conn.request(request).expect("warm repeat");
+        assert!(warm.contains("\"cache\": \"hit\""), "{warm}");
+        assert_eq!(counters(&warm), [0; 4], "{warm}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_packer_runs_never_show_in_another_requests_trace() {
+    let _guard = serialize();
+    let server = server(ServerConfig::default());
+    let addr = server.local_addr();
+    let stop = AtomicBool::new(false);
+    let (started, first_run) = mpsc::channel();
+    std::thread::scope(|scope| {
+        // Cold schedule requests over distinct keys keep the packer busy
+        // on another worker until the traced requests are done.
+        let solver = scope.spawn(|| {
+            let mut conn = client::Connection::connect(addr).expect("connect");
+            let mut solved = 0u64;
+            'keys: for soc in ["d695", "p22810", "p34392", "p93791"] {
+                for mode in ["", " --power", " --no-preempt"] {
+                    for width in 8..=64 {
+                        if stop.load(Ordering::Relaxed) {
+                            break 'keys;
+                        }
+                        let request = format!("schedule {soc} --width {width}{mode}");
+                        let response = conn.request(&request).expect("cold schedule");
+                        assert!(response.contains("\"ok\""), "{response}");
+                        solved += 1;
+                        if solved == 1 {
+                            started.send(()).expect("the tracing side waits");
+                        }
+                    }
+                }
+            }
+            solved
+        });
+        first_run.recv().expect("the solver answered once");
+        let mut conn = client::Connection::connect(addr).expect("connect");
+        // Bounds requests never run the packer. Stop the solver before
+        // checking them, so a failure cannot leave it solving every key.
+        let traced: Vec<_> = (0..200u16)
+            .map(|i| conn.request(&format!("bounds d695 --widths {} --trace", 8 + i % 57)))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        let solved = solver.join().expect("solver connection");
+        assert!(solved > 1, "the solver side ran {solved} requests");
+        let leaked: Vec<String> = traced
+            .into_iter()
+            .map(|response| response.expect("traced bounds"))
+            .filter(|response| {
+                assert!(client::response_ok(response), "{response}");
+                counters(response)[3] > 0
+            })
+            .collect();
+        assert!(
+            leaked.is_empty(),
+            "{} of 200 traced bounds requests report another connection's packer runs:\n{}",
+            leaked.len(),
+            leaked.join("\n")
+        );
+    });
+    server.shutdown();
 }
